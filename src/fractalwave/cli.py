@@ -190,7 +190,7 @@ def _cmd_scaling(args) -> int:
         print(f"scaling: bad config: {exc}", file=sys.stderr)
         return 2
     run = run_scaling(config)
-    print(f"family={config.family} p={config.p} q={config.q} alpha={config.alpha} seed={config.seed}")
+    print(f"family={config.family} p={config.p} q={config.q} alpha={config.alpha}")
     for j, y in run.measured:
         print(f"  j={j}: log2 ratio = {y:+.4f}")
     print(
@@ -243,8 +243,6 @@ def _cmd_report(args) -> int:
     paths = sorted(run_dir.glob("*.json"))
     runs = []
     for p in paths:
-        if p.name.endswith(".field.json"):
-            continue
         try:
             runs.append(load(p))
         except ValueError as exc:

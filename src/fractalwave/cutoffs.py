@@ -15,8 +15,6 @@ supports quoted elsewhere (e.g. alias guards) can be read off this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -65,53 +63,3 @@ def beta1(t):
     t = np.asarray(t, dtype=np.float64)
     return psi(t / 2.0) * (1.0 - psi(4.0 * t))
 
-
-_KINDS = {
-    "eta": eta,
-    "step": step,
-    "psi": psi,
-    "beta": beta,
-    "beta0": beta0,
-    "beta1": beta1,
-}
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Named cutoff with its support and plateau, for introspection and plots."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown cutoff kind {self.kind!r}; choose from {sorted(_KINDS)}")
-
-    def __call__(self, t):
-        return _KINDS[self.kind](t)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return {
-            "eta": (0.0, np.inf),
-            "step": (0.0, np.inf),
-            "psi": (-np.inf, 2.0),
-            "beta": (0.5, 2.0),
-            "beta0": (-4.0, 4.0),
-            "beta1": (0.25, 4.0),
-        }[self.kind]
-
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return {
-            "eta": (np.inf, np.inf),
-            "step": (1.0, np.inf),
-            "psi": (-np.inf, 1.0),
-            "beta": (np.nan, np.nan),  # beta has no plateau: it peaks at 1 on [1, ...] minus tail overlap
-            "beta0": (-2.0, 2.0),
-            "beta1": (0.5, 2.0),
-        }[self.kind]
-
-
-def cutoff(kind: str, t):
-    """Evaluate a named cutoff profile (vectorized)."""
-    return CutoffProfile(kind)(t)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .caps import necessary_q_bounds, pair_product_statistic
 from .exponents import PQPoint, s_exponents
-from .extremizers import annulus, knapp, radial_focusing
+from .extremizers import ExtremizerSpec, build_extremizer
 from .grid import (
     Field,
     GridSpec,
@@ -75,7 +75,6 @@ class RunConfig:
     period: float = 8.0
     time_L: float = 16.0
     tolerance: float = 0.15
-    seed: int = 0
     label: str = ""
 
     def __post_init__(self):
@@ -98,6 +97,8 @@ class RunConfig:
             )
         if self.set_kind == "single_time" and not 0.0 < self.time_L * 2.0**-self.j_min <= 1.0:
             raise ValueError("single-time offset L 2^{-j_min} must land in (1, 2]")
+        if self.set_kind == "cantor" and self.time_L < 1.0:
+            raise ValueError(f"cantor time sets need time_L >= 1, got {self.time_L}")
 
     def to_json(self) -> dict:
         return {
@@ -112,14 +113,14 @@ class RunConfig:
             "period": self.period,
             "time_L": self.time_L,
             "tolerance": self.tolerance,
-            "seed": self.seed,
             "label": self.label,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        extra = set(data) - set(cls.__dataclass_fields__)
+        # Older documents carry a "seed" that no run ever read; it is dropped.
+        known = {f: v for f, v in data.items() if f != "seed"}
+        extra = set(known) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown RunConfig fields: {sorted(extra)}")
         return cls(**known)
@@ -163,20 +164,12 @@ def _time_set(config: RunConfig, j: int) -> TimeSet:
     return discretize(ts, 2.0**-j)
 
 
-def _build_family(config: RunConfig, grid: GridSpec, j: int) -> Field:
-    if config.family == "radial_focusing":
-        return radial_focusing(grid, j)
-    if config.family == "knapp":
-        return knapp(grid, j)
-    return annulus(grid, j)
-
-
 def run_scaling(config: RunConfig) -> ScalingRun:
     grid = GridSpec(config.n, config.period)
     measured = []
     set_sizes = []
     for j in range(config.j_min, config.j_max + 1):
-        f = _build_family(config, grid, j)
+        f = build_extremizer(ExtremizerSpec(config.family, j), grid)
         E = _time_set(config, j)
         pf = littlewood_paley(f, j)
         num = mixed_norm({t: half_wave(pf, t) for t in E.points}, config.q)

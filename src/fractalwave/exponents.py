@@ -114,8 +114,7 @@ def _hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, F
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else sorted(set(points))[:2] if len(set(points)) >= 2 else pts
+    return lower[:-1] + upper[:-1]
 
 
 def _on_segment(p, a, b) -> bool:
@@ -164,16 +163,11 @@ def region_membership(point: PQPoint, spec: RegionSpec) -> str:
 
 
 def in_region(point: PQPoint, spec: RegionSpec) -> bool:
-    """True iff the point is in R = interior of the Q-hull, or on [Q1, Q2)."""
-    qs = q_points(spec)
-    hull = _hull([q.as_tuple() for q in qs])
-    where = _classify_hull(point.as_tuple(), hull)
-    if where == "interior":
-        return True
-    if where == "outside":
-        return False
-    q1, q2 = qs[0].as_tuple(), qs[1].as_tuple()
-    return _on_segment(point.as_tuple(), q1, q2) and point.as_tuple() != q2
+    """True iff the point is in R = interior of the Q-hull, or on [Q1, Q2).
+
+    Q1 is the one point of R that :func:`region_membership` labels ``boundary_Q``.
+    """
+    return region_membership(point, spec) in ("interior_Q", "in_R") or point == q_points(spec)[0]
 
 
 def s_exponents(point: PQPoint, d: int, alpha) -> SExponents:
@@ -233,7 +227,9 @@ class ThresholdTable:
     r: Fraction | None = None
 
     def __post_init__(self):
-        assert self.q_tilde_circ < 2 * Fraction(self.d - 1 + 2 * self.alpha, self.d - 1)
+        bound = 2 * Fraction(self.d - 1 + 2 * self.alpha, self.d - 1)
+        if not self.q_tilde_circ < bound:
+            raise ValueError(f"q_tilde_circ = {self.q_tilde_circ} must lie below {bound}")
 
 
 def thresholds(d: int, alpha, r=None) -> ThresholdTable:
@@ -310,10 +306,6 @@ class PlotElement:
     points: tuple[PQPoint, ...]
 
 
-def _corner(d: int, alpha: Fraction) -> Fraction:
-    return Fraction(d - 1, 1) / (2 * (d - 1 + alpha))
-
-
 def region_plot_data(spec: RegionSpec, feature_set: str, r=Fraction(4)) -> list[PlotElement]:
     """Exact polylines/points for the three standard exponent diagrams.
 
@@ -327,14 +319,14 @@ def region_plot_data(spec: RegionSpec, feature_set: str, r=Fraction(4)) -> list[
     if spec.alpha is None:
         raise ValueError("plot data needs alpha in the spec")
     d, a = spec.d, spec.alpha
-    c = _corner(d, a)
+    corner = marginal_vertex(d, a)
     half = Fraction(1, 2)
     out = [
         PlotElement("p_equals_q", "polyline", (PQPoint(Fraction(0), Fraction(0)), PQPoint(half, half))),
-        PlotElement("critical_line", "polyline", (PQPoint(c, c), PQPoint(Fraction(1), Fraction(0)))),
+        PlotElement("critical_line", "polyline", (corner, PQPoint(Fraction(1), Fraction(0)))),
         PlotElement("s2_s3_boundary", "polyline", (PQPoint(half, half), PQPoint(Fraction(1), Fraction(0)))),
         PlotElement("p_equals_1", "polyline", (PQPoint(Fraction(1), Fraction(0)), PQPoint(Fraction(1), Fraction(1)))),
-        PlotElement("corner", "point", (PQPoint(c, c),)),
+        PlotElement("corner", "point", (corner,)),
     ]
     if feature_set == "fig1":
         return out

@@ -25,6 +25,7 @@ from .grid import (
     Field,
     GridSpec,
     _as_physical,
+    _xi_norm,
     frequency_lattice,
     half_wave,
     physical_coords,
@@ -55,28 +56,6 @@ class ExtremizerSpec:
         if self.family in ("bilinear_cap_pair", "squashed_pair") and self.delta is None:
             raise ValueError(f"family {self.family!r} needs delta")
 
-    def to_json(self) -> dict:
-        out = {
-            "family": self.family,
-            "j": self.j,
-            "constants": {"c1": self.c1, "c0": self.c0, "L": self.L},
-        }
-        if self.delta is not None:
-            out["delta"] = self.delta
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExtremizerSpec":
-        c = data.get("constants", {})
-        return cls(
-            family=data["family"],
-            j=int(data["j"]),
-            c1=float(c.get("c1", DEFAULT_C1)),
-            c0=float(c.get("c0", DEFAULT_C0)),
-            L=float(c.get("L", DEFAULT_L)),
-            delta=(float(data["delta"]) if "delta" in data else None),
-        )
-
 
 def _support_guard(grid: GridSpec, j: int) -> None:
     if 2.0 ** (j + 2) > grid.nyquist * (1.0 + 1e-12):
@@ -88,8 +67,7 @@ def _support_guard(grid: GridSpec, j: int) -> None:
 
 def radial_focusing(grid: GridSpec, j: int) -> Field:
     _support_guard(grid, j)
-    xi1, xi2 = frequency_lattice(grid)
-    r = np.hypot(np.broadcast_to(xi1, (grid.n, grid.n)), np.broadcast_to(xi2, (grid.n, grid.n)))
+    r = _xi_norm(grid)
     vals = np.exp(-1j * r) * beta1(r / 2.0**j)
     return Field(grid, vals, "frequency")
 
@@ -100,14 +78,12 @@ def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
         raise ValueError(f"c1 must lie in (0, 1], got {c1}")
     xi1, xi2 = frequency_lattice(grid)
     vals = beta0(xi1 / (c1 * 2.0 ** (j / 2.0))) * beta1(xi2 / 2.0**j)
-    return Field(grid, (vals + 0j) * np.ones((grid.n, grid.n)), "frequency")
+    return Field(grid, vals + 0j, "frequency")
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
     _support_guard(grid, j)
-    xi1, xi2 = frequency_lattice(grid)
-    r = np.hypot(np.broadcast_to(xi1, (grid.n, grid.n)), np.broadcast_to(xi2, (grid.n, grid.n)))
-    return Field(grid, beta1(r / 2.0**j) + 0j, "frequency")
+    return Field(grid, beta1(_xi_norm(grid) / 2.0**j) + 0j, "frequency")
 
 
 def build_extremizer(spec: ExtremizerSpec, grid: GridSpec):

@@ -24,12 +24,9 @@ multiplier is 1 at xi = 0, so means are preserved).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -181,45 +178,22 @@ def circular_average(f: Field, t: float) -> Field:
     return _apply_multiplier(f, bessel_j0(t * _xi_norm(f.grid)))
 
 
-def circular_average_quadrature(f: Field, t: float, m: int = 256, method: str = "spectral") -> Field:
+def circular_average_quadrature(f: Field, t: float, m: int = 256) -> Field:
     """m-point uniform circle quadrature: (1/m) sum_i f(x - t y_i), y_i on the unit circle.
 
-    'spectral' evaluates the off-grid samples with the exact trigonometric
+    The off-grid samples are evaluated with the exact trigonometric
     interpolant (equivalently: the multiplier (1/m) sum_i e^{-i t <xi, y_i>}),
     an independent oracle for the J0 multiplier that converges
-    superexponentially once m >= 4 t B for band limit B.  'bilinear'
-    interpolates the four surrounding cells instead — cheap, but accurate
-    only to O((t_band * cell)^2), so use it for cross-checks at coarse
-    tolerance, not certification.
+    superexponentially once m >= 4 t B for band limit B.
     """
     _check_radius(f.grid, t)
     if m < 64:
         raise ValueError(f"quadrature needs m >= 64 points, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
-    y1 = t * np.cos(theta)
-    y2 = t * np.sin(theta)
-    if method == "spectral":
-        xi = _axis_freq(f.grid)
-        a = np.exp(-1j * np.outer(xi, y1))
-        b = np.exp(-1j * np.outer(y2, xi))
-        mult = (a @ b) / m
-        return _apply_multiplier(f, mult)
-    if method == "bilinear":
-        g = _as_physical(f)
-        vals = g.values
-        acc = np.zeros_like(vals)
-        cell = f.grid.cell
-        for s1, s2 in zip(y1, y2):
-            a1, fr1 = divmod(s1 / cell, 1.0)
-            a2, fr2 = divmod(s2 / cell, 1.0)
-            a1, a2 = int(a1), int(a2)
-            for d1, w1 in ((a1, 1.0 - fr1), (a1 + 1, fr1)):
-                for d2, w2 in ((a2, 1.0 - fr2), (a2 + 1, fr2)):
-                    if w1 * w2 != 0.0:
-                        acc += (w1 * w2) * np.roll(vals, (d1, d2), axis=(0, 1))
-        out = Field(f.grid, acc / m, "physical")
-        return out if f.space == "physical" else to_frequency(out)
-    raise ValueError(f"unknown quadrature method {method!r}")
+    xi = _axis_freq(f.grid)
+    a = np.exp(-1j * np.outer(xi, t * np.cos(theta)))
+    b = np.exp(-1j * np.outer(t * np.sin(theta), xi))
+    return _apply_multiplier(f, (a @ b) / m)
 
 
 def lp_norm(f: Field, p) -> float:
@@ -355,71 +329,6 @@ def sector_project(f: Field, arc: tuple[float, float], smooth_margin: float) -> 
         window = rise * fall
         window[0, 0] = 0.0
     return _apply_multiplier(f, window)
-
-
-# --- serialization -----------------------------------------------------------
-
-_MAGIC = b"FWF1"
-_SPACE_FLAG = {"physical": 0, "frequency": 1}
-
-
-def save_field(f: Field, path) -> None:
-    """Binary layout: magic, n (u32), period (f64), space tag (u8), then
-    row-major complex128 little-endian values; JSON sidecar alongside."""
-    path = Path(path)
-    header = _MAGIC + struct.pack("<IdB", f.grid.n, f.grid.period, _SPACE_FLAG[f.space])
-    path.write_bytes(header + f.values.astype("<c16").tobytes())
-    sidecar = {
-        "format": "FWF1",
-        "n": f.grid.n,
-        "period": f.grid.period,
-        "space": f.space,
-        "dtype": "complex128",
-        "byte_order": "little",
-        "layout": "row-major",
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_field(path) -> Field:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a field file (bad magic {raw[:4]!r})")
-    n, period, flag = struct.unpack("<IdB", raw[4 : 4 + 13])
-    vals = np.frombuffer(raw[4 + 13 :], dtype="<c16").reshape(n, n)
-    space = {v: k for k, v in _SPACE_FLAG.items()}[flag]
-    return Field(GridSpec(n=n, period=period), vals.astype(np.complex128), space)
-
-
-def radial_profile_csv(f: Field, bins: int = 128) -> str:
-    """CSV of mean |value| against radius (physical or frequency, as tagged)."""
-    if f.space == "physical":
-        x1, x2 = physical_coords(f.grid)
-        r = np.hypot(np.broadcast_to(x1, f.values.shape), np.broadcast_to(x2, f.values.shape))
-    else:
-        r = _xi_norm(f.grid)
-    mag = np.abs(f.values)
-    edges = np.linspace(0.0, r.max(), bins + 1)
-    idx = np.clip(np.digitize(r.ravel(), edges) - 1, 0, bins - 1)
-    sums = np.bincount(idx, weights=mag.ravel(), minlength=bins)
-    counts = np.maximum(np.bincount(idx, minlength=bins), 1)
-    rows = ["radius,mean_abs"]
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    for rv, vv in zip(mid, sums / counts):
-        rows.append(f"{rv:.12g},{vv:.12g}")
-    return "\n".join(rows) + "\n"
-
-
-def axis_profile_csv(f: Field) -> str:
-    """CSV of the field along the first axis (second coordinate = 0)."""
-    x = _axis_coord(f.grid) if f.space == "physical" else _axis_freq(f.grid)
-    order = np.argsort(x)
-    line = f.values[:, 0]
-    rows = ["coord,re,im,abs"]
-    for i in order:
-        v = line[i]
-        rows.append(f"{x[i]:.12g},{v.real:.12g},{v.imag:.12g},{abs(v):.12g}")
-    return "\n".join(rows) + "\n"
 
 
 def random_field(grid: GridSpec, seed: int = 0, band_j: int | None = None) -> Field:

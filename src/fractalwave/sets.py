@@ -53,9 +53,6 @@ class TimeSet:
     def __iter__(self):
         return iter(self.points)
 
-    def span(self) -> float:
-        return self.points[-1] - self.points[0] if self.points else 0.0
-
     def to_json(self) -> list[float]:
         return list(self.points)
 
@@ -79,16 +76,6 @@ class CantorSpec:
     k: int
     j: int
     L: float
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "j": self.j, "L": self.L, "k": self.k, "mu": self.mu}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CantorSpec":
-        spec = cantor_spec(data["alpha"], data["j"], data["L"])
-        if spec.k != data["k"]:
-            raise ValueError(f"inconsistent stage count in stored spec: {data['k']} != {spec.k}")
-        return spec
 
 
 def cantor_spec(alpha: float, j: int, L: float = 16.0) -> CantorSpec:
@@ -119,14 +106,17 @@ def cantor_spec_from_stages(alpha: float, k: int) -> CantorSpec:
     return spec
 
 
+def _cantor_offsets(mu: float, k: int, stage: int = 0, origin: float = 0.0) -> np.ndarray:
+    """origin + (1 - mu) * sum_{stage <= m < k} mu**m * P_m over all bits P_m, unsorted."""
+    offsets = np.array([origin])
+    for m in range(stage, k):
+        offsets = np.concatenate([offsets, offsets + (1.0 - mu) * mu**m])
+    return offsets
+
+
 def cantor_points(spec: CantorSpec) -> TimeSet:
     """Materialize the stage-``k`` Cantor set of a spec."""
-    k, mu = spec.k, spec.mu
-    base = 1.0 + mu**k
-    offsets = np.zeros(1)
-    for m in range(k):
-        offsets = np.concatenate([offsets, offsets + (1.0 - mu) * mu**m])
-    pts = np.sort(base + offsets)
+    pts = np.sort(1.0 + spec.mu**spec.k + _cantor_offsets(spec.mu, spec.k))
     return TimeSet.from_points(pts.tolist())
 
 
@@ -158,9 +148,7 @@ def decompose_cantor_levels(spec: CantorSpec) -> list[TimeSet]:
     base = 1.0 + mu**k
     levels: list[TimeSet] = []
     for l in range(k):
-        offsets = np.array([(1.0 - mu) * mu**l])
-        for m in range(l + 1, k):
-            offsets = np.concatenate([offsets, offsets + (1.0 - mu) * mu**m])
+        offsets = _cantor_offsets(mu, k, stage=l + 1, origin=(1.0 - mu) * mu**l)
         levels.append(TimeSet.from_points(np.sort(base + offsets).tolist()))
     levels.append(TimeSet.from_points([base]))
     return levels
@@ -314,10 +302,7 @@ def marginal_sum(spec: CantorSpec) -> MarginalSum:
     k, mu, alpha = spec.k, spec.mu, spec.alpha
     if k == 0:
         return MarginalSum(value=1.0, ratio=math.inf, k=0, reliable=False)
-    offsets = np.zeros(1)
-    for m in range(k):
-        offsets = np.concatenate([offsets, offsets + (1.0 - mu) * mu**m])
-    terms = (mu**k + offsets) ** (-alpha)
+    terms = (mu**k + _cantor_offsets(mu, k)) ** (-alpha)
     value = math.fsum(terms.tolist())
     ratio = value / (k * 2.0**k)
     exact: Fraction | None = None

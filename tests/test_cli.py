@@ -1,8 +1,10 @@
 """Command-line interface: argument wiring, output shape, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,7 @@ def test_scaling_run_and_report(tmp_path, capsys, quick_config):
     code, out, _ = run_cli(capsys, "scaling", "--config", str(quick_config), "--out", str(out_dir))
     assert code == 0
     assert "verdict: consistent" in out
+    assert "seed" not in out
     assert (out_dir / "cli_demo.json").exists()
     assert (out_dir / "cli_demo.csv").exists()
 
@@ -134,6 +137,16 @@ def test_scaling_malformed_config(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "scaling", "--config", str(bad))
     assert code == 2
+
+
+def test_scaling_rejects_cantor_time_L_below_one(tmp_path, capsys):
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "set_kind": "cantor", "time_L": 0.5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "scaling", "--config", str(path))
+    assert code == 2
+    assert "bad config" in err and "time_L" in err
+    assert out == ""
 
 
 def test_report_empty_dir(tmp_path, capsys):
@@ -192,6 +205,17 @@ def test_console_script_installed():
     proc = subprocess.run(
         ["fractalwave", "thresholds", "--alpha", "1"],
         capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "10/3" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalwave", "thresholds", "--alpha", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert "10/3" in proc.stdout

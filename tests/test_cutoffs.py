@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalwave.cutoffs import CutoffProfile, beta, beta0, beta1, cutoff, eta, psi, step
+from fractalwave.cutoffs import beta, beta0, beta1, eta, psi, step
 
 floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -71,23 +71,3 @@ def test_eta_germ():
     assert eta(1.0) == pytest.approx(np.exp(-1.0))
     # all derivatives vanish at 0: the forward difference quotient dies fast
     assert eta(1e-3) < 1e-300 or eta(1e-3) / 1e-3 < 1e-100
-
-
-def test_profile_metadata_matches_behavior():
-    for kind in ("psi", "beta", "beta0", "beta1"):
-        prof = CutoffProfile(kind)
-        lo, hi = prof.support
-        probes = np.linspace(max(lo, -8.0) - 1.0, min(hi, 8.0) + 1.0, 1501)
-        v = prof(probes)
-        outside = (probes < lo) | (probes > hi)
-        assert np.all(v[outside] == 0.0) or kind == "psi"  # psi extends to -inf
-        plo, phi = prof.plateau
-        if np.isfinite(plo) and np.isfinite(phi):
-            inside = (probes >= plo) & (probes <= phi)
-            assert np.all(v[inside] == 1.0)
-
-
-def test_cutoff_dispatch():
-    assert cutoff("beta", 1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        CutoffProfile("gauss")

@@ -76,6 +76,8 @@ def test_config_validation():
         RunConfig(family="knapp", p="2", q="2", j_max=8, n=1024)
     with pytest.raises(ValueError):  # single-time offset must land in (1, 2]
         RunConfig(family="knapp", p="2", q="2", set_kind="single_time", time_L=40.0)
+    with pytest.raises(ValueError, match="time_L"):  # Cantor calibration needs L >= 1
+        RunConfig(family="knapp", p="2", q="2", set_kind="cantor", time_L=0.5)
 
 
 def test_config_json_roundtrip_rejects_unknown_fields():
@@ -84,6 +86,12 @@ def test_config_json_roundtrip_rejects_unknown_fields():
     bad = dict(cfg.to_json(), extra_knob=3)
     with pytest.raises(ValueError, match="unknown"):
         RunConfig.from_json(bad)
+
+
+def test_config_json_drops_legacy_seed():
+    cfg = RunConfig(family="annulus", p="1", q="16", alpha="1/2", label="x")
+    assert "seed" not in cfg.to_json()
+    assert RunConfig.from_json(dict(cfg.to_json(), seed=7)) == cfg
 
 
 def test_predicted_exponents():

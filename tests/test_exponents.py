@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from fractalwave.exponents import (
     PQPoint,
     RegionSpec,
+    ThresholdTable,
+    _hull,
     critical_line,
     in_region,
     marginal_vertex,
@@ -86,6 +88,14 @@ def test_threshold_validation():
         thresholds(2, 0)
     with pytest.raises(ValueError):
         thresholds(2, 2)
+
+
+def test_threshold_table_rejects_tilde_circ_at_bound():
+    # the check must survive python -O, so it cannot be an assert
+    good = thresholds(2, 1)
+    fields = {name: getattr(good, name) for name in good.__dataclass_fields__}
+    with pytest.raises(ValueError, match="q_tilde_circ"):
+        ThresholdTable(**dict(fields, q_tilde_circ=F(6)))  # 2 (d - 1 + 2 alpha)/(d - 1) = 6
 
 
 # --- pointwise exponents -----------------------------------------------------
@@ -165,6 +175,24 @@ def test_membership_classification():
     assert in_region(PQPoint(F(1, 3), F(1, 5)), spec)
     assert not in_region(PQPoint(F(1, 2), F(1, 2)), spec)  # Q2 excluded
     assert not in_region(PQPoint(F(2, 3), F(1, 5)), spec)
+
+
+def test_hull_of_collinear_points_keeps_both_extremes():
+    pts = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2))]
+    assert _hull(pts) == [(F(0), F(0)), (F(1, 2), F(1, 2))]
+
+
+SIXTHS = [(F(m, 6), F(a, 6)) for a in range(1, 7) for m in range(a + 1)]
+
+
+@pytest.mark.parametrize("mu, alpha", SIXTHS)
+def test_in_region_on_the_diagonal_edge(mu, alpha):
+    spec = RegionSpec(2, mu, alpha)
+    q1, q2 = q_points(spec)[:2]
+    assert in_region(q1, spec)
+    assert not in_region(q2, spec)
+    for w in (F(1, 3), F(1, 2), F(5, 6)):  # the open edge (Q1, Q2)
+        assert in_region(PQPoint(w * q2.inv_p, w * q2.inv_q), spec)
 
 
 def test_membership_needs_parameters():

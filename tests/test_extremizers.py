@@ -47,16 +47,6 @@ def test_spec_validation():
         ExtremizerSpec("bilinear_cap_pair", 4)  # needs delta
 
 
-def test_spec_json_roundtrip():
-    spec = ExtremizerSpec("knapp", 5, c1=0.0625)
-    back = ExtremizerSpec.from_json(spec.to_json())
-    assert back == spec
-    js = spec.to_json()
-    assert js["constants"]["c1"] == 0.0625
-    pair_spec = ExtremizerSpec("bilinear_cap_pair", 0, delta=0.125)
-    assert ExtremizerSpec.from_json(pair_spec.to_json()).delta == 0.125
-
-
 def test_alias_guard():
     small = GridSpec(256, 8.0)  # nyquist ~ 100.5, so 2^(j+2) <= nyquist forces j <= 4
     build_extremizer(ExtremizerSpec("radial_focusing", 4), small)

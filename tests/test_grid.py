@@ -1,4 +1,4 @@
-"""Grid conventions: transforms, norms, lattice layout, field serialization.
+"""Grid conventions: transforms, norms, lattice layout.
 
 The transform normalization is the one where the discrete Plancherel identity
 sum |f|^2 cell^2 = sum |f_hat|^2 / period^2 holds exactly, and a pure lattice
@@ -13,15 +13,11 @@ from hypothesis import strategies as st
 from fractalwave.grid import (
     Field,
     GridSpec,
-    axis_profile_csv,
     frequency_lattice,
-    load_field,
     lp_norm,
     mixed_norm,
     physical_coords,
-    radial_profile_csv,
     random_field,
-    save_field,
     to_frequency,
     to_physical,
 )
@@ -126,39 +122,6 @@ def test_mixed_norm_reduces_to_lp():
     )
     with pytest.raises(ValueError):
         mixed_norm({}, 2)
-
-
-def test_field_file_roundtrip(tmp_path):
-    f = random_field(GridSpec(64, 8.0), seed=9)
-    path = tmp_path / "field.fwf"
-    save_field(f, path)
-    back = load_field(path)
-    assert back.grid == f.grid
-    assert back.space == f.space
-    assert np.array_equal(back.values, f.values)
-    assert (tmp_path / "field.fwf.json").exists() or (tmp_path / "field.json").exists()
-
-
-def test_field_file_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.fwf"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_field(path)
-
-
-def test_profile_csvs_are_well_formed():
-    f = random_field(GridSpec(64, 8.0), seed=5)
-    rad = radial_profile_csv(f, bins=16)
-    lines = rad.strip().splitlines()
-    assert lines[0].startswith("radius")
-    assert len(lines) >= 8
-    ax = axis_profile_csv(f)
-    lines = ax.strip().splitlines()
-    assert lines[0] == "coord,re,im,abs"
-    assert len(lines) == 65
-    # coordinates are emitted in increasing order
-    coords = [float(row.split(",")[0]) for row in lines[1:]]
-    assert coords == sorted(coords)
 
 
 def test_random_field_is_deterministic():

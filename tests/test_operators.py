@@ -112,16 +112,6 @@ def test_quadrature_refines_with_m():
         circular_average_quadrature(f, 2.0, m=32)
 
 
-def test_bilinear_route_is_honestly_coarse():
-    f = random_field(GridSpec(256, 8.0), seed=4, band_j=3)
-    mult = circular_average(f, 1.3)
-    bil = circular_average_quadrature(f, 1.3, m=256, method="bilinear")
-    err = rel_l2(mult, bil)
-    assert 1e-8 < err < 0.1  # interpolation error, not an independent exact route
-    with pytest.raises(ValueError):
-        circular_average_quadrature(f, 1.3, method="cubic")
-
-
 def test_radius_guard():
     f = random_field(GridSpec(64, 8.0), seed=0)
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave.sets import (
-    CantorSpec,
     TimeSet,
     assouad_characteristic,
     assouad_characteristic_sup,
@@ -274,12 +273,3 @@ def test_timeset_roundtrip(tmp_path):
     back = load_timeset(path)
     assert back.points == ts.points
     assert back.min_gap == ts.min_gap
-
-
-def test_cantor_spec_json_roundtrip():
-    spec = cantor_spec(0.75, 9, L=2.0)
-    assert CantorSpec.from_json(spec.to_json()) == spec
-    bad = dict(spec.to_json())
-    bad["k"] += 1
-    with pytest.raises(ValueError):
-        CantorSpec.from_json(bad)
