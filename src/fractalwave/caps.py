@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, frequency_lattice
+from .grid import Field, GridSpec, _own, frequency_lattice
 
 _KINDS = ("angular", "squashed")
 
@@ -181,7 +181,7 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
                 "refine the grid or use the continuum profile"
             )
         amp = grid.period / math.sqrt(count)
-        fields.append(Field(grid, mask.astype(np.complex128) * amp, "frequency"))
+        fields.append(_own(grid, mask.astype(np.complex128) * amp, "frequency"))
     return fields[0], fields[1]
 
 

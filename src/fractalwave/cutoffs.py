@@ -11,11 +11,18 @@ All profiles are exact C^infinity bumps, vectorized over numpy arrays:
 
 These are the only bump shapes used anywhere in the package, so frequency
 supports quoted elsewhere (e.g. alias guards) can be read off this table.
+Each profile is exactly 0 outside its open support below (the floating-point
+evaluation included), so a caller may evaluate it inside the support only and
+write zeros elsewhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BETA_SUPPORT = (0.5, 2.0)
+BETA0_SUPPORT = (-4.0, 4.0)
+BETA1_SUPPORT = (0.25, 4.0)
 
 
 def eta(s):
@@ -35,9 +42,13 @@ def step(s):
     machine precision -- the identity behind exact partitions of unity.
     """
     s = np.asarray(s, dtype=np.float64)
-    a = eta(s)
-    b = eta(1.0 - s)
-    return a / (a + b)
+    out = np.zeros_like(s)
+    out[s >= 1.0] = 1.0
+    mid = (s > 0.0) & (s < 1.0)
+    a = eta(s[mid])
+    b = eta(1.0 - s[mid])
+    out[mid] = a / (a + b)
+    return out
 
 
 def psi(t):

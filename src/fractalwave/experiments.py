@@ -2,7 +2,7 @@
 
 A scaling run measures, for each dyadic level j,
 
-    R(j) = mixed_norm({t -> half_wave(littlewood_paley(f, j), t) : t in E_j}, q)
+    R(j) = mixed_norm(E_j, t -> half_wave(littlewood_paley(f, j), t), q)
            / lp_norm(f, p)
 
 for an extremizer family f and a per-level time set E_j, then fits
@@ -85,6 +85,10 @@ class RunConfig:
         object.__setattr__(self, "p", _as_fraction(self.p))
         object.__setattr__(self, "q", _as_fraction(self.q))
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
+        if self.set_kind == "cantor" and not 0 < self.alpha <= 1:
+            raise ValueError(f"cantor time sets need alpha in (0, 1], got {self.alpha}")
+        if self.set_kind == "single_time" and not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.tolerance < 0.5:
             raise ValueError(f"tolerance must lie in (0, 0.5), got {self.tolerance}")
         if self.j_max - self.j_min + 1 < 3:
@@ -172,7 +176,7 @@ def run_scaling(config: RunConfig) -> ScalingRun:
         f = build_extremizer(ExtremizerSpec(config.family, j), grid)
         E = _time_set(config, j)
         pf = littlewood_paley(f, j)
-        num = mixed_norm({t: half_wave(pf, t) for t in E.points}, config.q)
+        num = mixed_norm(E.points, lambda t: half_wave(pf, t), config.q)
         den = lp_norm(f, config.p)
         measured.append((j, math.log2(num / den)))
         set_sizes.append((j, len(E.points)))

@@ -8,10 +8,13 @@ Three single-field families at dyadic scale 2^j (d = 2 throughout):
   a curvature-free plate, ||f||_p ~ 2^{j(3/2)(1 - 1/p)};
 * annulus          --  fhat(xi) = beta1(|xi|/2^j); ||f||_p ~ 2^{2j(1 - 1/p)}.
 
-All supports live in |xi| < 2^{j+2}, so constructors demand
-2^{j+2} <= nyquist.  Physical-space concentration facts (focusing shell,
-Knapp box lower bound after half-wave propagation) are exposed as helpers so
-the same measurements drive tests and calibration scripts.
+The radial supports lie in |xi| < 2^{j+2} and the Knapp window in
+|xi_1| < 4 c1 2^{j/2}, 0 < xi_2 < 2^{j+2}, so constructors demand
+2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on that support only
+and records it on the field (``Field.support``).  Physical-space
+concentration facts (focusing shell, Knapp box lower bound after half-wave
+propagation) are exposed as helpers so the same measurements drive tests and
+calibration scripts.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import beta0, beta1
+from .cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, beta0, beta1
 from .grid import (
     Field,
     GridSpec,
     _as_physical,
-    _xi_norm,
-    frequency_lattice,
+    _axis_freq,
+    _own,
+    _radial_field,
     half_wave,
     physical_coords,
     to_frequency,
@@ -65,25 +69,34 @@ def _support_guard(grid: GridSpec, j: int) -> None:
         )
 
 
+def _beta1_band(j: int) -> tuple[float, float]:
+    return BETA1_SUPPORT[0] * 2.0**j, BETA1_SUPPORT[1] * 2.0**j
+
+
 def radial_focusing(grid: GridSpec, j: int) -> Field:
     _support_guard(grid, j)
-    r = _xi_norm(grid)
-    vals = np.exp(-1j * r) * beta1(r / 2.0**j)
-    return Field(grid, vals, "frequency")
+    return _radial_field(grid, lambda r: np.exp(-1j * r) * beta1(r / 2.0**j), _beta1_band(j))
 
 
 def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
     _support_guard(grid, j)
     if not 0.0 < c1 <= 1.0:
         raise ValueError(f"c1 must lie in (0, 1], got {c1}")
-    xi1, xi2 = frequency_lattice(grid)
-    vals = beta0(xi1 / (c1 * 2.0 ** (j / 2.0))) * beta1(xi2 / 2.0**j)
-    return Field(grid, vals + 0j, "frequency")
+    xi = _axis_freq(grid)
+    s1 = xi / (c1 * 2.0 ** (j / 2.0))
+    s2 = xi / 2.0**j
+    rows = (s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1])
+    cols = (s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1])
+    vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    vals[np.ix_(rows, cols)] = beta0(s1[rows])[:, None] * beta1(s2[cols])[None, :]
+    # |xi| >= xi_2 > 2^{j-2}, and |xi| <= |xi_1| + |xi_2| bounds it above
+    lo, hi = _beta1_band(j)
+    return _own(grid, vals, "frequency", (lo, hi + BETA0_SUPPORT[1] * c1 * 2.0 ** (j / 2.0)))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
     _support_guard(grid, j)
-    return Field(grid, beta1(_xi_norm(grid) / 2.0**j) + 0j, "frequency")
+    return _radial_field(grid, lambda r: beta1(r / 2.0**j), _beta1_band(j))
 
 
 def build_extremizer(spec: ExtremizerSpec, grid: GridSpec):

@@ -20,19 +20,27 @@ Conventions (fixed once, everything else follows):
 The half-wave propagator is the multiplier e^{i sign t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
+
+Frequency supports.  A frequency field made by this package carries
+``support``: an open annulus lo < |xi| < hi outside which its values are
+exactly zero.  It comes from the cutoff that made the field (see
+``cutoffs``), never from scanning values.  Radial multipliers evaluate their
+symbol on the support points only and write exact zeros elsewhere, and the
+inverse FFT transforms only the rows that meet the support; both give the
+same bits as the full-lattice computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bessel import bessel_j0
-from .cutoffs import beta, step
+from .cutoffs import BETA_SUPPORT, beta, step
 from .sets import TimeSet, discretize
 
 _SPACES = ("physical", "frequency")
@@ -73,10 +81,47 @@ def _axis_freq(spec: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * k / spec.period
 
 
-@lru_cache(maxsize=64)
+# Full-lattice arrays are 32 MB each at n = 2048, so these caches stay small.
+@lru_cache(maxsize=2)
 def _xi_norm(spec: GridSpec) -> np.ndarray:
     xi = _axis_freq(spec)
-    return np.hypot(xi[:, None], xi[None, :])
+    r = np.hypot(xi[:, None], xi[None, :])
+    r.setflags(write=False)
+    return r
+
+
+@lru_cache(maxsize=8)
+def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending flat indices and radii of the lattice points with lo < |xi| < hi.
+
+    Built on the axis block |xi_k| < hi only; the radii are bit-identical to
+    ``_xi_norm`` at the same points.
+    """
+    xi = _axis_freq(spec)
+    ks = np.flatnonzero(np.abs(xi) < hi)
+    r = np.hypot(xi[ks, None], xi[None, ks])
+    inside = (r > lo) & (r < hi)
+    flat = (ks[:, None] * spec.n + ks[None, :])[inside]
+    r = r[inside]
+    flat.setflags(write=False)
+    r.setflags(write=False)
+    return flat, r
+
+
+def _row_blocks(spec: GridSpec, hi: float) -> tuple[slice, slice]:
+    """Rows [0, a) and [b, n): every lattice row whose |xi_1| < hi."""
+    keep = np.abs(_axis_freq(spec)) < hi
+    half = spec.n // 2
+    return slice(0, int(keep[:half].sum())), slice(spec.n - int(keep[half:].sum()), spec.n)
+
+
+def _meet(a: tuple[float, float] | None, b: tuple[float, float] | None):
+    """Intersection of two supports; None stands for the whole lattice."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a[0], b[0]), min(a[1], b[1])
 
 
 @lru_cache(maxsize=64)
@@ -100,46 +145,96 @@ def physical_coords(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Field:
-    """Immutable n x n complex field tagged with its space."""
+    """Immutable n x n complex field tagged with its space.
+
+    The values are a read-only copy of the array passed in: the caller's array
+    stays writeable and changing it leaves the field alone.  ``support`` is
+    set by this package's operators only (see the module docstring); None
+    claims nothing.
+    """
 
     grid: GridSpec
     values: np.ndarray
     space: str
+    support: tuple[float, float] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
             raise ValueError(f"space must be one of {_SPACES}, got {self.space!r}")
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = np.array(self.values, dtype=np.complex128, order="C")
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values must be {self.grid.n} x {self.grid.n}, got {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
+def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None) -> Field:
+    """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
+    vals.setflags(write=False)
+    f = object.__new__(Field)
+    for name, value in (("grid", grid), ("values", vals), ("space", space), ("support", support)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def _scatter(grid: GridSpec, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """n x n complex array holding ``values`` at the flat indices and zeros elsewhere."""
+    out = np.zeros(grid.n * grid.n, dtype=np.complex128)
+    out[flat] = values
+    return out.reshape(grid.n, grid.n)
+
+
+def _radial_field(grid: GridSpec, symbol: Callable, band: tuple[float, float]) -> Field:
+    """The frequency field symbol(|xi|) on the band lo < |xi| < hi, where symbol
+    must vanish outside; exact zeros elsewhere."""
+    flat, r = _band_points(grid, *band)
+    return _own(grid, _scatter(grid, flat, symbol(r)), "frequency", band)
+
+
 def to_frequency(f: Field) -> Field:
     if f.space != "physical":
         raise ValueError("to_frequency expects a physical-space field")
     vals = np.fft.fft2(f.values) * f.grid.cell**2
-    return Field(f.grid, vals, "frequency")
+    return _own(f.grid, vals, "frequency")
 
 
 def to_physical(f: Field) -> Field:
+    """Inverse transform as np.fft.ifft2 computes it, axis 1 then axis 0, with
+    the axis-1 pass run only on the rows that meet the support (the others
+    are zero in, zero out)."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
-    vals = np.fft.ifft2(f.values) / f.grid.cell**2
-    return Field(f.grid, vals, "physical")
+    hi = math.inf if f.support is None else f.support[1]
+    vals = np.zeros((f.grid.n, f.grid.n), dtype=np.complex128)
+    for rows in _row_blocks(f.grid, hi):
+        np.fft.ifft(f.values[rows], axis=1, out=vals[rows])
+    np.fft.ifft(vals, axis=0, out=vals)
+    vals /= f.grid.cell**2
+    return _own(f.grid, vals, "physical")
 
 
 def _as_physical(f: Field) -> Field:
     return f if f.space == "physical" else to_physical(f)
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> Field:
-    """Multiply in frequency space, preserving the caller's space tag."""
-    if f.space == "physical":
-        g = to_frequency(f)
-        return to_physical(Field(f.grid, g.values * mult, "frequency"))
-    return Field(f.grid, f.values * mult, "frequency")
+def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None) -> Field:
+    """Multiply in frequency space, preserving the caller's space tag.
+
+    ``symbol`` is the multiplier as a function of |xi|, or its full-lattice
+    array; ``band`` is where it may be nonzero (None: anywhere).  Only the
+    points of the input's support met with the band are multiplied.
+    """
+    grid = f.grid
+    g = f if f.space == "frequency" else to_frequency(f)
+    support = _meet(g.support, band)
+    if support is None:
+        vals = g.values * (symbol(_xi_norm(grid)) if callable(symbol) else symbol)
+    else:
+        flat, r = _band_points(grid, *support)
+        mult = symbol(r) if callable(symbol) else symbol.ravel()[flat]
+        vals = _scatter(grid, flat, g.values.ravel()[flat] * mult)
+    out = _own(grid, vals, "frequency", support)
+    return out if f.space == "frequency" else to_physical(out)
 
 
 def littlewood_paley(f: Field, j: int) -> Field:
@@ -153,14 +248,16 @@ def littlewood_paley(f: Field, j: int) -> Field:
             f"alias guard: 2^(j+1) >= nyquist for j={j}; "
             f"max admissible j on this grid is {f.grid.max_band_j(2.0)}"
         )
-    return _apply_multiplier(f, beta(_xi_norm(f.grid) / 2.0**j))
+    scale = 2.0**j
+    band = (BETA_SUPPORT[0] * scale, BETA_SUPPORT[1] * scale)
+    return _apply_multiplier(f, lambda r: beta(r / scale), band)
 
 
 def half_wave(f: Field, t: float, sign: int = +1) -> Field:
     """Propagator e^{i sign t |xi|}; unitary on the discrete L^2 norm."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _apply_multiplier(f, np.exp(1j * sign * t * _xi_norm(f.grid)))
+    return _apply_multiplier(f, lambda r: np.exp(1j * sign * t * r))
 
 
 def _check_radius(grid: GridSpec, t: float) -> None:
@@ -175,7 +272,7 @@ def _check_radius(grid: GridSpec, t: float) -> None:
 def circular_average(f: Field, t: float) -> Field:
     """Average over the radius-t circle: the multiplier J0(t |xi|)."""
     _check_radius(f.grid, t)
-    return _apply_multiplier(f, bessel_j0(t * _xi_norm(f.grid)))
+    return _apply_multiplier(f, lambda r: bessel_j0(t * r))
 
 
 def circular_average_quadrature(f: Field, t: float, m: int = 256) -> Field:
@@ -208,17 +305,22 @@ def lp_norm(f: Field, p) -> float:
     a = np.abs(_as_physical(f).values)
     if math.isinf(pv):
         return float(a.max())
-    return float((np.sum(a**pv) * f.grid.cell**2) ** (1.0 / pv))
+    a **= pv  # in place: same bits as a**pv, one array fewer
+    return float((np.sum(a) * f.grid.cell**2) ** (1.0 / pv))
 
 
-def mixed_norm(fields: Mapping[float, Field], q) -> float:
-    """(sum_t ||F_t||_q^q)^(1/q) over a map t -> Field; max over t at q = inf."""
-    if not fields:
-        raise ValueError("mixed_norm needs a nonempty map of fields")
+def mixed_norm(times: Sequence[float], field_at: Callable[[float], Field], q) -> float:
+    """(sum_t ||F_t||_q^q)^(1/q) over t in ``times``, F_t = field_at(t); max over t at q = inf.
+
+    Each F_t is made, reduced and dropped before the next is asked for, so at
+    most one is alive however many times there are.
+    """
+    if not len(times):
+        raise ValueError("mixed_norm needs a nonempty sequence of times")
     qv = float(q)
     if qv < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    norms = [lp_norm(g, qv) for g in fields.values()]
+    norms = [lp_norm(field_at(t), qv) for t in times]
     if math.isinf(qv):
         return max(norms)
     return float(sum(v**qv for v in norms) ** (1.0 / qv))
@@ -241,7 +343,7 @@ def maximal_function(f: Field, E: TimeSet, j: int | None = None) -> Field:
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in E.points:
         acc = np.maximum(acc, np.abs(_as_physical(circular_average(g, t)).values))
-    return Field(f.grid, acc.astype(np.complex128), "physical")
+    return _own(f.grid, acc.astype(np.complex128), "physical")
 
 
 @dataclass(frozen=True)
@@ -336,7 +438,7 @@ def random_field(grid: GridSpec, seed: int = 0, band_j: int | None = None) -> Fi
     (used by sanity checks and verification suites; experiments stay deterministic)."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    f = Field(grid, vals, "physical")
+    f = _own(grid, vals, "physical")
     if band_j is not None:
         f = littlewood_paley(f, band_j)
     return f

@@ -149,6 +149,16 @@ def test_scaling_rejects_cantor_time_L_below_one(tmp_path, capsys):
     assert out == ""
 
 
+def test_scaling_rejects_bad_alpha_before_running(tmp_path, capsys):
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "alpha": "3/2", "set_kind": "cantor"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "scaling", "--config", str(path))
+    assert code == 2
+    assert "bad config" in err and "alpha" in err
+    assert out == ""
+
+
 def test_report_empty_dir(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--dir", str(tmp_path))
     assert code == 2

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalwave.cutoffs import beta, beta0, beta1, eta, psi, step
+from fractalwave.cutoffs import (
+    BETA0_SUPPORT,
+    BETA1_SUPPORT,
+    BETA_SUPPORT,
+    beta,
+    beta0,
+    beta1,
+    eta,
+    psi,
+    step,
+)
 
 floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -23,6 +33,24 @@ def test_step_range_and_monotone():
     assert np.all(np.diff(v) >= -1e-15)
     assert v[s <= 0.0].max() == 0.0
     assert v[s >= 1.0].min() == 1.0
+
+
+def test_step_is_the_eta_ratio_bit_for_bit():
+    edges = [0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, np.inf, -np.inf]
+    s = np.concatenate([np.linspace(-2.0, 3.0, 50001), edges])
+    a, b = eta(s), eta(1.0 - s)
+    assert np.array_equal(step(s), a / (a + b))
+
+
+@pytest.mark.parametrize(
+    "profile, support", [(beta, BETA_SUPPORT), (beta0, BETA0_SUPPORT), (beta1, BETA1_SUPPORT)]
+)
+def test_profiles_vanish_exactly_off_their_support(profile, support):
+    lo, hi = support
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    t = np.concatenate([np.linspace(lo - 3.0, hi + 3.0, 60001), edges])
+    v = profile(t)
+    assert np.all(v[(t <= lo) | (t >= hi)] == 0.0)
 
 
 def test_psi_plateau_and_support():

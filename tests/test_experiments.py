@@ -2,10 +2,15 @@
 and the four verification suites."""
 
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fractalwave.cutoffs import beta, beta0, beta1
+from fractalwave.extremizers import DEFAULT_C1
+from fractalwave.sets import build_cantor, discretize
 from fractalwave.experiments import (
     RunConfig,
     fit_exponent,
@@ -80,6 +85,18 @@ def test_config_validation():
         RunConfig(family="knapp", p="2", q="2", set_kind="cantor", time_L=0.5)
 
 
+def test_config_rejects_alpha_outside_its_range():
+    for alpha in ("3/2", "0", "-1/2"):
+        with pytest.raises(ValueError, match="alpha"):
+            RunConfig(family="knapp", p="5/2", q="5", alpha=alpha, set_kind="cantor")
+    for alpha in ("2", "-1/4"):
+        with pytest.raises(ValueError, match="alpha"):
+            RunConfig(family="radial_focusing", p="4", q="4", alpha=alpha, set_kind="single_time")
+    for alpha in ("0", "1"):  # the closed ends are fine for a single time
+        RunConfig(family="radial_focusing", p="4", q="4", alpha=alpha, set_kind="single_time")
+    RunConfig(family="knapp", p="5/2", q="5", alpha="1", set_kind="cantor")
+
+
 def test_config_json_roundtrip_rejects_unknown_fields():
     cfg = RunConfig(family="annulus", p="1", q="16", alpha="1/2", label="x")
     assert RunConfig.from_json(cfg.to_json()) == cfg
@@ -129,6 +146,47 @@ def test_counting_excess_is_inconclusive():
     assert run.fitted_slope == pytest.approx(0.5, abs=1e-4)
     assert run.verdict == "inconclusive"
     assert run.time_sets == ((4, 1), (5, 2), (6, 4))
+
+
+def _dense_log2_ratio(config: RunConfig, j: int) -> float:
+    """log2 R(j) from the formulas alone: full-lattice symbols and np.fft.ifft2."""
+    n, period = config.n, config.period
+    cell = period / n
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
+    xi1, xi2 = xi[:, None], xi[None, :]
+    r = np.hypot(xi1, xi2)
+    fhat = {
+        "radial_focusing": lambda: np.exp(-1j * r) * beta1(r / 2.0**j),
+        "knapp": lambda: beta0(xi1 / (DEFAULT_C1 * 2.0 ** (j / 2.0))) * beta1(xi2 / 2.0**j) + 0j,
+        "annulus": lambda: beta1(r / 2.0**j) + 0j,
+    }[config.family]()
+    if config.set_kind == "single_time":
+        times = [1.0 + config.time_L * 2.0**-j]
+    else:
+        times = discretize(build_cantor(config.alpha, j, L=config.time_L), 2.0**-j).points
+
+    def norm(vals, s):
+        return float(np.sum(np.abs(np.fft.ifft2(vals) / cell**2) ** s) * cell**2) ** (1.0 / s)
+
+    q = float(config.q)
+    projected = fhat * beta(r / 2.0**j)
+    num = sum(norm(projected * np.exp(1j * t * r), q) ** q for t in times) ** (1.0 / q)
+    return math.log2(num / norm(fhat, float(config.p)))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(family="radial_focusing", p="4", q="4", set_kind="single_time", time_L=4.0),
+        dict(family="knapp", p="5/2", q="5", set_kind="cantor", time_L=2.0),
+        dict(family="annulus", p="1", q="16", alpha="1/2", set_kind="cantor", time_L=2.0),
+    ],
+)
+def test_run_matches_dense_oracle(kw):
+    config = RunConfig(j_min=2, j_max=4, n=256, **kw)
+    run = run_scaling(config)
+    for j, y in run.measured:
+        assert abs(y - _dense_log2_ratio(config, j)) <= 1e-12
 
 
 def test_flat_family_below_prediction_is_flagged():

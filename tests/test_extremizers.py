@@ -9,6 +9,7 @@ the expensive part, so each family is built once per j and shared.
 import numpy as np
 import pytest
 
+from fractalwave.cutoffs import beta0, beta1
 from fractalwave.extremizers import (
     DEFAULT_C1,
     ExtremizerSpec,
@@ -53,6 +54,23 @@ def test_alias_guard():
     for family in ("radial_focusing", "knapp", "annulus"):
         with pytest.raises(ValueError):
             build_extremizer(ExtremizerSpec(family, 5), small)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_families_equal_their_full_lattice_formulas(j):
+    grid = GridSpec(256, 8.0)
+    xi1, xi2 = frequency_lattice(grid)
+    r = np.hypot(xi1, xi2)
+    dense = {
+        "radial_focusing": np.exp(-1j * r) * beta1(r / 2.0**j),
+        "knapp": beta0(xi1 / (DEFAULT_C1 * 2.0 ** (j / 2.0))) * beta1(xi2 / 2.0**j) + 0j,
+        "annulus": beta1(r / 2.0**j) + 0j,
+    }
+    for family, want in dense.items():
+        f = build_extremizer(ExtremizerSpec(family, j), grid)
+        assert np.array_equal(f.values, want)
+        lo, hi = f.support
+        assert not want[(r <= lo) | (r >= hi)].any()
 
 
 def test_knapp_c1_range():

@@ -5,15 +5,22 @@ sum |f|^2 cell^2 = sum |f_hat|^2 / period^2 holds exactly, and a pure lattice
 plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalwave.extremizers import ExtremizerSpec, build_extremizer
 from fractalwave.grid import (
     Field,
     GridSpec,
+    _band_points,
+    _xi_norm,
     frequency_lattice,
+    half_wave,
+    littlewood_paley,
     lp_norm,
     mixed_norm,
     physical_coords,
@@ -92,6 +99,16 @@ def test_field_is_immutable():
         f.values[0, 0] = 1.0
 
 
+def test_field_neither_freezes_nor_aliases_the_callers_array():
+    for arr in (np.ones((64, 64), dtype=complex), np.ones((64, 64))):
+        f = Field(GridSpec(64, 8.0), arr, "physical")
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, f.values)
+        arr[0, 0] = 7.0
+        assert f.values[0, 0] == 1.0
+        assert not f.values.flags.writeable
+
+
 def test_lp_norm_values():
     g = GridSpec(64, 8.0)
     ones = Field(g, np.ones((64, 64), dtype=complex), "physical")
@@ -113,15 +130,80 @@ def test_lp_norm_scales_homogeneously(seed, p):
 
 def test_mixed_norm_reduces_to_lp():
     f = random_field(GridSpec(64, 8.0), seed=1)
-    assert mixed_norm({1.0: f}, 2) == pytest.approx(lp_norm(f, 2))
+    assert mixed_norm([1.0], lambda t: f, 2) == pytest.approx(lp_norm(f, 2))
     g = random_field(GridSpec(64, 8.0), seed=2)
-    both = mixed_norm({1.0: f, 1.5: g}, 4)
+    fields = {1.0: f, 1.5: g}
+    both = mixed_norm(list(fields), fields.__getitem__, 4)
     assert both == pytest.approx((lp_norm(f, 4) ** 4 + lp_norm(g, 4) ** 4) ** 0.25)
-    assert mixed_norm({1.0: f, 1.5: g}, np.inf) == pytest.approx(
-        max(lp_norm(f, np.inf), lp_norm(g, np.inf))
+    assert mixed_norm(list(fields), fields.__getitem__, np.inf) == max(
+        lp_norm(f, np.inf), lp_norm(g, np.inf)
     )
     with pytest.raises(ValueError):
-        mixed_norm({}, 2)
+        mixed_norm([], fields.__getitem__, 2)
+    with pytest.raises(ValueError):
+        mixed_norm([1.0], fields.__getitem__, 0.5)
+
+
+@pytest.mark.parametrize("q", [4, np.inf])
+def test_mixed_norm_holds_one_field_at_a_time(q):
+    f = random_field(GridSpec(64, 8.0), seed=5, band_j=3)
+    times = [1.0, 1.25, 1.5, 1.75]
+    previous = []
+
+    def field_at(t):
+        if previous:
+            assert previous[-1]() is None, "the previous field is still alive"
+        g = half_wave(f, t)
+        previous.append(weakref.ref(g))
+        return g
+
+    got = mixed_norm(times, field_at, q)
+    norms = [lp_norm(half_wave(f, t), q) for t in times]
+    want = max(norms) if np.isinf(q) else sum(v**q for v in norms) ** (1.0 / q)
+    assert got == want
+    assert len(previous) == len(times)
+
+
+def _band_fields(grid):
+    """Frequency fields of every admissible support on the grid: the evolved
+    dyadic projection of a full-lattice field at each j, and each family at each j."""
+    base = to_frequency(random_field(grid, seed=9))
+    for j in range(grid.max_band_j(2.0) + 1):
+        yield half_wave(littlewood_paley(base, j), 1.3)
+    for j in range(grid.max_band_j(4.0) + 1):
+        for family in ("radial_focusing", "knapp", "annulus"):
+            yield build_extremizer(ExtremizerSpec(family, j), grid)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_pruned_inverse_transform_is_ifft2(n):
+    grid = GridSpec(n, 8.0)
+    seen = 0
+    for f in _band_fields(grid):
+        assert f.support is not None
+        lo, hi = f.support
+        r = _xi_norm(grid)
+        assert not f.values[(r <= lo) | (r >= hi)].any()  # the support is honest
+        want = np.fft.ifft2(f.values) / grid.cell**2
+        assert np.array_equal(to_physical(f).values, want)
+        seen += 1
+    assert seen >= 3
+    # a field that claims no support goes through the same path
+    full = to_frequency(random_field(grid, seed=2))
+    assert full.support is None
+    assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
+
+
+def test_full_lattice_caches_are_bounded():
+    for cache in (_xi_norm, _band_points):
+        assert cache.cache_info().maxsize <= 8
+    bound = _band_points.cache_info().maxsize
+    for k in range(bound + 3):
+        grid = GridSpec(64, 8.0 + k)
+        _xi_norm(grid)
+        _band_points(grid, 1.0, 8.0)
+    assert _xi_norm.cache_info().currsize == _xi_norm.cache_info().maxsize
+    assert _band_points.cache_info().currsize == bound
 
 
 def test_random_field_is_deterministic():
