@@ -14,15 +14,15 @@ import argparse
 
 import numpy as np
 
+from fractalwave import extremizers
 from fractalwave.extremizers import (
     annulus_shell_minimum,
-    build_extremizer,
     concentration_constant,
     knapp_center_value,
     knapp_coherence,
     knapp_phase_error,
+    radial_focusing,
     shell_mass_fraction,
-    ExtremizerSpec,
 )
 from fractalwave.grid import GridSpec, lp_norm
 
@@ -44,7 +44,7 @@ def main() -> int:
     print("radial_focusing: near-field envelope C(j) = sup |f| (1 + 2^j||x|-1|)^4 / 2^(3j/2)")
     print("  on the scaled shell 2^j||x|-1| <= 8 (frozen: C <= 40); global sup for contrast")
     for j in js:
-        f = build_extremizer(ExtremizerSpec("radial_focusing", j), grid)
+        f = radial_focusing(grid, j)
         near = concentration_constant(f, j, order=4, shell_limit=8.0)
         full = concentration_constant(f, j, order=4)
         print(f"  j={j}: C_shell = {near:.1f}   C_global = {full:.1f}")
@@ -52,7 +52,7 @@ def main() -> int:
 
     print("radial_focusing: shell mass fraction on ||x|-1| <= 8 * 2^-j (frozen: >= 0.5)")
     for j in js:
-        f = build_extremizer(ExtremizerSpec("radial_focusing", j), grid)
+        f = radial_focusing(grid, j)
         frac = shell_mass_fraction(f, 1.0, 8.0 * 2.0**-j)
         print(f"  j={j}: mass fraction = {frac:.4f}")
     print()
@@ -92,7 +92,7 @@ def main() -> int:
         for p in (1.0, 2.0, 4.0):
             norms = []
             for j in js:
-                f = build_extremizer(ExtremizerSpec(family, j), grid)
+                f = getattr(extremizers, family)(grid, j)
                 norms.append(lp_norm(f, p))
             slopes = np.diff(np.log2(norms))
             print(f"  {family:16s} p={p:g}: slopes {np.array2string(slopes, precision=3)}")

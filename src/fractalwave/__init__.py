@@ -14,111 +14,3 @@ The package has three layers:
 """
 
 __version__ = "0.1.0"
-
-from .exponents import (
-    PQPoint,
-    RegionSpec,
-    SExponents,
-    ThresholdTable,
-    critical_line,
-    in_region,
-    q_points,
-    region_membership,
-    regime,
-    s_exponents,
-    thresholds,
-)
-from .sets import (
-    CantorSpec,
-    TimeSet,
-    assouad_characteristic,
-    build_cantor,
-    cantor_spec,
-    covering_number,
-    decompose_cantor_levels,
-    discretize,
-    marginal_sum,
-    minkowski_estimate,
-)
-from .grid import (
-    Field,
-    GridSpec,
-    circular_average,
-    circular_average_quadrature,
-    half_wave,
-    littlewood_paley,
-    lp_norm,
-    maximal_function,
-    mixed_norm,
-    multiplier_coeff_decay,
-    sector_project,
-    to_frequency,
-    to_physical,
-)
-from .whitney import ArcDecomposition, ArcPair, whitney
-from .extremizers import ExtremizerSpec, build_extremizer
-from .caps import CapProfile, bilinear_cap_pair, necessary_q_bounds
-from .experiments import (
-    RunConfig,
-    ScalingRun,
-    fit_exponent,
-    run_scaling,
-    verify_bilinear_necessity,
-    verify_locally_constant,
-    verify_marginal_divergence,
-    verify_whitney,
-)
-
-__all__ = [
-    "__version__",
-    "PQPoint",
-    "RegionSpec",
-    "SExponents",
-    "ThresholdTable",
-    "critical_line",
-    "in_region",
-    "q_points",
-    "region_membership",
-    "regime",
-    "s_exponents",
-    "thresholds",
-    "CantorSpec",
-    "TimeSet",
-    "assouad_characteristic",
-    "build_cantor",
-    "cantor_spec",
-    "covering_number",
-    "decompose_cantor_levels",
-    "discretize",
-    "marginal_sum",
-    "minkowski_estimate",
-    "Field",
-    "GridSpec",
-    "circular_average",
-    "circular_average_quadrature",
-    "half_wave",
-    "littlewood_paley",
-    "lp_norm",
-    "maximal_function",
-    "mixed_norm",
-    "multiplier_coeff_decay",
-    "sector_project",
-    "to_frequency",
-    "to_physical",
-    "ArcDecomposition",
-    "ArcPair",
-    "whitney",
-    "ExtremizerSpec",
-    "build_extremizer",
-    "CapProfile",
-    "bilinear_cap_pair",
-    "necessary_q_bounds",
-    "RunConfig",
-    "ScalingRun",
-    "fit_exponent",
-    "run_scaling",
-    "verify_bilinear_necessity",
-    "verify_locally_constant",
-    "verify_marginal_divergence",
-    "verify_whitney",
-]

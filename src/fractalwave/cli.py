@@ -189,6 +189,8 @@ def _cmd_scaling(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"scaling: bad config: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the first level
     run = run_scaling(config)
     print(f"family={config.family} p={config.p} q={config.q} alpha={config.alpha}")
     for j, y in run.measured:
@@ -340,10 +342,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
-        print(f"fractalwave {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"fractalwave {args.command}: {exc}", file=sys.stderr)
         return 2
 

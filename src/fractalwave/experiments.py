@@ -24,15 +24,16 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from . import extremizers
 from .caps import necessary_q_bounds, pair_product_statistic
 from .exponents import PQPoint, s_exponents
-from .extremizers import ExtremizerSpec, build_extremizer
 from .grid import (
     Field,
     GridSpec,
@@ -47,11 +48,18 @@ from .grid import (
 from .sets import TimeSet, build_cantor, cantor_spec_from_stages, discretize, marginal_sum
 from .whitney import check_coverage, separation_band, whitney
 
+# family -> the exponent it measures; each family is a builder in ``extremizers``
 _RUN_FAMILIES = {
     "radial_focusing": "s1",
     "knapp": "s2",
     "annulus": "s3",
 }
+
+
+# Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each).  A
+# level holds a few fields whatever #E_j is: the shipped studies peak at 287 MB
+# with 64 MiB fields at n = 2048, interpreter included, i.e. under 4.5 fields.
+_FIELDS_PER_LEVEL = 5
 
 
 def _as_fraction(value) -> Fraction:
@@ -94,6 +102,13 @@ class RunConfig:
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
         grid = GridSpec(self.n, self.period)
+        need = _FIELDS_PER_LEVEL * 16 * self.n**2
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(
+                f"n={self.n} needs about {need / 2**30:.3g} GiB per level, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
+            )
         if 2.0 ** (self.j_max + 2) > grid.nyquist:
             raise ValueError(
                 f"j_max={self.j_max} violates the alias guard on n={self.n} "
@@ -173,7 +188,8 @@ def run_scaling(config: RunConfig) -> ScalingRun:
     measured = []
     set_sizes = []
     for j in range(config.j_min, config.j_max + 1):
-        f = build_extremizer(ExtremizerSpec(config.family, j), grid)
+        # through the module attribute, so that a patched builder is the one called
+        f = getattr(extremizers, config.family)(grid, j)
         E = _time_set(config, j)
         pf = littlewood_paley(f, j)
         num = mixed_norm(E.points, lambda t: half_wave(pf, t), config.q)

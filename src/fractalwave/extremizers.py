@@ -14,12 +14,11 @@ The radial supports lie in |xi| < 2^{j+2} and the Knapp window in
 and records it on the field (``Field.support``).  Physical-space
 concentration facts (focusing shell, Knapp box lower bound after half-wave
 propagation) are exposed as helpers so the same measurements drive tests and
-calibration scripts.
+calibration scripts.  A scaling study names its family by the builder's name
+(``experiments.RunConfig.family``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +35,8 @@ from .grid import (
     to_frequency,
 )
 
-_FAMILIES = ("radial_focusing", "knapp", "annulus", "bilinear_cap_pair", "squashed_pair")
-
 DEFAULT_C1 = 0.125
 DEFAULT_C0 = 0.25
-DEFAULT_L = 16.0
-
-
-@dataclass(frozen=True)
-class ExtremizerSpec:
-    family: str
-    j: int
-    c1: float = DEFAULT_C1
-    c0: float = DEFAULT_C0
-    L: float = DEFAULT_L
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if min(self.c1, self.c0, self.L) <= 0:
-            raise ValueError("constants c1, c0, L must be positive")
-        if self.family in ("bilinear_cap_pair", "squashed_pair") and self.delta is None:
-            raise ValueError(f"family {self.family!r} needs delta")
 
 
 def _support_guard(grid: GridSpec, j: int) -> None:
@@ -97,20 +75,6 @@ def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
 def annulus(grid: GridSpec, j: int) -> Field:
     _support_guard(grid, j)
     return _radial_field(grid, lambda r: beta1(r / 2.0**j), _beta1_band(j))
-
-
-def build_extremizer(spec: ExtremizerSpec, grid: GridSpec):
-    """Dispatch an ExtremizerSpec to its constructor (pair families return a pair)."""
-    if spec.family == "radial_focusing":
-        return radial_focusing(grid, spec.j)
-    if spec.family == "knapp":
-        return knapp(grid, spec.j, spec.c1)
-    if spec.family == "annulus":
-        return annulus(grid, spec.j)
-    from .caps import bilinear_cap_pair
-
-    kind = "angular" if spec.family == "bilinear_cap_pair" else "squashed"
-    return bilinear_cap_pair(grid, spec.delta, kind)
 
 
 # --- measurement helpers ------------------------------------------------------

@@ -53,13 +53,6 @@ class TimeSet:
     def __iter__(self):
         return iter(self.points)
 
-    def to_json(self) -> list[float]:
-        return list(self.points)
-
-    @classmethod
-    def from_json(cls, data: Sequence[float]) -> "TimeSet":
-        return cls.from_points(data)
-
 
 @dataclass(frozen=True)
 class CantorSpec:
@@ -365,9 +358,9 @@ def build_interval_family(spec: CantorSpec, theta: float = 1.0) -> IntervalFamil
 
 def save_timeset(ts: TimeSet, path) -> None:
     with open(path, "w") as fh:
-        json.dump(ts.to_json(), fh)
+        json.dump(list(ts.points), fh)
 
 
 def load_timeset(path) -> TimeSet:
     with open(path) as fh:
-        return TimeSet.from_json(json.load(fh))
+        return TimeSet.from_points(json.load(fh))

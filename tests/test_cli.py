@@ -159,6 +159,28 @@ def test_scaling_rejects_bad_alpha_before_running(tmp_path, capsys):
     assert out == ""
 
 
+def test_scaling_out_is_checked_before_the_first_level(tmp_path, capsys):
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "n": 256, "time_L": 2.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "scaling", "--config", str(path), "--out", str(taken))
+    assert code == 2
+    assert "j=" not in out
+    assert str(taken) in err
+
+
+def test_scaling_rejects_grid_beyond_physical_memory(tmp_path, capsys):
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "n": 2**20}  # one field is 16 TiB
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "scaling", "--config", str(path))
+    assert code == 2
+    assert "bad config" in err and "physical memory" in err
+    assert out == ""
+
+
 def test_report_empty_dir(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--dir", str(tmp_path))
     assert code == 2
@@ -191,6 +213,20 @@ def test_verify_necessity(capsys):
 
 
 # --- argparse plumbing -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thresholds", "--alpha", "1", "--out"),
+        ("sets", "--load"),
+        ("scaling", "--config"),
+    ],
+)
+def test_os_errors_exit_2(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))  # a directory where a file belongs
+    assert code == 2
+    assert "Is a directory" in err
 
 
 def test_unknown_flag_exits_2():

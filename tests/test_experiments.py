@@ -4,10 +4,12 @@ and the four verification suites."""
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fractalwave import extremizers
 from fractalwave.cutoffs import beta, beta0, beta1
 from fractalwave.extremizers import DEFAULT_C1
 from fractalwave.sets import build_cantor, discretize
@@ -83,6 +85,8 @@ def test_config_validation():
         RunConfig(family="knapp", p="2", q="2", set_kind="single_time", time_L=40.0)
     with pytest.raises(ValueError, match="time_L"):  # Cantor calibration needs L >= 1
         RunConfig(family="knapp", p="2", q="2", set_kind="cantor", time_L=0.5)
+    with pytest.raises(ValueError, match="physical memory"):  # one field is 16 TiB
+        RunConfig(family="knapp", p="2", q="2", n=2**20)
 
 
 def test_config_rejects_alpha_outside_its_range():
@@ -210,6 +214,33 @@ def test_run_is_deterministic():
     assert a.measured == b.measured
     assert a.fitted_slope == b.fitted_slope
     assert a == b
+
+
+# --- the benchmark's view of the code ------------------------------------------
+
+
+def test_run_scaling_calls_the_builder_through_the_module(monkeypatch):
+    # the benchmark tracer patches module attributes; a stored reference would hide calls
+    calls = []
+    original = extremizers.knapp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extremizers, "knapp", counting)
+    run_scaling(RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, n=256, time_L=2.0))
+    assert calls == [2, 3, 4]
+
+
+def test_benchmark_tracer_finds_every_boundary(monkeypatch):
+    import fractalwave.cli  # noqa: F401  (loads every module the tracer patches)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    from tracer import Tracer
+
+    with Tracer() as tracer:
+        assert tracer.missing == []
 
 
 # --- persistence -------------------------------------------------------------

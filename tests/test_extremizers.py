@@ -9,16 +9,17 @@ the expensive part, so each family is built once per j and shared.
 import numpy as np
 import pytest
 
+from fractalwave import extremizers
 from fractalwave.cutoffs import beta0, beta1
 from fractalwave.extremizers import (
     DEFAULT_C1,
-    ExtremizerSpec,
     annulus_shell_minimum,
-    build_extremizer,
     concentration_constant,
+    knapp,
     knapp_center_value,
     knapp_coherence,
     knapp_phase_error,
+    radial_focusing,
     shell_mass_fraction,
 )
 from fractalwave.grid import GridSpec, frequency_lattice, lp_norm, to_physical
@@ -32,28 +33,19 @@ def fields():
     out = {}
     for family in ("radial_focusing", "knapp", "annulus"):
         for j in JS:
-            out[family, j] = build_extremizer(ExtremizerSpec(family, j), GRID)
+            out[family, j] = getattr(extremizers, family)(GRID, j)
     return out
 
 
-# --- spec plumbing -----------------------------------------------------------
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ExtremizerSpec("gaussian", 4)
-    with pytest.raises(ValueError):
-        ExtremizerSpec("knapp", 4, c1=0.0)
-    with pytest.raises(ValueError):
-        ExtremizerSpec("bilinear_cap_pair", 4)  # needs delta
+# --- guards ------------------------------------------------------------------
 
 
 def test_alias_guard():
     small = GridSpec(256, 8.0)  # nyquist ~ 100.5, so 2^(j+2) <= nyquist forces j <= 4
-    build_extremizer(ExtremizerSpec("radial_focusing", 4), small)
+    radial_focusing(small, 4)
     for family in ("radial_focusing", "knapp", "annulus"):
         with pytest.raises(ValueError):
-            build_extremizer(ExtremizerSpec(family, 5), small)
+            getattr(extremizers, family)(small, 5)
 
 
 @pytest.mark.parametrize("j", [2, 3, 4])
@@ -67,15 +59,16 @@ def test_families_equal_their_full_lattice_formulas(j):
         "annulus": beta1(r / 2.0**j) + 0j,
     }
     for family, want in dense.items():
-        f = build_extremizer(ExtremizerSpec(family, j), grid)
+        f = getattr(extremizers, family)(grid, j)
         assert np.array_equal(f.values, want)
         lo, hi = f.support
         assert not want[(r <= lo) | (r >= hi)].any()
 
 
 def test_knapp_c1_range():
-    with pytest.raises(ValueError):
-        build_extremizer(ExtremizerSpec("knapp", 4, c1=1.5), GRID)
+    for c1 in (0.0, 1.5):
+        with pytest.raises(ValueError, match="c1"):
+            knapp(GRID, 4, c1)
 
 
 def test_frequency_support_is_annular(fields):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalwave.extremizers import ExtremizerSpec, build_extremizer
+from fractalwave import extremizers
 from fractalwave.grid import (
     Field,
     GridSpec,
@@ -171,8 +171,8 @@ def _band_fields(grid):
     for j in range(grid.max_band_j(2.0) + 1):
         yield half_wave(littlewood_paley(base, j), 1.3)
     for j in range(grid.max_band_j(4.0) + 1):
-        for family in ("radial_focusing", "knapp", "annulus"):
-            yield build_extremizer(ExtremizerSpec(family, j), grid)
+        for build in (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus):
+            yield build(grid, j)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
