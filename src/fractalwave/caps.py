@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exponents import _frac
 from .grid import Field, GridSpec, _own, frequency_lattice
 
 _KINDS = ("angular", "squashed")
@@ -160,8 +161,7 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
             f"at delta={delta}; refine the grid or use the continuum profile"
         )
     xi1, xi2 = frequency_lattice(grid)
-    e1 = np.broadcast_to(xi1, (grid.n, grid.n)) / N
-    e2 = np.broadcast_to(xi2, (grid.n, grid.n)) / N
+    e1, e2 = xi1 / N, xi2 / N
     if kind == "angular":
         r = np.hypot(e1, e2)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -188,14 +188,12 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
 def necessary_q_bounds(alpha, d: int = 2):
     """Exact q-thresholds implied by the two cap families: the angular pair
     forces q >= 2(d-1+2 alpha)/(d-1), the squashed pair q >= 2(d+1+2 alpha)/(d+1)."""
-    from fractions import Fraction
-
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    a = _frac(alpha)
     if not 0 < a <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     return (
-        2 * (d - 1 + 2 * a) / Fraction(d - 1),
-        2 * (d + 1 + 2 * a) / Fraction(d + 1),
+        2 * (d - 1 + 2 * a) / (d - 1),
+        2 * (d + 1 + 2 * a) / (d + 1),
     )

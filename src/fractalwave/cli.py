@@ -70,6 +70,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
 
 
+def _write_out(out, csv_text: str, doc=None) -> None:
+    """The ``--out`` rule: a ``.json`` path gets ``doc`` as JSON, any other
+    path gets the CSV text, and no path writes the CSV to stdout."""
+    if not out:
+        sys.stdout.write(csv_text)
+        return
+    path = Path(out)
+    if doc is not None and path.suffix == ".json":
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    else:
+        path.write_text(csv_text)
+    print(f"wrote {path}")
+
+
 def _cmd_sets(args) -> int:
     if args.load:
         ts = load_timeset(args.load)
@@ -104,16 +118,7 @@ def _cmd_sets(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     table = thresholds(args.d, args.alpha, r=args.r)
-    csv_text = threshold_table_to_csv(table)
-    if args.out:
-        path = Path(args.out)
-        if path.suffix == ".json":
-            path.write_text(json.dumps(threshold_table_to_json(table), indent=2) + "\n")
-        else:
-            path.write_text(csv_text)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(csv_text)
+    _write_out(args.out, threshold_table_to_csv(table), threshold_table_to_json(table))
     return 0
 
 
@@ -125,15 +130,7 @@ def _cmd_regions(args) -> int:
         return 0
     feature_set = f"fig{args.fig}"
     elements = region_plot_data(spec, feature_set, r=args.r if args.r is not None else Fraction(4))
-    if args.out:
-        path = Path(args.out)
-        if path.suffix == ".json":
-            path.write_text(json.dumps(plot_data_to_json(elements), indent=2) + "\n")
-        else:
-            path.write_text(plot_data_to_csv(elements))
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(plot_data_to_csv(elements))
+    _write_out(args.out, plot_data_to_csv(elements), plot_data_to_json(elements))
     return 0
 
 
@@ -260,12 +257,7 @@ def _cmd_report(args) -> int:
             f"{c.label},{c.family},{c.p},{c.q},{c.alpha},"
             f"{r.fitted_slope:.6f},{r.predicted},{r.residual:.6f},{r.verdict}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 

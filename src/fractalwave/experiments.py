@@ -25,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +33,8 @@ import numpy as np
 
 from . import extremizers
 from .caps import necessary_q_bounds, pair_product_statistic
-from .exponents import PQPoint, s_exponents
+from .cutoffs import BETA1_SUPPORT
+from .exponents import PQPoint, _frac, s_exponents
 from .grid import (
     Field,
     GridSpec,
@@ -62,14 +63,6 @@ _RUN_FAMILIES = {
 _FIELDS_PER_LEVEL = 5
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"exact rational required, got float {value!r} (pass a string like '5/2')")
-    return Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     family: str
@@ -90,9 +83,8 @@ class RunConfig:
             raise ValueError(f"family must be one of {sorted(_RUN_FAMILIES)}, got {self.family!r}")
         if self.set_kind not in ("cantor", "single_time"):
             raise ValueError(f"set_kind must be 'cantor' or 'single_time', got {self.set_kind!r}")
-        object.__setattr__(self, "p", _as_fraction(self.p))
-        object.__setattr__(self, "q", _as_fraction(self.q))
-        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
+        for name in ("p", "q", "alpha"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.set_kind == "cantor" and not 0 < self.alpha <= 1:
             raise ValueError(f"cantor time sets need alpha in (0, 1], got {self.alpha}")
         if self.set_kind == "single_time" and not 0 <= self.alpha <= 1:
@@ -101,7 +93,7 @@ class RunConfig:
             raise ValueError(f"tolerance must lie in (0, 0.5), got {self.tolerance}")
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
-        grid = GridSpec(self.n, self.period)
+        GridSpec(self.n, self.period).check_band(self.j_max, BETA1_SUPPORT[1])
         need = _FIELDS_PER_LEVEL * 16 * self.n**2
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
@@ -109,31 +101,13 @@ class RunConfig:
                 f"n={self.n} needs about {need / 2**30:.3g} GiB per level, "
                 f"more than the {have / 2**30:.3g} GiB of physical memory"
             )
-        if 2.0 ** (self.j_max + 2) > grid.nyquist:
-            raise ValueError(
-                f"j_max={self.j_max} violates the alias guard on n={self.n} "
-                f"(max admissible {grid.max_band_j(4.0)})"
-            )
         if self.set_kind == "single_time" and not 0.0 < self.time_L * 2.0**-self.j_min <= 1.0:
             raise ValueError("single-time offset L 2^{-j_min} must land in (1, 2]")
         if self.set_kind == "cantor" and self.time_L < 1.0:
             raise ValueError(f"cantor time sets need time_L >= 1, got {self.time_L}")
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "p": str(self.p),
-            "q": str(self.q),
-            "alpha": str(self.alpha),
-            "set_kind": self.set_kind,
-            "j_min": self.j_min,
-            "j_max": self.j_max,
-            "n": self.n,
-            "period": self.period,
-            "time_L": self.time_L,
-            "tolerance": self.tolerance,
-            "label": self.label,
-        }
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -233,7 +207,7 @@ class MarginalReport:
 def verify_marginal_divergence(alpha, k_range=range(2, 13)) -> MarginalReport:
     """Certify sum_{t in E} |t-1|^{-alpha} ~ k 2^k: ratio in [1/4, 4] and the
     logarithmic factor visible as strict growth of sum/2^k."""
-    a = _as_fraction(alpha)
+    a = _frac(alpha)
     ks = sorted(k_range)
     if not ks or ks[0] < 2 or ks[-1] > 16:
         raise ValueError(f"k_range must lie within [2, 16], got {ks}")
@@ -302,17 +276,11 @@ def verify_whitney(nu_max: int = 8, seed: int = 0) -> WhitneyReport:
     f = random_field(grid, seed=seed, band_j=4)
     arcs = [(-math.pi + 2 * math.pi * k / 8, -math.pi + 2 * math.pi * (k + 1) / 8) for k in range(8)]
     parts = [sector_project(f, arc, 0.1) for arc in arcs]
-    total = parts[0]
-    for part in parts[1:]:
-        total = Field(grid, total.values + part.values, "physical")
-    partition_defect = lp_norm(Field(grid, total.values - f.values, "physical"), 2) / lp_norm(f, 2)
+    total = sum(p.values for p in parts)
+    partition_defect = lp_norm(Field(grid, total - f.values, "physical"), 2) / lp_norm(f, 2)
 
-    evens = [parts[k] for k in range(0, 8, 2)]
-    sum_field = evens[0]
-    for part in evens[1:]:
-        sum_field = Field(grid, sum_field.values + part.values, "physical")
-    lhs = lp_norm(sum_field, 2) ** 2
-    rhs = sum(lp_norm(part, 2) ** 2 for part in evens)
+    lhs = lp_norm(Field(grid, sum(p.values for p in parts[::2]), "physical"), 2) ** 2
+    rhs = sum(lp_norm(part, 2) ** 2 for part in parts[::2])
     orth_defect = abs(lhs - rhs) / rhs
 
     passed = cov and band_ok and partition_defect <= 1e-8 and orth_defect <= 1e-8
@@ -361,7 +329,7 @@ def verify_bilinear_necessity(
     """Fit the delta-scaling of the cap-pair product magnitudes (targets d-1 = 1
     and d+1 = 3) with the time variable running over fractal samples, and report
     the exact q-thresholds the two families force."""
-    a = _as_fraction(alpha)
+    a = _frac(alpha)
     deltas = sorted(delta_range, reverse=True)
     if len(deltas) < 3:
         raise ValueError("need at least three deltas to fit")

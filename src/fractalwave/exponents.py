@@ -20,7 +20,7 @@ four Q-points with the half-open diagonal edge [Q1, Q2); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -124,11 +124,8 @@ def _on_segment(p, a, b) -> bool:
 
 
 def _classify_hull(p, hull: Sequence[tuple[Fraction, Fraction]]) -> str:
-    """'interior' / 'boundary' / 'outside' for a convex CCW hull (possibly degenerate)."""
-    if len(hull) == 1:
-        return "boundary" if p == hull[0] else "outside"
-    if len(hull) == 2:
-        return "boundary" if _on_segment(p, hull[0], hull[1]) else "outside"
+    """'interior' / 'boundary' / 'outside' for a convex CCW hull of >= 3 vertices: the
+    Q-hull has Q1 = (0, 0), Q2 = (x, x) with x >= 1/2, and Q4 off the diagonal."""
     strict = True
     for a, b in zip(hull, hull[1:] + [hull[0]]):
         c = _cross(a, b, p)
@@ -359,30 +356,16 @@ def _f12(x: Fraction) -> str:
 
 
 def threshold_table_to_json(tab: ThresholdTable) -> dict:
-    def pair(v):
-        return None if v is None else [v.numerator, v.denominator]
-
-    out = {
-        "d": tab.d,
-        "alpha": pair(tab.alpha),
-        "q_circ": pair(tab.q_circ),
-        "q_star": pair(tab.q_star),
-        "p_star": pair(tab.p_star),
-        "q_tilde_circ": pair(tab.q_tilde_circ),
-        "q_tilde_star": pair(tab.q_tilde_star),
-        "q_alpha": pair(tab.q_alpha),
-        "p_alpha": pair(tab.p_alpha),
-    }
-    if tab.q_star_r is not None:
-        out["q_star_r"] = pair(tab.q_star_r)
-        out["r"] = pair(tab.r)
-    return out
+    """Every field in declaration order, rationals as [numerator, denominator]; None skipped."""
+    values = {f.name: getattr(tab, f.name) for f in fields(tab)}
+    return {k: v if k == "d" else [v.numerator, v.denominator]
+            for k, v in values.items() if v is not None}
 
 
 def threshold_table_to_csv(tab: ThresholdTable) -> str:
     rows = ["name,exact,decimal"]
     for name, v in threshold_table_to_json(tab).items():
-        if name == "d" or v is None:
+        if name == "d":
             continue
         fr = Fraction(v[0], v[1])
         rows.append(f"{name},{fr},{_f12(fr)}")

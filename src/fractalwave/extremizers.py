@@ -32,19 +32,10 @@ from .grid import (
     _radial_field,
     half_wave,
     physical_coords,
-    to_frequency,
 )
 
 DEFAULT_C1 = 0.125
 DEFAULT_C0 = 0.25
-
-
-def _support_guard(grid: GridSpec, j: int) -> None:
-    if 2.0 ** (j + 2) > grid.nyquist * (1.0 + 1e-12):
-        raise ValueError(
-            f"frequency support 2^(j+2) = {2.0**(j+2)} exceeds nyquist = {grid.nyquist}; "
-            f"max j on this grid is {grid.max_band_j(4.0)}"
-        )
 
 
 def _beta1_band(j: int) -> tuple[float, float]:
@@ -52,12 +43,12 @@ def _beta1_band(j: int) -> tuple[float, float]:
 
 
 def radial_focusing(grid: GridSpec, j: int) -> Field:
-    _support_guard(grid, j)
+    grid.check_band(j, BETA1_SUPPORT[1])
     return _radial_field(grid, lambda r: np.exp(-1j * r) * beta1(r / 2.0**j), _beta1_band(j))
 
 
 def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
-    _support_guard(grid, j)
+    grid.check_band(j, BETA1_SUPPORT[1])
     if not 0.0 < c1 <= 1.0:
         raise ValueError(f"c1 must lie in (0, 1], got {c1}")
     xi = _axis_freq(grid)
@@ -73,7 +64,7 @@ def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
-    _support_guard(grid, j)
+    grid.check_band(j, BETA1_SUPPORT[1])
     return _radial_field(grid, lambda r: beta1(r / 2.0**j), _beta1_band(j))
 
 
@@ -84,7 +75,7 @@ def shell_mass_fraction(f: Field, center_radius: float, width: float) -> float:
     """Fraction of the squared L^2 mass carried by ||x| - center_radius| <= width."""
     g = _as_physical(f)
     x1, x2 = physical_coords(f.grid)
-    r = np.hypot(np.broadcast_to(x1, g.values.shape), np.broadcast_to(x2, g.values.shape))
+    r = np.hypot(x1, x2)
     m2 = np.abs(g.values) ** 2
     total = m2.sum()
     if total == 0.0:
@@ -109,7 +100,7 @@ def concentration_constant(
     """
     g = _as_physical(f)
     x1, x2 = physical_coords(f.grid)
-    r = np.hypot(np.broadcast_to(x1, g.values.shape), np.broadcast_to(x2, g.values.shape))
+    r = np.hypot(x1, x2)
     scaled = 2.0**j * np.abs(r - center_radius)
     weighted = np.abs(g.values) * (1.0 + scaled) ** order
     if shell_limit is not None:
@@ -134,9 +125,7 @@ def knapp_coherence(grid: GridSpec, j: int, c1: float = DEFAULT_C1, t: float = 1
     phase; the quadratic phase spread across the window makes it < 1, and it
     increases to 1 with j because the relative spread shrinks like 2^{-j} c1^2.
     """
-    f = knapp(grid, j, c1)
-    fhat = f.values if f.space == "frequency" else to_frequency(f).values
-    bound = float(np.abs(fhat).sum() / grid.period**2)
+    bound = float(np.abs(knapp(grid, j, c1).values).sum() / grid.period**2)
     return knapp_center_value(grid, j, c1, t) * 2.0 ** (1.5 * j) / bound
 
 
@@ -147,7 +136,7 @@ def annulus_shell_minimum(
     f = annulus(grid, j)
     g = _as_physical(half_wave(f, t))
     x1, x2 = physical_coords(grid)
-    r = np.hypot(np.broadcast_to(x1, g.values.shape), np.broadcast_to(x2, g.values.shape))
+    r = np.hypot(x1, x2)
     mask = (r >= t - c0 * 2.0**-j) & (r <= t)
     if not mask.any():
         raise ValueError("shell contains no grid points at this resolution")

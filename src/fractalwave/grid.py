@@ -17,7 +17,7 @@ Conventions (fixed once, everything else follows):
 * Multiplier operators accept fields in either space and return the same
   space they were given.
 
-The half-wave propagator is the multiplier e^{i sign t |xi|}; the circular
+The half-wave propagator is the multiplier e^{i t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
 
@@ -67,12 +67,21 @@ class GridSpec:
     def nyquist(self) -> float:
         return math.pi * self.n / self.period
 
-    def max_band_j(self, support_factor: float = 2.0) -> int:
+    def max_band_j(self, support_factor: float) -> int:
         """Largest j whose window support support_factor * 2^j fits under nyquist."""
         j = -1
         while support_factor * 2.0 ** (j + 1) <= self.nyquist:
             j += 1
         return j
+
+    def check_band(self, j: int, support_factor: float) -> None:
+        """The alias guard: raise unless support_factor * 2^j <= nyquist, the factor
+        read from ``cutoffs``.  Closed, as profiles vanish on their support's edge."""
+        if j > self.max_band_j(support_factor):
+            raise ValueError(
+                f"alias guard: {support_factor:g} * 2^{j} exceeds nyquist = {self.nyquist:.6g} "
+                f"on n={self.n}; max admissible j is {self.max_band_j(support_factor)}"
+            )
 
 
 @lru_cache(maxsize=64)
@@ -241,23 +250,17 @@ def littlewood_paley(f: Field, j: int) -> Field:
     """Dyadic frequency projection: multiply by beta(|xi| / 2^j).
 
     The bump is supported in (2^{j-1}, 2^{j+1}), so the alias guard demands
-    2^{j+1} < nyquist.
+    2^{j+1} <= nyquist.
     """
-    if 2.0 ** (j + 1) >= f.grid.nyquist:
-        raise ValueError(
-            f"alias guard: 2^(j+1) >= nyquist for j={j}; "
-            f"max admissible j on this grid is {f.grid.max_band_j(2.0)}"
-        )
+    f.grid.check_band(j, BETA_SUPPORT[1])
     scale = 2.0**j
     band = (BETA_SUPPORT[0] * scale, BETA_SUPPORT[1] * scale)
     return _apply_multiplier(f, lambda r: beta(r / scale), band)
 
 
-def half_wave(f: Field, t: float, sign: int = +1) -> Field:
-    """Propagator e^{i sign t |xi|}; unitary on the discrete L^2 norm."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _apply_multiplier(f, lambda r: np.exp(1j * sign * t * r))
+def half_wave(f: Field, t: float) -> Field:
+    """Propagator e^{i t |xi|}; unitary on the discrete L^2 norm, inverted by -t."""
+    return _apply_multiplier(f, lambda r: np.exp(1j * t * r))
 
 
 def _check_radius(grid: GridSpec, t: float) -> None:
@@ -331,18 +334,19 @@ def maximal_function(f: Field, E: TimeSet, j: int | None = None) -> Field:
 
     With ``j`` supplied the input is first band-limited by the dyadic
     projection and E is thinned to a maximal 2^{-j}-separated subset (finer
-    time resolution is invisible to a 2^j-band-limited field).
+    time resolution is invisible to a 2^j-band-limited field).  The field
+    stays in frequency space, so each average evaluates J0 on the band only.
     """
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
     _check_radius(f.grid, max(E.points))
+    g = f if f.space == "frequency" else to_frequency(f)
     if j is not None:
-        f = littlewood_paley(f, j)
+        g = littlewood_paley(g, j)
         E = discretize(E, 2.0**-j)
-    g = _as_physical(f)
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in E.points:
-        acc = np.maximum(acc, np.abs(_as_physical(circular_average(g, t)).values))
+        np.maximum(acc, np.abs(to_physical(circular_average(g, t)).values), out=acc)
     return _own(f.grid, acc.astype(np.complex128), "physical")
 
 
@@ -385,18 +389,15 @@ def multiplier_coeff_decay(
     symbol = beta(r) * np.exp(1j * u * r)
     d = np.fft.fft2(symbol) / N**2
     kk = np.fft.fftfreq(N, d=1.0 / N)
-    kabs = np.hypot(kk[:, None], kk[None, :])
+    shell = np.floor(np.hypot(kk[:, None], kk[None, :])).astype(np.intp)  # s <= |k| < s+1
+    keep = shell <= shell_max
     mag = np.abs(d)
-    shells = []
-    c_m = 0.0
-    total = 0.0
-    for s in range(shell_max + 1):
-        mask = (kabs >= s) & (kabs < s + 1)
-        peak = float(mag[mask].max())
-        shells.append((s, peak))
-        c_m = max(c_m, peak * (1.0 + s) ** M)
-        total += float(mag[mask].sum())
-    return CoeffDecayTable(j=j, dt=dt, order=M, shells=tuple(shells), c_m=c_m, coeff_sum=total)
+    peaks = np.zeros(shell_max + 1)
+    np.maximum.at(peaks, shell[keep], mag[keep])
+    shells = tuple((s, float(peak)) for s, peak in enumerate(peaks))
+    c_m = max(peak * (1.0 + s) ** M for s, peak in shells)
+    total = float(np.where(keep, mag, 0.0).sum())
+    return CoeffDecayTable(j=j, dt=dt, order=M, shells=shells, c_m=c_m, coeff_sum=total)
 
 
 def sector_project(f: Field, arc: tuple[float, float], smooth_margin: float) -> Field:
@@ -420,7 +421,7 @@ def sector_project(f: Field, arc: tuple[float, float], smooth_margin: float) -> 
         window = np.ones((grid.n, grid.n))
     else:
         xi1, xi2 = frequency_lattice(grid)
-        phi = np.arctan2(np.broadcast_to(xi2, (grid.n, grid.n)), np.broadcast_to(xi1, (grid.n, grid.n)))
+        phi = np.arctan2(xi2, xi1)
         m = smooth_margin
 
         def wrap(a):

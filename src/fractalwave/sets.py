@@ -339,9 +339,13 @@ def build_interval_family(spec: CantorSpec, theta: float = 1.0) -> IntervalFamil
     starts = np.array([scale * (t - 1.0) for t in thinned.points])
     # Window (t, t+r) meets tile [s, s+1] iff s is in the open (t-1, t+r);
     # sup counts are attained as t-1 approaches a start from below.
-    diffs = np.unique(np.round(starts[None, :] - starts[:, None], 9))
+    # The distinct positive differences, 128 rows at a time (never the n x n matrix).
+    diffs = np.empty(0)
+    for i in range(0, len(starts), 128):
+        block = np.round(starts[None, :] - starts[i:i + 128, None], 9)
+        diffs = np.union1d(diffs, block[block > 0.0])
     r_cands = {1.0}
-    for dv in diffs[diffs > 0.0]:
+    for dv in diffs:
         r_cands.add(max(1.0, dv + 1.0 - 1e-9))
     mexp = 0
     while 2.0**mexp < (starts[-1] - starts[0]) + 2.0:

@@ -154,5 +154,7 @@ def test_necessary_q_bounds_exact():
     assert isinstance(ang, Fraction)
     with pytest.raises(ValueError):
         necessary_q_bounds(0)
+    with pytest.raises(TypeError):  # a float is not an exact rational
+        necessary_q_bounds(0.1)
     with pytest.raises(ValueError):
         necessary_q_bounds(Fraction(1, 2), d=1)

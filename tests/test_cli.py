@@ -71,6 +71,40 @@ def test_thresholds_json_out(tmp_path, capsys):
     json.loads(path.read_text())
 
 
+def test_thresholds_json_bytes(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, _, _ = run_cli(capsys, "thresholds", "--alpha", "5/6", "--r", "4", "--out", str(path))
+    assert code == 0
+    doc = {
+        "d": 2, "alpha": [5, 6], "q_circ": [10, 3], "q_star": [13, 3], "p_star": [13, 5],
+        "q_tilde_circ": [13, 4], "q_tilde_star": [103, 24], "q_alpha": [14, 3],
+        "p_alpha": [7, 3], "q_star_r": [42, 11], "r": [4, 1],
+    }
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "thresholds", "--alpha", "5/6", "--r", "4")
+    assert out.splitlines()[-2:] == ["q_star_r,42/11,3.81818181818", "r,4,4"]
+
+
+def test_regions_json_bytes(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, _ = run_cli(capsys, "regions", "--fig", "3", "--alpha", "1/2", "--out", str(path))
+    assert code == 0
+    assert out == f"wrote {path}\n"
+    elements = [
+        ("p_equals_q", "polyline", [[[0, 1], [0, 1]], [[1, 2], [1, 2]]]),
+        ("critical_line", "polyline", [[[1, 3], [1, 3]], [[1, 1], [0, 1]]]),
+        ("s2_s3_boundary", "polyline", [[[1, 2], [1, 2]], [[1, 1], [0, 1]]]),
+        ("p_equals_1", "polyline", [[[1, 1], [0, 1]], [[1, 1], [1, 1]]]),
+        ("corner", "point", [[[1, 3], [1, 3]]]),
+        ("interpolation_segment", "polyline", [[[1, 4], [1, 4]], [[1, 2], [1, 3]]]),
+        ("q_tilde_circ_mark", "point", [[[1, 2], [1, 3]]]),
+        ("one_over_r", "tick", [[[0, 1], [1, 4]]]),
+        ("q_star_r_mark", "tick", [[[0, 1], [3, 10]]]),
+    ]
+    doc = [{"label": label, "kind": kind, "points": points} for label, kind, points in elements]
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
 def test_regions_point_membership(capsys):
     code, out, _ = run_cli(
         capsys, "regions", "--alpha", "1", "--mu", "1", "--point", "2/5", "1/5"

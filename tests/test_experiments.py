@@ -15,6 +15,7 @@ from fractalwave.extremizers import DEFAULT_C1
 from fractalwave.sets import build_cantor, discretize
 from fractalwave.experiments import (
     RunConfig,
+    ScalingRun,
     fit_exponent,
     load,
     measured_csv,
@@ -65,6 +66,8 @@ def test_fit_needs_three_samples():
 def test_config_requires_exact_rationals():
     with pytest.raises(TypeError):
         RunConfig(family="knapp", p=2.5, q="5")
+    with pytest.raises(TypeError):  # not a float subclass, still not exact
+        RunConfig(family="knapp", p=np.float32(2.5), q="5")
     cfg = RunConfig(family="knapp", p="5/2", q="5")
     assert cfg.p == Fraction(5, 2)
     assert isinstance(cfg.q, Fraction)
@@ -279,6 +282,39 @@ def test_persist_stem_from_exponents(tmp_path):
     )
     json_path, _ = persist(run, tmp_path)
     assert json_path.name == "knapp_5over2_5.json"
+
+
+def test_persisted_run_bytes(tmp_path):
+    config = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, n=256, time_L=2.0, label="tiny")
+    run = ScalingRun(
+        config=config,
+        time_sets=((2, 2), (3, 4), (4, 8)),
+        measured=((2, -1.5), (3, -1.0), (4, -0.5)),
+        fitted_slope=0.5,
+        intercept=-2.5,
+        residual=0.0,
+        predicted=Fraction(1, 2),
+        verdict="consistent",
+        monotone=True,
+    )
+    json_path, csv_path = persist(run, tmp_path)
+    doc = {
+        "config": {
+            "family": "knapp", "p": "5/2", "q": "5", "alpha": "1", "set_kind": "cantor",
+            "j_min": 2, "j_max": 4, "n": 256, "period": 8.0, "time_L": 2.0,
+            "tolerance": 0.15, "label": "tiny",
+        },
+        "time_sets": [[2, 2], [3, 4], [4, 8]],
+        "measured": [[2, -1.5], [3, -1.0], [4, -0.5]],
+        "fitted_slope": 0.5,
+        "intercept": -2.5,
+        "residual": 0.0,
+        "predicted": "1/2",
+        "verdict": "consistent",
+        "monotone": True,
+    }
+    assert json_path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert csv_path.read_bytes() == b"j,log2_ratio,set_size\r\n2,-1.5,2\r\n3,-1,4\r\n4,-0.5,8\r\n"
 
 
 def test_load_reports_line_and_column(tmp_path):

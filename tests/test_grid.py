@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave import extremizers
+from fractalwave.cutoffs import BETA1_SUPPORT, BETA_SUPPORT
+from fractalwave.experiments import RunConfig
 from fractalwave.grid import (
     Field,
     GridSpec,
@@ -36,6 +38,29 @@ def test_grid_spec_derived_quantities():
     assert g.nyquist == pytest.approx(np.pi * 256 / 8.0)
     assert g.max_band_j(2.0) == 5  # largest j with 2 * 2^j <= nyquist = 100.5
     assert g.max_band_j(4.0) == 4
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+def test_alias_guards_agree(n):
+    """The projection, the three builders and RunConfig admit j = max_band_j of
+    their support factor and refuse j + 1, and max_band_j is the largest j
+    with factor * 2^j <= nyquist."""
+    grid = GridSpec(n, 8.0)
+    f = Field(grid, np.zeros((n, n)), "frequency")
+    top = grid.max_band_j(BETA_SUPPORT[1])
+    assert top == max(j for j in range(32) if BETA_SUPPORT[1] * 2**j <= grid.nyquist)
+    littlewood_paley(f, top)
+    with pytest.raises(ValueError, match="alias guard"):
+        littlewood_paley(f, top + 1)
+    top = grid.max_band_j(BETA1_SUPPORT[1])
+    assert top == max(j for j in range(32) if BETA1_SUPPORT[1] * 2**j <= grid.nyquist)
+    for build in (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus):
+        build(grid, top)
+        with pytest.raises(ValueError, match="alias guard"):
+            build(grid, top + 1)
+    RunConfig(family="knapp", p="2", q="2", j_min=top - 2, j_max=top, n=n)
+    with pytest.raises(ValueError, match="alias guard"):
+        RunConfig(family="knapp", p="2", q="2", j_min=top - 2, j_max=top + 1, n=n)
 
 
 def test_grid_spec_validation():

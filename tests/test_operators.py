@@ -10,7 +10,9 @@ closed-form oracles for both the propagator and the average.
 import numpy as np
 import pytest
 
+from fractalwave import grid as grid_module
 from fractalwave.bessel import bessel_j0
+from fractalwave.cutoffs import beta
 from fractalwave.grid import (
     Field,
     GridSpec,
@@ -53,10 +55,8 @@ def test_half_wave_is_isometry_and_group():
     assert abs(lp_norm(g, 2) - n0) / n0 <= 1e-12
     gg = half_wave(half_wave(f, 0.3), 0.4)
     assert rel_l2(g, gg) <= 1e-12
-    back = half_wave(g, 0.7, sign=-1)
+    back = half_wave(g, -0.7)
     assert rel_l2(f, back) <= 1e-12
-    with pytest.raises(ValueError):
-        half_wave(f, 0.5, sign=2)
 
 
 def test_half_wave_plane_wave_oracle():
@@ -154,6 +154,25 @@ def test_maximal_function_band_limited_thinning():
         maximal_function(f, TimeSet.from_points([]))
 
 
+def test_maximal_function_evaluates_j0_on_the_band_only(monkeypatch):
+    spec = GridSpec(256, 8.0)
+    f = random_field(spec, seed=7)
+    times = TimeSet.from_points([1.2, 1.45, 1.7, 1.95])
+    sizes = []
+
+    def counting_j0(x):
+        sizes.append(np.size(x))
+        return bessel_j0(x)
+
+    monkeypatch.setattr(grid_module, "bessel_j0", counting_j0)
+    m = maximal_function(f, times, j=4)
+    assert len(sizes) == len(times.points)
+    assert max(sizes) < spec.n**2 / 10  # the band 8 < |xi| < 32 holds ~4,900 points
+    pj = littlewood_paley(f, 4)
+    want = np.max([np.abs(circular_average(pj, t).values) for t in times], axis=0)
+    assert np.abs(m.values - want).max() <= 1e-12 * want.max()
+
+
 # --- multiplier coefficient decay -------------------------------------------
 
 
@@ -163,6 +182,22 @@ def test_coeff_decay_table_certifies_its_bound():
     for s, peak in tab.shells:
         assert peak <= tab.c_m / (1.0 + s) ** 8 * (1.0 + 1e-12)
     assert tab.coeff_sum >= tab.shells[0][1]
+
+
+def test_coeff_decay_shells_equal_the_per_shell_masks():
+    # reference: one mask s <= |k| < s+1 per shell; the sum runs in another
+    # order, so it is held to a few ulp
+    N, shells, u = 128, 20, 0.5
+    tab = multiplier_coeff_decay(5, u * 2.0**-5, M=6, resolution=N, shell_max=shells)
+    xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
+    r = np.hypot(xi[:, None], xi[None, :])
+    mag = np.abs(np.fft.fft2(beta(r) * np.exp(1j * u * r)) / N**2)
+    kk = np.fft.fftfreq(N, d=1.0 / N)
+    kabs = np.hypot(kk[:, None], kk[None, :])
+    masks = [(kabs >= s) & (kabs < s + 1) for s in range(shells + 1)]
+    assert tab.shells == tuple((s, float(mag[m].max())) for s, m in enumerate(masks))
+    want = sum(float(mag[m].sum()) for m in masks)
+    assert abs(tab.coeff_sum - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_coeff_decay_depends_only_on_scaled_offset():

@@ -7,6 +7,7 @@ weighted sums) against closed forms.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,34 @@ def test_interval_family_separation_and_constant():
             if len(starts) > 1:
                 assert np.diff(starts).min() >= 1.0 - 1e-9
             assert 1.0 <= fam.certified_constant <= 4.0
+
+
+def test_interval_family_constant_equals_the_full_difference_sweep():
+    # reference: window lengths from the whole n x n matrix of start differences
+    for alpha, j in [(1.0, 9), (0.5, 14), (2 / 3, 10)]:
+        fam = build_interval_family(cantor_spec(alpha, j, L=2.0))
+        starts = np.asarray(fam.starts)
+        diffs = np.unique(np.round(starts[None, :] - starts[:, None], 9))
+        r_cands = {1.0} | {max(1.0, dv + 1.0 - 1e-9) for dv in diffs[diffs > 0.0]}
+        r_cands |= {2.0**m for m in range(64) if 2.0**m < starts[-1] - starts[0] + 2.0}
+        idx = np.arange(len(starts))
+        want = max(
+            float((np.searchsorted(starts, starts + r + 1.0 - 1e-9, side="left") - idx).max()) / r**alpha
+            for r in r_cands
+        )
+        assert fam.certified_constant == want
+
+
+def test_interval_family_memory_stays_below_the_difference_matrix():
+    spec = cantor_spec(1.0, 12, L=2.0)  # 2,048 starts: the n x n differences alone are 32 MiB
+    tracemalloc.start()
+    try:
+        fam = build_interval_family(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam.starts) == 2048
+    assert peak < 16 * 2**20
 
 
 def test_interval_family_rejects_small_theta():
