@@ -102,8 +102,6 @@ def _cross(o, a, b) -> Fraction:
 def _hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
     """Convex hull (counterclockwise, strict turns) of <= 4 rational points."""
     pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
     lower: list = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:

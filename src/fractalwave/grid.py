@@ -21,13 +21,16 @@ The half-wave propagator is the multiplier e^{i t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
 
-Frequency supports.  A frequency field made by this package carries
-``support``: an open annulus lo < |xi| < hi outside which its values are
-exactly zero.  It comes from the cutoff that made the field (see
-``cutoffs``), never from scanning values.  Radial multipliers evaluate their
-symbol on the support points only and write exact zeros elsewhere, and the
-inverse FFT transforms only the rows that meet the support; both give the
-same bits as the full-lattice computation.
+Spectral supports.  Every field carries ``support``: an open annulus
+lo < |xi| < hi outside which its transform vanishes.  It comes from the
+cutoff that made the field (see ``cutoffs``), never from scanning values;
+``_WHOLE_LATTICE`` = (-1, inf) claims nothing.  A frequency field's values
+are exactly zero outside its support.  ``to_physical`` passes the support
+on, and for the physical field the claim holds up to FFT rounding.
+Multipliers evaluate their symbol on the support points only and write
+exact zeros elsewhere, and the inverse FFT transforms only the rows that
+meet the support; on a frequency field both give the same bits as the
+full-lattice computation.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .cutoffs import BETA_SUPPORT, beta, step
 from .sets import TimeSet, discretize
 
 _SPACES = ("physical", "frequency")
+_WHOLE_LATTICE = (-1.0, math.inf)  # lo = -1 keeps |xi| = 0 inside the open annulus
 
 
 @dataclass(frozen=True)
@@ -90,21 +94,12 @@ def _axis_freq(spec: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * k / spec.period
 
 
-# Full-lattice arrays are 32 MB each at n = 2048, so these caches stay small.
-@lru_cache(maxsize=2)
-def _xi_norm(spec: GridSpec) -> np.ndarray:
-    xi = _axis_freq(spec)
-    r = np.hypot(xi[:, None], xi[None, :])
-    r.setflags(write=False)
-    return r
-
-
 @lru_cache(maxsize=8)
 def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending flat indices and radii of the lattice points with lo < |xi| < hi.
 
     Built on the axis block |xi_k| < hi only; the radii are bit-identical to
-    ``_xi_norm`` at the same points.
+    np.hypot over the full lattice at the same points.
     """
     xi = _axis_freq(spec)
     ks = np.flatnonzero(np.abs(xi) < hi)
@@ -124,12 +119,8 @@ def _row_blocks(spec: GridSpec, hi: float) -> tuple[slice, slice]:
     return slice(0, int(keep[:half].sum())), slice(spec.n - int(keep[half:].sum()), spec.n)
 
 
-def _meet(a: tuple[float, float] | None, b: tuple[float, float] | None):
-    """Intersection of two supports; None stands for the whole lattice."""
-    if a is None:
-        return b
-    if b is None:
-        return a
+def _meet(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Intersection of two supports."""
     return max(a[0], b[0]), min(a[1], b[1])
 
 
@@ -158,14 +149,14 @@ class Field:
 
     The values are a read-only copy of the array passed in: the caller's array
     stays writeable and changing it leaves the field alone.  ``support`` is
-    set by this package's operators only (see the module docstring); None
-    claims nothing.
+    set by this package's operators only (see the module docstring); a field
+    made here claims ``_WHOLE_LATTICE``.
     """
 
     grid: GridSpec
     values: np.ndarray
     space: str
-    support: tuple[float, float] | None = field(default=None, init=False)
+    support: tuple[float, float] = field(default=_WHOLE_LATTICE, init=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -177,7 +168,7 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None) -> Field:
+def _own(grid: GridSpec, vals: np.ndarray, space: str, support=_WHOLE_LATTICE) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
@@ -210,39 +201,35 @@ def to_frequency(f: Field) -> Field:
 def to_physical(f: Field) -> Field:
     """Inverse transform as np.fft.ifft2 computes it, axis 1 then axis 0, with
     the axis-1 pass run only on the rows that meet the support (the others
-    are zero in, zero out)."""
+    are zero in, zero out).  The result keeps the input's support."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
-    hi = math.inf if f.support is None else f.support[1]
     vals = np.zeros((f.grid.n, f.grid.n), dtype=np.complex128)
-    for rows in _row_blocks(f.grid, hi):
+    for rows in _row_blocks(f.grid, f.support[1]):
         np.fft.ifft(f.values[rows], axis=1, out=vals[rows])
     np.fft.ifft(vals, axis=0, out=vals)
     vals /= f.grid.cell**2
-    return _own(f.grid, vals, "physical")
+    return _own(f.grid, vals, "physical", f.support)
 
 
 def _as_physical(f: Field) -> Field:
     return f if f.space == "physical" else to_physical(f)
 
 
-def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None) -> Field:
+def _apply_multiplier(f: Field, symbol, band: tuple[float, float] = _WHOLE_LATTICE) -> Field:
     """Multiply in frequency space, preserving the caller's space tag.
 
     ``symbol`` is the multiplier as a function of |xi|, or its full-lattice
-    array; ``band`` is where it may be nonzero (None: anywhere).  Only the
-    points of the input's support met with the band are multiplied.
+    array; ``band`` is where it may be nonzero.  Only the points of ``f``'s
+    support met with the band are multiplied, in either space: a physical
+    input's transform is read there and the rest, rounding, is dropped.
     """
     grid = f.grid
     g = f if f.space == "frequency" else to_frequency(f)
-    support = _meet(g.support, band)
-    if support is None:
-        vals = g.values * (symbol(_xi_norm(grid)) if callable(symbol) else symbol)
-    else:
-        flat, r = _band_points(grid, *support)
-        mult = symbol(r) if callable(symbol) else symbol.ravel()[flat]
-        vals = _scatter(grid, flat, g.values.ravel()[flat] * mult)
-    out = _own(grid, vals, "frequency", support)
+    support = _meet(f.support, band)
+    flat, r = _band_points(grid, *support)
+    mult = symbol(r) if callable(symbol) else symbol.ravel()[flat]
+    out = _own(grid, _scatter(grid, flat, g.values.ravel()[flat] * mult), "frequency", support)
     return out if f.space == "frequency" else to_physical(out)
 
 

@@ -153,6 +153,22 @@ def _subset_in(ts: TimeSet, lo: float, hi: float) -> list[float]:
     return list(ts.points[i:j])
 
 
+def _chain_next(pts: np.ndarray, delta: float) -> np.ndarray:
+    """nxt[i] = index of the first point not covered by an open interval at pts[i]."""
+    return np.searchsorted(pts, pts + delta * (1.0 - _TOL), side="left").astype(np.int64)
+
+
+def _cover_starts(pts: Sequence[float], delta: float) -> list[float]:
+    """Left ends of the greedy open-interval cover of the sorted ``pts``: each
+    interval starts at the leftmost point the previous ones leave uncovered."""
+    nxt = _chain_next(np.asarray(pts, dtype=float), delta)
+    starts, i = [], 0
+    while i < len(pts):
+        starts.append(pts[i])
+        i = nxt[i]
+    return starts
+
+
 def covering_number(ts: TimeSet, interval: tuple[float, float], delta: float) -> int:
     """Minimal number of open length-``delta`` intervals covering E ∩ [a, b].
 
@@ -165,36 +181,19 @@ def covering_number(ts: TimeSet, interval: tuple[float, float], delta: float) ->
         raise ValueError(f"delta must be positive, got {delta}")
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    pts = _subset_in(ts, a, b)
-    count = 0
-    i = 0
-    while i < len(pts):
-        count += 1
-        cover_end = pts[i] + delta
-        i += 1
-        while i < len(pts) and pts[i] < cover_end - _TOL * delta:
-            i += 1
-    return count
+    return len(_cover_starts(_subset_in(ts, a, b), delta))
 
 
 def discretize(ts: TimeSet, delta: float) -> TimeSet:
-    """Maximal ``delta``-separated subset, chosen greedily from the left.
+    """Maximal ``delta``-separated subset, chosen greedily from the left: the
+    starts of the greedy cover.
 
     Every discarded point lies within ``delta`` of a kept one, and kept points
     at distance exactly ``delta`` are retained (separation is >= delta).
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    kept: list[float] = []
-    for p in ts.points:
-        if not kept or p - kept[-1] >= delta - _TOL * delta:
-            kept.append(p)
-    return TimeSet.from_points(kept)
-
-
-def _chain_next(pts: np.ndarray, delta: float) -> np.ndarray:
-    """nxt[i] = index of the first point not covered by an open interval at pts[i]."""
-    return np.searchsorted(pts, pts + delta * (1.0 - _TOL), side="left").astype(np.int64)
+    return TimeSet.from_points(_cover_starts(ts.points, delta))
 
 
 def assouad_characteristic(ts: TimeSet, delta: float, alpha: float) -> float:

@@ -50,9 +50,6 @@ class ArcDecomposition:
         h = self.base_length / 2**nu
         return (a + k * h, a + (k + 1) * h)
 
-    def level_pairs(self, nu: int) -> tuple[ArcPair, ...]:
-        return tuple(p for p in self.pairs if p.nu == nu)
-
     def pair_separation(self, pair: ArcPair) -> float:
         """Angular gap between the two arcs (0 for adjacent/equal pairs)."""
         h = self.base_length / 2**pair.nu

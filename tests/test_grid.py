@@ -18,8 +18,8 @@ from fractalwave.experiments import RunConfig
 from fractalwave.grid import (
     Field,
     GridSpec,
+    _WHOLE_LATTICE,
     _band_points,
-    _xi_norm,
     frequency_lattice,
     half_wave,
     littlewood_paley,
@@ -204,30 +204,38 @@ def _band_fields(grid):
 def test_pruned_inverse_transform_is_ifft2(n):
     grid = GridSpec(n, 8.0)
     seen = 0
+    r = np.hypot(*frequency_lattice(grid))
     for f in _band_fields(grid):
-        assert f.support is not None
+        assert f.support != _WHOLE_LATTICE
         lo, hi = f.support
-        r = _xi_norm(grid)
         assert not f.values[(r <= lo) | (r >= hi)].any()  # the support is honest
         want = np.fft.ifft2(f.values) / grid.cell**2
         assert np.array_equal(to_physical(f).values, want)
         seen += 1
     assert seen >= 3
-    # a field that claims no support goes through the same path
+    # a field that claims the whole lattice goes through the same path
     full = to_frequency(random_field(grid, seed=2))
-    assert full.support is None
+    assert full.support == _WHOLE_LATTICE
     assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
 
 
+def test_support_survives_to_physical():
+    grid = GridSpec(256, 8.0)
+    f = extremizers.annulus(grid, 4)
+    phys = to_physical(f)
+    assert phys.space == "physical" and phys.support == f.support != _WHOLE_LATTICE
+    pj = littlewood_paley(random_field(grid, seed=3), 4)
+    assert pj.space == "physical" and pj.support == (8.0, 32.0)
+    # a caller's array and a forward transform claim the whole lattice
+    assert Field(grid, phys.values, "physical").support == _WHOLE_LATTICE
+    assert to_frequency(phys).support == _WHOLE_LATTICE
+
+
 def test_full_lattice_caches_are_bounded():
-    for cache in (_xi_norm, _band_points):
-        assert cache.cache_info().maxsize <= 8
+    assert _band_points.cache_info().maxsize <= 8
     bound = _band_points.cache_info().maxsize
     for k in range(bound + 3):
-        grid = GridSpec(64, 8.0 + k)
-        _xi_norm(grid)
-        _band_points(grid, 1.0, 8.0)
-    assert _xi_norm.cache_info().currsize == _xi_norm.cache_info().maxsize
+        _band_points(GridSpec(64, 8.0 + k), 1.0, 8.0)
     assert _band_points.cache_info().currsize == bound
 
 

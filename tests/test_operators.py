@@ -154,10 +154,7 @@ def test_maximal_function_band_limited_thinning():
         maximal_function(f, TimeSet.from_points([]))
 
 
-def test_maximal_function_evaluates_j0_on_the_band_only(monkeypatch):
-    spec = GridSpec(256, 8.0)
-    f = random_field(spec, seed=7)
-    times = TimeSet.from_points([1.2, 1.45, 1.7, 1.95])
+def _counting_j0(monkeypatch) -> list[int]:
     sizes = []
 
     def counting_j0(x):
@@ -165,12 +162,38 @@ def test_maximal_function_evaluates_j0_on_the_band_only(monkeypatch):
         return bessel_j0(x)
 
     monkeypatch.setattr(grid_module, "bessel_j0", counting_j0)
+    return sizes
+
+
+def _full_lattice_average(f: Field, t: float) -> np.ndarray:
+    # oracle: ifft2(fft2(v) J0(t |xi|)) on every lattice point
+    r = np.hypot(*frequency_lattice(f.grid))
+    return np.fft.ifft2(np.fft.fft2(f.values) * bessel_j0(t * r))
+
+
+def test_maximal_function_evaluates_j0_on_the_band_only(monkeypatch):
+    spec = GridSpec(256, 8.0)
+    f = random_field(spec, seed=7)
+    times = TimeSet.from_points([1.2, 1.45, 1.7, 1.95])
+    pj = littlewood_paley(f, 4)
+    want = np.max([np.abs(_full_lattice_average(pj, t)) for t in times], axis=0)
+    sizes = _counting_j0(monkeypatch)
     m = maximal_function(f, times, j=4)
     assert len(sizes) == len(times.points)
     assert max(sizes) < spec.n**2 / 10  # the band 8 < |xi| < 32 holds ~4,900 points
-    pj = littlewood_paley(f, 4)
-    want = np.max([np.abs(circular_average(pj, t).values) for t in times], axis=0)
     assert np.abs(m.values - want).max() <= 1e-12 * want.max()
+
+
+def test_circular_average_of_a_physical_band_field_stays_on_the_band(monkeypatch):
+    spec = GridSpec(256, 8.0)
+    pj = littlewood_paley(random_field(spec, seed=7), 4)
+    assert pj.space == "physical"
+    sizes = _counting_j0(monkeypatch)
+    got = circular_average(pj, 1.45)
+    assert got.space == "physical" and got.support == pj.support
+    assert sizes and max(sizes) < spec.n**2 / 10
+    want = _full_lattice_average(pj, 1.45)
+    assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- multiplier coefficient decay -------------------------------------------

@@ -110,6 +110,19 @@ def test_discretize_is_maximal_separated(points, delta):
         assert any(abs(p - q) < delta * (1 + 1e-9) for q in pts)
 
 
+@given(lattice_sets, delta_menu)
+@settings(max_examples=60, deadline=None)
+def test_discretize_keeps_the_greedy_cover_starts(points, delta):
+    ts = TimeSet.from_points(points)
+    kept = discretize(ts, delta).points
+    assert len(kept) == covering_number(ts, (1.0, 2.0), delta)
+    want = [points[0]]  # left-greedy: keep a point at distance >= delta from the last kept
+    for p in points[1:]:
+        if p - want[-1] >= delta:
+            want.append(p)
+    assert list(kept) == want
+
+
 # --- frozen construction examples -------------------------------------------
 
 

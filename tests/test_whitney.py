@@ -48,10 +48,10 @@ def test_pair_counts_closed_form():
     # totals therefore grow linearly in the number of finest arcs
     dec = whitney(6)
     for nu in range(2, 7):
-        rule = [p for p in dec.level_pairs(nu) if not p.terminal]
+        rule = [p for p in dec.pairs if p.nu == nu and not p.terminal]
         assert len(rule) == 3 * 2**nu - 6
     assert sum(p.terminal for p in dec.pairs) == 3 * 2**6 - 2
-    assert dec.level_pairs(0) == () and dec.level_pairs(1) == ()
+    assert not any(p.nu <= 1 for p in dec.pairs)
 
 
 def test_separation_band_is_exact():
@@ -84,14 +84,6 @@ def test_arc_indexing():
         dec.arc(4, 0)
     with pytest.raises(ValueError):
         dec.arc(2, 4)
-
-
-def test_level_pairs_filter():
-    dec = whitney(4)
-    for nu in range(5):
-        level = dec.level_pairs(nu)
-        assert all(p.nu == nu for p in level)
-    assert sum(len(dec.level_pairs(nu)) for nu in range(5)) == len(dec.pairs)
 
 
 def test_validation():
