@@ -30,23 +30,22 @@ from fractalwave.grid import GridSpec, lp_norm
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2048)
-    ap.add_argument("--period", type=float, default=8.0)
     ap.add_argument("--jmin", type=int, default=4)
     ap.add_argument("--jmax", type=int, default=6)
     args = ap.parse_args()
 
-    grid = GridSpec(args.n, args.period)
+    grid = GridSpec(args.n)
     js = range(args.jmin, args.jmax + 1)
 
-    print(f"grid: n={args.n} period={args.period:g} nyquist={grid.nyquist:.2f}")
+    print(f"grid: n={args.n} period={grid.period:g} nyquist={grid.nyquist:.2f}")
     print()
 
     print("radial_focusing: near-field envelope C(j) = sup |f| (1 + 2^j||x|-1|)^4 / 2^(3j/2)")
     print("  on the scaled shell 2^j||x|-1| <= 8 (frozen: C <= 40); global sup for contrast")
     for j in js:
         f = radial_focusing(grid, j)
-        near = concentration_constant(f, j, order=4, shell_limit=8.0)
-        full = concentration_constant(f, j, order=4)
+        near = concentration_constant(f, j, shell_limit=8.0)
+        full = concentration_constant(f, j)
         print(f"  j={j}: C_shell = {near:.1f}   C_global = {full:.1f}")
     print()
 
@@ -71,8 +70,8 @@ def main() -> int:
 
     print("knapp: quadratic phase error on the tube (should be O(c1^2))")
     for c1 in (0.0625, 0.125, 0.25):
-        plat = knapp_phase_error(j=6, c1=c1, t=1.5, region="plateau")
-        supp = knapp_phase_error(j=6, c1=c1, t=1.5, region="support")
+        plat = knapp_phase_error(j=6, c1=c1, region="plateau")
+        supp = knapp_phase_error(j=6, c1=c1, region="support")
         print(
             f"  c1={c1:g}: plateau err = {plat:.4f} ({plat / c1**2:.2f} c1^2), "
             f"support err = {supp:.4f} ({supp / c1**2:.2f} c1^2)"
@@ -82,7 +81,7 @@ def main() -> int:
 
     print("annulus: minimum of |e^(it sqrt(-Lap)) f| over the shell |x| = t (frozen: >= 0.12)")
     for j in js:
-        m = annulus_shell_minimum(grid, j, t=1.5)
+        m = annulus_shell_minimum(grid, j)
         print(f"  j={j}: shell min / 2^(j/2) = {m:.4f}")
     print()
 

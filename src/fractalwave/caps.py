@@ -10,6 +10,7 @@ Two constructions on the unit annulus 1/2 <= |xi| <= 2 (d = 2):
   {|x1| <= c/delta^2, |x2| <= c/delta, |t| <= c/delta^2}.
 
 Products therefore scale like delta^{d-1} = delta and delta^{d+1} = delta^3.
+The box constant is c = ``BOX_C`` = 1/4.
 
 Both a continuum route (midpoint quadrature of the extension integral
 R*f(x,t) = A int_cap e^{i(x.xi + t|xi|)} dxi, with A fixing ||fhat||_2 = 1)
@@ -32,6 +33,8 @@ from .exponents import _frac
 from .grid import Field, GridSpec, _own, frequency_lattice
 
 _KINDS = ("angular", "squashed")
+BOX_C = 0.25  # the box constant c of the module docstring
+_BOX_FRACTIONS = (-1.0, 0.0, 1.0)  # each box coordinate at -c, 0 and +c times its scale
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def extension(profile: CapProfile, x1: float, x2: float, t: float) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
-def box_samples(kind: str, delta: float, c: float = 0.25, fractions=(-1.0, 0.0, 1.0), times=None):
+def box_samples(kind: str, delta: float, times=None):
     """(x1, x2, t) sample tuples spanning the coherence box of the cap pair.
 
     By default t runs over the box extremes/center; an explicit ``times``
@@ -110,33 +113,31 @@ def box_samples(kind: str, delta: float, c: float = 0.25, fractions=(-1.0, 0.0, 
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if times is None:
-        tvals = [st * c / delta**2 for st in fractions]
+        tvals = [st * BOX_C / delta**2 for st in _BOX_FRACTIONS]
     else:
-        tvals = [t for t in times if abs(t) <= c / delta**2]
+        tvals = [t for t in times if abs(t) <= BOX_C / delta**2]
         if not tvals:
             raise ValueError("no time sample lies inside the coherence box")
     out = []
     for t in tvals:
-        for s2 in fractions:
-            x2 = s2 * c / delta
-            for s1 in fractions:
+        for s2 in _BOX_FRACTIONS:
+            x2 = s2 * BOX_C / delta
+            for s1 in _BOX_FRACTIONS:
                 if kind == "angular":
-                    x1 = -t + s1 * c
+                    x1 = -t + s1 * BOX_C
                 else:
-                    x1 = s1 * c / delta**2
+                    x1 = s1 * BOX_C / delta**2
                 out.append((x1, x2, t))
     return out
 
 
-def pair_product_statistic(
-    delta: float, kind: str, c: float = 0.25, mesh: int = 96, times=None
-) -> float:
+def pair_product_statistic(delta: float, kind: str, times=None) -> float:
     """min over box samples of |R*f . R*g| — the quantity whose delta-scaling
     realizes the d-1 / d+1 magnitude laws."""
-    f = CapProfile(kind, delta, mirrored=False, mesh=mesh)
-    g = CapProfile(kind, delta, mirrored=(kind == "squashed"), mesh=mesh)
+    f = CapProfile(kind, delta, mirrored=False)
+    g = CapProfile(kind, delta, mirrored=(kind == "squashed"))
     vals = []
-    for x1, x2, t in box_samples(kind, delta, c, times=times):
+    for x1, x2, t in box_samples(kind, delta, times=times):
         vals.append(abs(extension(f, x1, x2, t)) * abs(extension(g, x1, x2, t)))
     return min(vals)
 

@@ -239,14 +239,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.dir)
-    paths = sorted(run_dir.glob("*.json"))
-    runs = []
-    for p in paths:
-        try:
-            runs.append(load(p))
-        except ValueError as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return 2
+    runs = [load(p) for p in sorted(run_dir.glob("*.json"))]
     if not runs:
         print(f"report: no stored runs under {run_dir}", file=sys.stderr)
         return 2

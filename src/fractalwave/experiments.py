@@ -7,7 +7,8 @@ A scaling run measures, for each dyadic level j,
 
 for an extremizer family f and a per-level time set E_j, then fits
 log2 R(j) against j and compares the slope to the exact predicted exponent
-s_i(p, q) of the matching regime.  The three stock runs:
+s_i(p, q) of the matching regime.  Every level runs on the smallest grid the
+alias guard admits j_max on (``RunConfig.grid``).  The three stock runs:
 
 * radial focusing with the single time E_j = {1 + L 2^{-j}}   -> s1,
 * Knapp plate with a Cantor time set (#E_j ~ 2^{j alpha})     -> s2,
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import extremizers
-from .caps import necessary_q_bounds, pair_product_statistic
+from .caps import BOX_C, necessary_q_bounds, pair_product_statistic
 from .cutoffs import BETA1_SUPPORT
 from .exponents import PQPoint, _frac, s_exponents
 from .grid import (
@@ -62,6 +63,8 @@ _RUN_FAMILIES = {
 # with 64 MiB fields at n = 2048, interpreter included, i.e. under 4.5 fields.
 _FIELDS_PER_LEVEL = 5
 
+TOLERANCE = 0.15  # largest |fitted - predicted| slope a run calls consistent
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,10 +75,7 @@ class RunConfig:
     set_kind: str = "cantor"  # "cantor" | "single_time"
     j_min: int = 4
     j_max: int = 7
-    n: int = 2048
-    period: float = 8.0
     time_L: float = 16.0
-    tolerance: float = 0.15
     label: str = ""
 
     def __post_init__(self):
@@ -89,34 +89,48 @@ class RunConfig:
             raise ValueError(f"cantor time sets need alpha in (0, 1], got {self.alpha}")
         if self.set_kind == "single_time" and not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.tolerance < 0.5:
-            raise ValueError(f"tolerance must lie in (0, 0.5), got {self.tolerance}")
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
-        GridSpec(self.n, self.period).check_band(self.j_max, BETA1_SUPPORT[1])
-        need = _FIELDS_PER_LEVEL * 16 * self.n**2
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
-            raise ValueError(
-                f"n={self.n} needs about {need / 2**30:.3g} GiB per level, "
-                f"more than the {have / 2**30:.3g} GiB of physical memory"
-            )
+        self.grid  # derived here, so a grid beyond physical memory fails on load
         if self.set_kind == "single_time" and not 0.0 < self.time_L * 2.0**-self.j_min <= 1.0:
             raise ValueError("single-time offset L 2^{-j_min} must land in (1, 2]")
         if self.set_kind == "cantor" and self.time_L < 1.0:
             raise ValueError(f"cantor time sets need time_L >= 1, got {self.time_L}")
+
+    @property
+    def grid(self) -> GridSpec:
+        """The grid every level runs on: n the least power of two >= 64 whose
+        max_band_j(BETA1_SUPPORT[1]), the builders' alias guard, reaches j_max, at
+        the default period.  A level on each larger candidate must fit in physical
+        memory, so a j_max out of reach fails after a few doublings."""
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = 64
+        while GridSpec(n).max_band_j(BETA1_SUPPORT[1]) < self.j_max:
+            n *= 2
+            need = _FIELDS_PER_LEVEL * 16 * n**2
+            if need > have:
+                raise ValueError(
+                    f"j_max={self.j_max} needs n > {n // 2}, and n={n} needs about {need / 2**30:.3g} "
+                    f"GiB per level, more than the {have / 2**30:.3g} GiB of physical memory"
+                )
+        return GridSpec(n)
 
     def to_json(self) -> dict:
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        # Older documents carry a "seed" that no run ever read; it is dropped.
-        known = {f: v for f, v in data.items() if f != "seed"}
+        # Older documents carry a "seed" that no run ever read, which is dropped,
+        # and the now fixed grid and tolerance, which must equal what the run uses.
+        known = {f: v for f, v in data.items() if f not in ("seed", "n", "period", "tolerance")}
         extra = set(known) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown RunConfig fields: {sorted(extra)}")
-        return cls(**known)
+        config = cls(**known)
+        for key, value in (("n", config.grid.n), ("period", config.grid.period), ("tolerance", TOLERANCE)):
+            if key in data and data[key] != value:
+                raise ValueError(f"{key!r} is {data[key]!r}, but this run uses {value!r}; drop the key")
+        return config
 
 
 @dataclass(frozen=True)
@@ -158,7 +172,7 @@ def _time_set(config: RunConfig, j: int) -> TimeSet:
 
 
 def run_scaling(config: RunConfig) -> ScalingRun:
-    grid = GridSpec(config.n, config.period)
+    grid = config.grid
     measured = []
     set_sizes = []
     for j in range(config.j_min, config.j_max + 1):
@@ -175,9 +189,9 @@ def run_scaling(config: RunConfig) -> ScalingRun:
     monotone = all(b >= a for (_, a), (_, b) in zip(measured, measured[1:]))
     if resid > 0.25:
         verdict = "inconclusive"
-    elif slope < float(predicted) - config.tolerance:
+    elif slope < float(predicted) - TOLERANCE:
         verdict = "lower_bound_violated"
-    elif slope > float(predicted) + config.tolerance:
+    elif slope > float(predicted) + TOLERANCE:
         verdict = "inconclusive"
     else:
         verdict = "consistent"
@@ -305,8 +319,9 @@ class NecessityReport:
     passed: bool
 
 
-def _fractal_times(alpha: Fraction, delta: float, c: float) -> list[float]:
-    """Cantor-structured time samples inside the coherence window |t| <= c/delta^2.
+def _fractal_times(alpha: Fraction, delta: float) -> list[float]:
+    """Cantor-structured time samples inside the coherence window |t| <= c/delta^2,
+    c = ``caps.BOX_C``.
 
     Scale-matched construction: stage points of the L = 2 Cantor set at level
     j = ceil(log2 delta^{-2}), mapped to 2^j (t - 1) in [2, 2^j]; the window
@@ -316,16 +331,14 @@ def _fractal_times(alpha: Fraction, delta: float, c: float) -> list[float]:
     j = math.ceil(math.log2(delta**-2))
     ts = build_cantor(alpha, j, L=2.0)
     starts = sorted(2.0**j * (t - 1.0) for t in ts.points)
-    window = [s + 0.5 for s in starts if s + 0.5 <= c / delta**2]
+    window = [s + 0.5 for s in starts if s + 0.5 <= BOX_C / delta**2]
     if len(window) > 12:
         idx = np.linspace(0, len(window) - 1, 12).round().astype(int)
         window = [window[i] for i in sorted(set(idx))]
     return [0.0] + window
 
 
-def verify_bilinear_necessity(
-    delta_range=(1 / 8, 1 / 16, 1 / 32), alpha=Fraction(1, 2), c: float = 0.25, mesh: int = 96
-) -> NecessityReport:
+def verify_bilinear_necessity(delta_range=(1 / 8, 1 / 16, 1 / 32), alpha=Fraction(1, 2)) -> NecessityReport:
     """Fit the delta-scaling of the cap-pair product magnitudes (targets d-1 = 1
     and d+1 = 3) with the time variable running over fractal samples, and report
     the exact q-thresholds the two families force."""
@@ -338,7 +351,7 @@ def verify_bilinear_necessity(
     for kind in ("angular", "squashed"):
         ys = []
         for d in deltas:
-            s = pair_product_statistic(d, kind, c=c, mesh=mesh, times=_fractal_times(a, d, c))
+            s = pair_product_statistic(d, kind, times=_fractal_times(a, d))
             stats.append((kind, d, s))
             ys.append(math.log2(s))
         slope, _, _ = fit_exponent(list(zip(np.log2(deltas), ys)))

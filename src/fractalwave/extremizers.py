@@ -13,9 +13,9 @@ The radial supports lie in |xi| < 2^{j+2} and the Knapp window in
 2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on that support only
 and records it on the field (``Field.support``).  Physical-space
 concentration facts (focusing shell, Knapp box lower bound after half-wave
-propagation) are exposed as helpers so the same measurements drive tests and
-calibration scripts.  A scaling study names its family by the builder's name
-(``experiments.RunConfig.family``).
+propagation to the probe time ``PROBE_T`` = 1.5) are exposed as helpers so
+the same measurements drive tests and calibration scripts.  A scaling study
+names its family by the builder's name (``experiments.RunConfig.family``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .grid import (
 )
 
 DEFAULT_C1 = 0.125
-DEFAULT_C0 = 0.25
+PROBE_T = 1.5  # the time at which the helpers below measure a propagated field
 
 
 def _beta1_band(j: int) -> tuple[float, float]:
@@ -83,26 +83,20 @@ def shell_mass_fraction(f: Field, center_radius: float, width: float) -> float:
     return float(m2[np.abs(r - center_radius) <= width].sum() / total)
 
 
-def concentration_constant(
-    f: Field,
-    j: int,
-    center_radius: float = 1.0,
-    order: int = 4,
-    shell_limit: float | None = None,
-) -> float:
-    """Smallest C with |f(x)| <= C 2^{3j/2} (1 + 2^j ||x| - center_radius|)^{-order} on the grid.
+def concentration_constant(f: Field, j: int, shell_limit: float | None = None) -> float:
+    """Smallest C with |f(x)| <= C 2^{3j/2} (1 + 2^j ||x| - 1|)^{-4} on the grid.
 
-    With ``shell_limit`` the sup is restricted to 2^j ||x| - center_radius| <=
-    shell_limit.  The restriction matters: the smooth profiles decay faster
-    than any polynomial near the shell, so the polynomial-weighted sup over the
+    With ``shell_limit`` the sup is restricted to 2^j ||x| - 1| <= shell_limit.
+    The restriction matters: the smooth profiles decay faster than any
+    polynomial near the unit shell, so the polynomial-weighted sup over the
     whole torus is attained in the far tail and grows with j, whereas on a
     fixed scaled shell the constant is j-stable.
     """
     g = _as_physical(f)
     x1, x2 = physical_coords(f.grid)
     r = np.hypot(x1, x2)
-    scaled = 2.0**j * np.abs(r - center_radius)
-    weighted = np.abs(g.values) * (1.0 + scaled) ** order
+    scaled = 2.0**j * np.abs(r - 1.0)
+    weighted = np.abs(g.values) * (1.0 + scaled) ** 4
     if shell_limit is not None:
         weighted = weighted[scaled <= shell_limit]
         if weighted.size == 0:
@@ -110,15 +104,15 @@ def concentration_constant(
     return float(weighted.max() / 2.0 ** (1.5 * j))
 
 
-def knapp_center_value(grid: GridSpec, j: int, c1: float = DEFAULT_C1, t: float = 1.5) -> float:
-    """|half-wave propagated Knapp field| at the box center x = (0, -t), in units of 2^{3j/2}."""
+def knapp_center_value(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> float:
+    """|Knapp field propagated to t = PROBE_T| at the box center x = (0, -t), in units of 2^{3j/2}."""
     f = knapp(grid, j, c1)
-    g = _as_physical(half_wave(f, t))
-    idx = round(-t / grid.cell) % grid.n
+    g = _as_physical(half_wave(f, PROBE_T))
+    idx = round(-PROBE_T / grid.cell) % grid.n
     return float(abs(g.values[0, idx]) / 2.0 ** (1.5 * j))
 
 
-def knapp_coherence(grid: GridSpec, j: int, c1: float = DEFAULT_C1, t: float = 1.5) -> float:
+def knapp_coherence(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> float:
     """Attained center value over the triangle-inequality bound sum |f_hat| / period^2.
 
     Equals 1 exactly when every frequency mode arrives at the box center in
@@ -126,29 +120,27 @@ def knapp_coherence(grid: GridSpec, j: int, c1: float = DEFAULT_C1, t: float = 1
     increases to 1 with j because the relative spread shrinks like 2^{-j} c1^2.
     """
     bound = float(np.abs(knapp(grid, j, c1).values).sum() / grid.period**2)
-    return knapp_center_value(grid, j, c1, t) * 2.0 ** (1.5 * j) / bound
+    return knapp_center_value(grid, j, c1) * 2.0 ** (1.5 * j) / bound
 
 
-def annulus_shell_minimum(
-    grid: GridSpec, j: int, t: float = 1.5, c0: float = DEFAULT_C0
-) -> float:
-    """min |half-wave propagated annulus field| over t - c0 2^{-j} <= |x| <= t, in units of 2^{3j/2}."""
+def annulus_shell_minimum(grid: GridSpec, j: int) -> float:
+    """min |annulus field propagated to t = PROBE_T| over t - 2^{-j}/4 <= |x| <= t, in units of 2^{3j/2}."""
     f = annulus(grid, j)
-    g = _as_physical(half_wave(f, t))
+    g = _as_physical(half_wave(f, PROBE_T))
     x1, x2 = physical_coords(grid)
     r = np.hypot(x1, x2)
-    mask = (r >= t - c0 * 2.0**-j) & (r <= t)
+    mask = (r >= PROBE_T - 0.25 * 2.0**-j) & (r <= PROBE_T)
     if not mask.any():
         raise ValueError("shell contains no grid points at this resolution")
     return float(np.abs(g.values[mask]).min() / 2.0 ** (1.5 * j))
 
 
-def knapp_phase_error(j: int, c1: float, t: float, region: str = "plateau", mesh: int = 257) -> float:
-    """max |e^{i t (|xi| - xi_2)} - 1| over the Knapp window's plateau or support.
+def knapp_phase_error(j: int, c1: float, region: str = "plateau") -> float:
+    """max |e^{i t (|xi| - xi_2)} - 1|, t = PROBE_T, over the Knapp window's plateau or support.
 
     The exponent t(|xi| - xi_2) = t xi_2 (sqrt(1 + s^2) - 1), s = xi_1/xi_2,
     is what separates the plate from a true plane wave; it is O(c1^2)
-    uniformly in j.  Maximized on a corner mesh of the stated region:
+    uniformly in j.  Maximized on a 257 x 257 corner mesh of the stated region:
     plateau |xi_1| <= 2 c1 2^{j/2}, xi_2 in [2^{j-1}, 2^{j+1}];
     support |xi_1| <= 4 c1 2^{j/2}, xi_2 in [2^{j-2}, 2^{j+2}].
     """
@@ -158,7 +150,7 @@ def knapp_phase_error(j: int, c1: float, t: float, region: str = "plateau", mesh
         a1, lo2, hi2 = 4.0 * c1 * 2.0 ** (j / 2.0), 2.0 ** (j - 2), 2.0 ** (j + 2)
     else:
         raise ValueError(f"region must be 'plateau' or 'support', got {region!r}")
-    xi1 = np.linspace(-a1, a1, mesh)
-    xi2 = np.linspace(lo2, hi2, mesh)
-    phase = t * (np.hypot(xi1[:, None], xi2[None, :]) - xi2[None, :])
+    xi1 = np.linspace(-a1, a1, 257)
+    xi2 = np.linspace(lo2, hi2, 257)
+    phase = PROBE_T * (np.hypot(xi1[:, None], xi2[None, :]) - xi2[None, :])
     return float(np.abs(np.exp(1j * phase) - 1.0).max())

@@ -316,23 +316,20 @@ def mixed_norm(times: Sequence[float], field_at: Callable[[float], Field], q) ->
     return float(sum(v**qv for v in norms) ** (1.0 / qv))
 
 
-def maximal_function(f: Field, E: TimeSet, j: int | None = None) -> Field:
-    """Pointwise sup over t in E of |circular average at radius t|.
+def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
+    """Pointwise sup over t in E of |circular average at radius t| of the dyadic
+    projection P_j f.
 
-    With ``j`` supplied the input is first band-limited by the dyadic
-    projection and E is thinned to a maximal 2^{-j}-separated subset (finer
-    time resolution is invisible to a 2^j-band-limited field).  The field
-    stays in frequency space, so each average evaluates J0 on the band only.
+    E is first thinned to a maximal 2^{-j}-separated subset (finer time
+    resolution is invisible to a 2^j-band-limited field).  The field stays in
+    frequency space, so each average evaluates J0 on the band only.
     """
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
     _check_radius(f.grid, max(E.points))
-    g = f if f.space == "frequency" else to_frequency(f)
-    if j is not None:
-        g = littlewood_paley(g, j)
-        E = discretize(E, 2.0**-j)
+    g = littlewood_paley(f if f.space == "frequency" else to_frequency(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
-    for t in E.points:
+    for t in discretize(E, 2.0**-j).points:
         np.maximum(acc, np.abs(to_physical(circular_average(g, t)).values), out=acc)
     return _own(f.grid, acc.astype(np.complex128), "physical")
 

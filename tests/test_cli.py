@@ -136,8 +136,7 @@ def test_operator_battery_passes(capsys):
 def quick_config(tmp_path):
     cfg = {
         "family": "radial_focusing", "p": "2", "q": "2", "alpha": "1",
-        "set_kind": "single_time", "j_min": 4, "j_max": 6, "n": 1024,
-        "label": "cli_demo",
+        "set_kind": "single_time", "j_min": 4, "j_max": 6, "label": "cli_demo",
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -194,7 +193,7 @@ def test_scaling_rejects_bad_alpha_before_running(tmp_path, capsys):
 
 
 def test_scaling_out_is_checked_before_the_first_level(tmp_path, capsys):
-    cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "n": 256, "time_L": 2.0}
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "time_L": 2.0}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     taken = tmp_path / "taken"
@@ -206,7 +205,7 @@ def test_scaling_out_is_checked_before_the_first_level(tmp_path, capsys):
 
 
 def test_scaling_rejects_grid_beyond_physical_memory(tmp_path, capsys):
-    cfg = {"family": "knapp", "p": "5/2", "q": "5", "n": 2**20}  # one field is 16 TiB
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_max": 16}  # n = 2^20: one field is 16 TiB
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "scaling", "--config", str(path))
@@ -215,9 +214,27 @@ def test_scaling_rejects_grid_beyond_physical_memory(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("key, value", [("n", 4096), ("period", 6.0), ("tolerance", 0.2)])
+def test_scaling_rejects_a_legacy_key_the_run_would_not_honour(tmp_path, capsys, key, value):
+    cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "time_L": 2.0, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "scaling", "--config", str(path))
+    assert code == 2
+    assert "bad config" in err and repr(key) in err
+    assert out == ""  # no level ran
+
+
 def test_report_empty_dir(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--dir", str(tmp_path))
     assert code == 2
+
+
+def test_report_names_a_broken_run_file(tmp_path, capsys):
+    (tmp_path / "broken.json").write_text('{"config": }')
+    code, out, err = run_cli(capsys, "report", "--dir", str(tmp_path))
+    assert code == 2
+    assert "broken.json:1:12:" in err and out == ""
 
 
 # --- verify ------------------------------------------------------------------

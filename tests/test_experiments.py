@@ -1,17 +1,21 @@
 """Scaling experiments: configuration, slope fitting, verdicts, persistence,
 and the four verification suites."""
 
+import importlib
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fractalwave import experiments as experiments_module
 from fractalwave import extremizers
-from fractalwave.cutoffs import beta, beta0, beta1
+from fractalwave.cutoffs import BETA1_SUPPORT, beta, beta0, beta1
 from fractalwave.extremizers import DEFAULT_C1
+from fractalwave.grid import GridSpec
 from fractalwave.sets import build_cantor, discretize
 from fractalwave.experiments import (
     RunConfig,
@@ -29,6 +33,8 @@ from fractalwave.experiments import (
     verify_marginal_divergence,
     verify_whitney,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- fitting -----------------------------------------------------------------
@@ -79,17 +85,57 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(family="knapp", p="2", q="2", set_kind="random")
     with pytest.raises(ValueError):
-        RunConfig(family="knapp", p="2", q="2", tolerance=0.6)
-    with pytest.raises(ValueError):
         RunConfig(family="knapp", p="2", q="2", j_min=4, j_max=5)
-    with pytest.raises(ValueError):  # alias guard: 2^(j_max+2) > nyquist
-        RunConfig(family="knapp", p="2", q="2", j_max=8, n=1024)
     with pytest.raises(ValueError):  # single-time offset must land in (1, 2]
         RunConfig(family="knapp", p="2", q="2", set_kind="single_time", time_L=40.0)
     with pytest.raises(ValueError, match="time_L"):  # Cantor calibration needs L >= 1
         RunConfig(family="knapp", p="2", q="2", set_kind="cantor", time_L=0.5)
-    with pytest.raises(ValueError, match="physical memory"):  # one field is 16 TiB
-        RunConfig(family="knapp", p="2", q="2", n=2**20)
+    with pytest.raises(ValueError, match="physical memory"):  # n = 2^20: one field is 16 TiB
+        RunConfig(family="knapp", p="2", q="2", j_min=14, j_max=16)
+
+
+def test_config_out_of_reach_fails_while_deriving_the_grid():
+    # doubling n until the alias guard admits j_max would overflow nyquist
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="physical memory"):
+        RunConfig(family="knapp", p="2", q="2", j_max=10**4)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_derived_grid_is_the_smallest_the_alias_guard_admits(monkeypatch):
+    monkeypatch.setattr(experiments_module, "_FIELDS_PER_LEVEL", 0)  # the rule alone, any memory
+    powers = [2**k for k in range(6, 16)]
+    for j_max in range(2, 11):
+        want = min(n for n in powers if GridSpec(n, 8.0).max_band_j(BETA1_SUPPORT[1]) >= j_max)
+        assert RunConfig(family="knapp", p="2", q="2", j_min=j_max - 2, j_max=j_max).grid == GridSpec(want, 8.0)
+
+
+def _benchmark_module(monkeypatch, name):
+    # read-only import; run.py, which selftest imports, sets BLAS thread variables
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    return importlib.import_module(name)
+
+
+def test_derived_grid_equals_every_grid_written_so_far(monkeypatch):
+    # the shipped configs wrote n = 2048 before the grid was derived
+    for i in (1, 2, 3):
+        doc = json.loads((ROOT / "scripts" / f"run_s{i}.json").read_text())
+        assert RunConfig.from_json(doc).grid.n == 2048
+    workloads = _benchmark_module(monkeypatch, "workloads")
+    selftest = _benchmark_module(monkeypatch, "selftest")
+    for doc in [workloads.DENSE_TIMES_CONFIG, *selftest.TINY_STUDIES]:
+        assert RunConfig.from_json(doc).grid.n == doc["n"]
+
+
+def test_config_json_accepts_legacy_keys_only_at_the_values_in_use():
+    cfg = RunConfig(family="annulus", p="1", q="16", alpha="1/2", j_min=2, j_max=4, label="x")
+    legacy = dict(cfg.to_json(), n=256, period=8.0, tolerance=0.15)
+    assert RunConfig.from_json(legacy) == cfg
+    for key, value in (("n", 4096), ("period", 6.0), ("tolerance", 0.2)):
+        with pytest.raises(ValueError, match=repr(key)):
+            RunConfig.from_json(dict(legacy, **{key: value}))
 
 
 def test_config_rejects_alpha_outside_its_range():
@@ -133,7 +179,6 @@ def test_predicted_exponents():
 def _quick(**kw):
     kw.setdefault("j_min", 4)
     kw.setdefault("j_max", 6)
-    kw.setdefault("n", 1024)
     return RunConfig(**kw)
 
 
@@ -157,7 +202,7 @@ def test_counting_excess_is_inconclusive():
 
 def _dense_log2_ratio(config: RunConfig, j: int) -> float:
     """log2 R(j) from the formulas alone: full-lattice symbols and np.fft.ifft2."""
-    n, period = config.n, config.period
+    n, period = config.grid.n, config.grid.period
     cell = period / n
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
     xi1, xi2 = xi[:, None], xi[None, :]
@@ -190,7 +235,7 @@ def _dense_log2_ratio(config: RunConfig, j: int) -> float:
     ],
 )
 def test_run_matches_dense_oracle(kw):
-    config = RunConfig(j_min=2, j_max=4, n=256, **kw)
+    config = RunConfig(j_min=2, j_max=4, **kw)
     run = run_scaling(config)
     for j, y in run.measured:
         assert abs(y - _dense_log2_ratio(config, j)) <= 1e-12
@@ -232,14 +277,14 @@ def test_run_scaling_calls_the_builder_through_the_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(extremizers, "knapp", counting)
-    run_scaling(RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, n=256, time_L=2.0))
+    run_scaling(RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0))
     assert calls == [2, 3, 4]
 
 
 def test_benchmark_tracer_finds_every_boundary(monkeypatch):
     import fractalwave.cli  # noqa: F401  (loads every module the tracer patches)
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
     from tracer import Tracer
 
     with Tracer() as tracer:
@@ -254,7 +299,7 @@ def sample_run():
     return run_scaling(
         RunConfig(
             family="annulus", p="2", q="2", set_kind="single_time",
-            j_min=4, j_max=6, n=1024, label="sample",
+            j_min=4, j_max=6, label="sample",
         )
     )
 
@@ -278,14 +323,14 @@ def test_persist_and_load(tmp_path, sample_run):
 def test_persist_stem_from_exponents(tmp_path):
     run = run_scaling(
         RunConfig(family="knapp", p="5/2", q="5", set_kind="single_time",
-                  j_min=4, j_max=6, n=1024)
+                  j_min=4, j_max=6)
     )
     json_path, _ = persist(run, tmp_path)
     assert json_path.name == "knapp_5over2_5.json"
 
 
 def test_persisted_run_bytes(tmp_path):
-    config = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, n=256, time_L=2.0, label="tiny")
+    config = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0, label="tiny")
     run = ScalingRun(
         config=config,
         time_sets=((2, 2), (3, 4), (4, 8)),
@@ -301,8 +346,7 @@ def test_persisted_run_bytes(tmp_path):
     doc = {
         "config": {
             "family": "knapp", "p": "5/2", "q": "5", "alpha": "1", "set_kind": "cantor",
-            "j_min": 2, "j_max": 4, "n": 256, "period": 8.0, "time_L": 2.0,
-            "tolerance": 0.15, "label": "tiny",
+            "j_min": 2, "j_max": 4, "time_L": 2.0, "label": "tiny",
         },
         "time_sets": [[2, 2], [3, 4], [4, 8]],
         "measured": [[2, -1.5], [3, -1.0], [4, -0.5]],

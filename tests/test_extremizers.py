@@ -92,15 +92,15 @@ def test_focusing_near_field_envelope(fields):
     # |f| <= C 2^{3j/2} (1 + 2^j ||x|-1|)^{-4} with a j-stable C on the scaled
     # shell 2^j ||x|-1| <= 8; measured 44.6 / 37.8 / 34.8
     for j in JS:
-        c = concentration_constant(fields["radial_focusing", j], j, order=4, shell_limit=8.0)
+        c = concentration_constant(fields["radial_focusing", j], j, shell_limit=8.0)
         assert c <= 50.0
 
 
 def test_focusing_global_envelope_grows(fields):
     # the same constant without the shell restriction is attained in the far
     # tail and grows with j: check it is not mistakenly certified
-    c4 = concentration_constant(fields["radial_focusing", 4], 4, order=4)
-    c6 = concentration_constant(fields["radial_focusing", 6], 6, order=4)
+    c4 = concentration_constant(fields["radial_focusing", 4], 4)
+    c6 = concentration_constant(fields["radial_focusing", 6], 6)
     assert c6 > 2.0 * c4
 
 
@@ -121,16 +121,16 @@ def test_knapp_coherence(fields):
 
 def test_knapp_phase_error_scales_like_c1_squared():
     for c1 in (0.0625, 0.125, 0.25):
-        plat = knapp_phase_error(j=6, c1=c1, t=1.5, region="plateau")
-        supp = knapp_phase_error(j=6, c1=c1, t=1.5, region="support")
+        plat = knapp_phase_error(j=6, c1=c1, region="plateau")
+        supp = knapp_phase_error(j=6, c1=c1, region="support")
         assert plat <= 8.05 * c1**2  # measured ~6.0 c1^2
         assert supp <= min(65.0 * c1**2, 2.0)  # measured ~47.7 c1^2, capped at 2
     with pytest.raises(ValueError):
-        knapp_phase_error(j=6, c1=0.125, t=1.5, region="edge")
+        knapp_phase_error(j=6, c1=0.125, region="edge")
 
 
 def test_knapp_phase_error_is_j_stable():
-    vals = [knapp_phase_error(j=j, c1=0.125, t=1.5) for j in (4, 6, 8)]
+    vals = [knapp_phase_error(j=j, c1=0.125) for j in (4, 6, 8)]
     assert max(vals) / min(vals) <= 1.1
 
 
@@ -139,7 +139,7 @@ def test_knapp_phase_error_is_j_stable():
 
 def test_annulus_shell_minimum(fields):
     for j in JS:
-        m = annulus_shell_minimum(GRID, j, t=1.5)
+        m = annulus_shell_minimum(GRID, j)
         assert m >= 0.12  # measured ~0.17
 
 

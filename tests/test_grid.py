@@ -42,9 +42,10 @@ def test_grid_spec_derived_quantities():
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
 def test_alias_guards_agree(n):
-    """The projection, the three builders and RunConfig admit j = max_band_j of
-    their support factor and refuse j + 1, and max_band_j is the largest j
-    with factor * 2^j <= nyquist."""
+    """The projection and the three builders admit j = max_band_j of their
+    support factor and refuse j + 1, max_band_j is the largest j with
+    factor * 2^j <= nyquist, and a config written for this grid loads only
+    while the grid it derives is this one."""
     grid = GridSpec(n, 8.0)
     f = Field(grid, np.zeros((n, n)), "frequency")
     top = grid.max_band_j(BETA_SUPPORT[1])
@@ -58,9 +59,10 @@ def test_alias_guards_agree(n):
         build(grid, top)
         with pytest.raises(ValueError, match="alias guard"):
             build(grid, top + 1)
-    RunConfig(family="knapp", p="2", q="2", j_min=top - 2, j_max=top, n=n)
-    with pytest.raises(ValueError, match="alias guard"):
-        RunConfig(family="knapp", p="2", q="2", j_min=top - 2, j_max=top + 1, n=n)
+    doc = {"family": "knapp", "p": "2", "q": "2", "j_min": top - 2, "n": n}
+    assert RunConfig.from_json(dict(doc, j_max=top)).grid == grid
+    with pytest.raises(ValueError, match="'n'"):
+        RunConfig.from_json(dict(doc, j_max=top + 1))
 
 
 def test_grid_spec_validation():

@@ -127,8 +127,8 @@ def test_radius_guard():
 def test_maximal_function_singleton_equals_average():
     f = random_field(GridSpec(128, 8.0), seed=5, band_j=4)
     t = 1.3
-    m = maximal_function(f, TimeSet.from_points([t]))
-    a = circular_average(f, t)
+    m = maximal_function(f, TimeSet.from_points([t]), j=4)
+    a = circular_average(littlewood_paley(f, 4), t)
     assert np.abs(m.values - np.abs(a.values)).max() <= 1e-12
 
 
@@ -136,14 +136,14 @@ def test_maximal_function_monotone_in_the_time_set():
     f = random_field(GridSpec(128, 8.0), seed=6, band_j=4)
     small = TimeSet.from_points([1.1, 1.7])
     large = TimeSet.from_points([1.1, 1.4, 1.7, 1.9])
-    ms = maximal_function(f, small)
-    ml = maximal_function(f, large)
+    ms = maximal_function(f, small, j=4)
+    ml = maximal_function(f, large, j=4)
     assert float((ms.values.real - ml.values.real).max()) <= 1e-12
     assert np.all(ml.values.real >= -1e-15)
 
 
 def test_maximal_function_band_limited_thinning():
-    # with j supplied, times closer than 2^-j collapse onto the same subset
+    # times closer than 2^-j collapse onto the same subset
     f = random_field(GridSpec(128, 8.0), seed=6, band_j=3)
     dense = TimeSet.from_points([1.5, 1.5 + 2.0**-6, 1.8])
     thin = TimeSet.from_points([1.5, 1.8])
@@ -151,7 +151,7 @@ def test_maximal_function_band_limited_thinning():
     mt = maximal_function(f, thin, j=3)
     assert np.abs(md.values - mt.values).max() <= 1e-12
     with pytest.raises(ValueError):
-        maximal_function(f, TimeSet.from_points([]))
+        maximal_function(f, TimeSet.from_points([]), j=3)
 
 
 def _counting_j0(monkeypatch) -> list[int]:
