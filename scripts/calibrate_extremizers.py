@@ -18,6 +18,7 @@ from fractalwave import extremizers
 from fractalwave.extremizers import (
     annulus_shell_minimum,
     concentration_constant,
+    knapp,
     knapp_center_value,
     knapp_coherence,
     knapp_phase_error,
@@ -52,20 +53,20 @@ def main() -> int:
     print("radial_focusing: shell mass fraction on ||x|-1| <= 8 * 2^-j (frozen: >= 0.5)")
     for j in js:
         f = radial_focusing(grid, j)
-        frac = shell_mass_fraction(f, 1.0, 8.0 * 2.0**-j)
+        frac = shell_mass_fraction(f, 8.0 * 2.0**-j)
         print(f"  j={j}: mass fraction = {frac:.4f}")
     print()
 
     print("knapp: center value at the refocusing point, in units kappa * 2^(3j/2)")
     print("  frozen bound: kappa >= 0.025 (calibrated value ~0.05)")
     for j in js:
-        print(f"  j={j}: kappa = {knapp_center_value(grid, j, c1=0.125):.4f}")
+        print(f"  j={j}: kappa = {knapp_center_value(knapp(grid, j), j):.4f}")
     print()
 
     print("knapp: coherence = attained center value / triangle-inequality bound")
     print("  frozen bound: >= 0.99 (phase spread across the window is O(c1^2))")
     for j in js:
-        print(f"  j={j}: coherence = {knapp_coherence(grid, j, c1=0.125):.6f}")
+        print(f"  j={j}: coherence = {knapp_coherence(grid, j):.6f}")
     print()
 
     print("knapp: quadratic phase error on the tube (should be O(c1^2))")

@@ -31,6 +31,7 @@ from .experiments import (
     RunConfig,
     load,
     persist,
+    read_json,
     run_scaling,
     verify_bilinear_necessity,
     verify_locally_constant,
@@ -58,8 +59,6 @@ from .sets import (
     build_cantor,
     cantor_spec,
     covering_number,
-    load_timeset,
-    save_timeset,
 )
 
 
@@ -85,14 +84,14 @@ def _write_out(out, csv_text: str, doc=None) -> None:
 
 
 def _cmd_sets(args) -> int:
+    alpha = None if args.alpha is None else float(args.alpha)
     if args.load:
-        ts = load_timeset(args.load)
+        ts = TimeSet.from_points(read_json(args.load))
         origin = f"loaded from {args.load}"
     else:
         if args.alpha is None or args.j is None:
             print("sets: need --alpha and --j (or --load)", file=sys.stderr)
             return 2
-        alpha = float(args.alpha)
         ts = build_cantor(alpha, args.j, L=args.L)
         spec = cantor_spec(alpha, args.j, L=args.L)
         origin = f"cantor alpha={args.alpha} j={args.j} L={args.L:g} (k={spec.k})"
@@ -104,14 +103,13 @@ def _cmd_sets(args) -> int:
     print("delta, covering_number")
     for d in deltas:
         print(f"{d:.6g}, {covering_number(ts, span, d)}")
-    if args.alpha is not None:
-        alpha = float(args.alpha)
+    if alpha is not None:
         for d in deltas:
             a_plain = assouad_characteristic(ts, d, alpha)
             a_sup = assouad_characteristic_sup(ts, d, alpha)
             print(f"assouad(delta={d:.6g}): A={a_plain:.6g}  sup-variant={a_sup:.6g}")
     if args.out:
-        save_timeset(ts, args.out)
+        Path(args.out).write_text(json.dumps(list(ts.points)))
         print(f"wrote {args.out}")
     return 0
 
@@ -172,35 +170,38 @@ def _cmd_operators(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    path = Path(args.config)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        print(f"scaling: no such config: {path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"scaling: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-    try:
-        config = RunConfig.from_json(data)
-    except (ValueError, TypeError) as exc:
-        print(f"scaling: bad config: {exc}", file=sys.stderr)
-        return 2
+    configs = []  # every config loads, and is checked, before any level runs
+    for path in args.config:
+        data = read_json(path)
+        try:
+            configs.append(RunConfig.from_json(data))
+        except (ValueError, TypeError) as exc:
+            print(f"scaling: bad config: {path}: {exc}", file=sys.stderr)
+            return 2
+    stems = [c.stem for c in configs]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            first = args.config[stems.index(stem)]
+            print(f"scaling: {first} and {args.config[i]} both write the run {stem!r}", file=sys.stderr)
+            return 2
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the first level
-    run = run_scaling(config)
-    print(f"family={config.family} p={config.p} q={config.q} alpha={config.alpha}")
-    for j, y in run.measured:
-        print(f"  j={j}: log2 ratio = {y:+.4f}")
-    print(
-        f"fitted slope = {run.fitted_slope:.4f}  predicted = {run.predicted} "
-        f"(= {float(run.predicted):.4f})  residual = {run.residual:.4f}"
-    )
-    print(f"verdict: {run.verdict}")
-    if args.out:
-        jp, cp = persist(run, args.out)
-        print(f"wrote {jp} and {cp}")
-    return 0 if run.verdict == "consistent" else 1
+    failed = 0
+    for config in configs:
+        run = run_scaling(config)
+        print(f"family={config.family} p={config.p} q={config.q} alpha={config.alpha}")
+        for j, y in run.measured:
+            print(f"  j={j}: log2 ratio = {y:+.4f}")
+        print(
+            f"fitted slope = {run.fitted_slope:.4f}  predicted = {run.predicted} "
+            f"(= {float(run.predicted):.4f})  residual = {run.residual:.4f}"
+        )
+        print(f"verdict: {run.verdict}")
+        if args.out:
+            jp, cp = persist(run, args.out)
+            print(f"wrote {jp} and {cp}")
+        failed += run.verdict != "consistent"
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
@@ -293,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=256)
     p.set_defaults(func=_cmd_operators)
 
-    p = sub.add_parser("scaling", help="run a scaling study from a JSON config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("scaling", help="run scaling studies from JSON configs, in order")
+    p.add_argument("--config", nargs="+", required=True, help="one or more config files")
     p.add_argument("--out", help="directory for the JSON/CSV outputs")
     p.set_defaults(func=_cmd_scaling)
 

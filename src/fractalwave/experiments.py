@@ -47,7 +47,7 @@ from .grid import (
     random_field,
     sector_project,
 )
-from .sets import TimeSet, build_cantor, cantor_spec_from_stages, discretize, marginal_sum
+from .sets import TimeSet, build_cantor, cantor_spec_from_stages, marginal_sum
 from .whitney import check_coverage, separation_band, whitney
 
 # family -> the exponent it measures; each family is a builder in ``extremizers``
@@ -115,11 +115,18 @@ class RunConfig:
                 )
         return GridSpec(n)
 
+    @property
+    def stem(self) -> str:
+        """The file stem ``persist`` writes this run under."""
+        return self.label or f"{self.family}_{self.p}_{self.q}".replace("/", "over")
+
     def to_json(self) -> dict:
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise TypeError(f"a config is a JSON object, got {type(data).__name__}")
         # Older documents carry a "seed" that no run ever read, which is dropped,
         # and the now fixed grid and tolerance, which must equal what the run uses.
         known = {f: v for f, v in data.items() if f not in ("seed", "n", "period", "tolerance")}
@@ -167,8 +174,7 @@ def predicted_exponent(config: RunConfig) -> Fraction:
 def _time_set(config: RunConfig, j: int) -> TimeSet:
     if config.set_kind == "single_time":
         return TimeSet.from_points([1.0 + config.time_L * 2.0**-j])
-    ts = build_cantor(config.alpha, j, L=config.time_L)
-    return discretize(ts, 2.0**-j)
+    return build_cantor(config.alpha, j, L=config.time_L)  # already 2^-j-separated
 
 
 def run_scaling(config: RunConfig) -> ScalingRun:
@@ -242,7 +248,6 @@ class DecayReport:
     order: int
     certified_c: float
     c_values: tuple[tuple[int, float, float], ...]  # (j, dt, C_M)
-    coeff_sums: tuple[float, ...]
     passed: bool
 
 
@@ -258,13 +263,7 @@ def verify_locally_constant(j_range=range(3, 9), M: int = 8) -> DecayReport:
             sums.append(tab.coeff_sum)
     cs = [r[2] for r in rows]
     stable = max(cs) <= 4.0 * min(cs) and max(sums) <= 4.0 * min(sums)
-    return DecayReport(
-        order=M,
-        certified_c=max(cs),
-        c_values=tuple(rows),
-        coeff_sums=tuple(sums),
-        passed=stable,
-    )
+    return DecayReport(order=M, certified_c=max(cs), c_values=tuple(rows), passed=stable)
 
 
 @dataclass(frozen=True)
@@ -416,18 +415,22 @@ def measured_csv(run: ScalingRun) -> str:
 def persist(run: ScalingRun, out_dir) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = run.config.label or f"{run.config.family}_{run.config.p}_{run.config.q}".replace("/", "over")
-    json_path = out / f"{stem}.json"
-    csv_path = out / f"{stem}.csv"
+    json_path = out / f"{run.config.stem}.json"
+    csv_path = out / f"{run.config.stem}.csv"
     json_path.write_text(json.dumps(run_to_json(run), indent=2) + "\n")
     csv_path.write_text(measured_csv(run))
     return json_path, csv_path
 
 
-def load(path) -> ScalingRun:
-    path = Path(path)
+def read_json(path):
+    """The JSON document at ``path``; a broken one raises a ValueError naming the file."""
     try:
-        data = json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return run_from_json(data)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load(path) -> ScalingRun:
+    return run_from_json(read_json(path))

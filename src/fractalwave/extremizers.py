@@ -5,7 +5,7 @@ Three single-field families at dyadic scale 2^j (d = 2 throughout):
 * radial focusing  --  fhat(xi) = e^{-i|xi|} beta1(|xi|/2^j); focuses on the
   unit circle, ||f||_p ~ 2^{j(3/2 - 1/p)};
 * Knapp            --  fhat(xi) = beta0(xi_1/(c1 2^{j/2})) beta1(xi_2/2^j);
-  a curvature-free plate, ||f||_p ~ 2^{j(3/2)(1 - 1/p)};
+  a curvature-free plate (c1 = ``DEFAULT_C1``), ||f||_p ~ 2^{j(3/2)(1 - 1/p)};
 * annulus          --  fhat(xi) = beta1(|xi|/2^j); ||f||_p ~ 2^{2j(1 - 1/p)}.
 
 The radial supports lie in |xi| < 2^{j+2} and the Knapp window in
@@ -47,12 +47,10 @@ def radial_focusing(grid: GridSpec, j: int) -> Field:
     return _radial_field(grid, lambda r: np.exp(-1j * r) * beta1(r / 2.0**j), _beta1_band(j))
 
 
-def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
+def knapp(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
-    if not 0.0 < c1 <= 1.0:
-        raise ValueError(f"c1 must lie in (0, 1], got {c1}")
     xi = _axis_freq(grid)
-    s1 = xi / (c1 * 2.0 ** (j / 2.0))
+    s1 = xi / (DEFAULT_C1 * 2.0 ** (j / 2.0))
     s2 = xi / 2.0**j
     rows = (s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1])
     cols = (s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1])
@@ -60,7 +58,7 @@ def knapp(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> Field:
     vals[np.ix_(rows, cols)] = beta0(s1[rows])[:, None] * beta1(s2[cols])[None, :]
     # |xi| >= xi_2 > 2^{j-2}, and |xi| <= |xi_1| + |xi_2| bounds it above
     lo, hi = _beta1_band(j)
-    return _own(grid, vals, "frequency", (lo, hi + BETA0_SUPPORT[1] * c1 * 2.0 ** (j / 2.0)))
+    return _own(grid, vals, "frequency", (lo, hi + BETA0_SUPPORT[1] * DEFAULT_C1 * 2.0 ** (j / 2.0)))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
@@ -71,8 +69,8 @@ def annulus(grid: GridSpec, j: int) -> Field:
 # --- measurement helpers ------------------------------------------------------
 
 
-def shell_mass_fraction(f: Field, center_radius: float, width: float) -> float:
-    """Fraction of the squared L^2 mass carried by ||x| - center_radius| <= width."""
+def shell_mass_fraction(f: Field, width: float) -> float:
+    """Fraction of the squared L^2 mass carried by ||x| - 1| <= width."""
     g = _as_physical(f)
     x1, x2 = physical_coords(f.grid)
     r = np.hypot(x1, x2)
@@ -80,7 +78,7 @@ def shell_mass_fraction(f: Field, center_radius: float, width: float) -> float:
     total = m2.sum()
     if total == 0.0:
         raise ValueError("empty field")
-    return float(m2[np.abs(r - center_radius) <= width].sum() / total)
+    return float(m2[np.abs(r - 1.0) <= width].sum() / total)
 
 
 def concentration_constant(f: Field, j: int, shell_limit: float | None = None) -> float:
@@ -104,23 +102,23 @@ def concentration_constant(f: Field, j: int, shell_limit: float | None = None) -
     return float(weighted.max() / 2.0 ** (1.5 * j))
 
 
-def knapp_center_value(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> float:
-    """|Knapp field propagated to t = PROBE_T| at the box center x = (0, -t), in units of 2^{3j/2}."""
-    f = knapp(grid, j, c1)
+def knapp_center_value(f: Field, j: int) -> float:
+    """|f propagated to t = PROBE_T| at the Knapp box center x = (0, -t), in units of 2^{3j/2}."""
     g = _as_physical(half_wave(f, PROBE_T))
-    idx = round(-PROBE_T / grid.cell) % grid.n
+    idx = round(-PROBE_T / f.grid.cell) % f.grid.n
     return float(abs(g.values[0, idx]) / 2.0 ** (1.5 * j))
 
 
-def knapp_coherence(grid: GridSpec, j: int, c1: float = DEFAULT_C1) -> float:
+def knapp_coherence(grid: GridSpec, j: int) -> float:
     """Attained center value over the triangle-inequality bound sum |f_hat| / period^2.
 
     Equals 1 exactly when every frequency mode arrives at the box center in
     phase; the quadratic phase spread across the window makes it < 1, and it
     increases to 1 with j because the relative spread shrinks like 2^{-j} c1^2.
     """
-    bound = float(np.abs(knapp(grid, j, c1).values).sum() / grid.period**2)
-    return knapp_center_value(grid, j, c1) * 2.0 ** (1.5 * j) / bound
+    f = knapp(grid, j)
+    bound = float(np.abs(f.values).sum() / grid.period**2)
+    return knapp_center_value(f, j) * 2.0 ** (1.5 * j) / bound
 
 
 def annulus_shell_minimum(grid: GridSpec, j: int) -> float:

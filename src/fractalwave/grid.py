@@ -344,9 +344,6 @@ class CoeffDecayTable:
     stable across j at matched u.
     """
 
-    j: int
-    dt: float
-    order: int
     shells: tuple[tuple[int, float], ...]
     c_m: float
     coeff_sum: float
@@ -381,7 +378,7 @@ def multiplier_coeff_decay(
     shells = tuple((s, float(peak)) for s, peak in enumerate(peaks))
     c_m = max(peak * (1.0 + s) ** M for s, peak in shells)
     total = float(np.where(keep, mag, 0.0).sum())
-    return CoeffDecayTable(j=j, dt=dt, order=M, shells=shells, c_m=c_m, coeff_sum=total)
+    return CoeffDecayTable(shells=shells, c_m=c_m, coeff_sum=total)
 
 
 def sector_project(f: Field, arc: tuple[float, float], smooth_margin: float) -> Field:

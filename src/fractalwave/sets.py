@@ -18,7 +18,6 @@ Conventions used throughout this module:
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -284,8 +283,6 @@ class MarginalSum:
 
     value: float
     ratio: float
-    k: int
-    reliable: bool
     exact: Fraction | None = None
 
 
@@ -293,7 +290,7 @@ def marginal_sum(spec: CantorSpec) -> MarginalSum:
     """Sum of (t-1)**-alpha over the set, with its k * 2**k normalization."""
     k, mu, alpha = spec.k, spec.mu, spec.alpha
     if k == 0:
-        return MarginalSum(value=1.0, ratio=math.inf, k=0, reliable=False)
+        return MarginalSum(value=1.0, ratio=math.inf)
     terms = (mu**k + _cantor_offsets(mu, k)) ** (-alpha)
     value = math.fsum(terms.tolist())
     ratio = value / (k * 2.0**k)
@@ -304,7 +301,7 @@ def marginal_sum(spec: CantorSpec) -> MarginalSum:
         for m in range(k):
             offs = offs + [o + (1 - fmu) * fmu**m for o in offs]
         exact = sum((fmu**k + o) ** -1 for o in offs)
-    return MarginalSum(value=value, ratio=ratio, k=k, reliable=k >= 2, exact=exact)
+    return MarginalSum(value=value, ratio=ratio, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -357,13 +354,3 @@ def build_interval_family(spec: CantorSpec, theta: float = 1.0) -> IntervalFamil
         counts = np.searchsorted(starts, starts + r + 1.0 - 1e-9, side="left") - idx
         best = max(best, float(counts.max()) / r**spec.alpha)
     return IntervalFamily(starts=tuple(starts.tolist()), alpha=spec.alpha, certified_constant=best)
-
-
-def save_timeset(ts: TimeSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(list(ts.points), fh)
-
-
-def load_timeset(path) -> TimeSet:
-    with open(path) as fh:
-        return TimeSet.from_points(json.load(fh))

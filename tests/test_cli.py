@@ -1,5 +1,6 @@
 """Command-line interface: argument wiring, output shape, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from fractalwave import cli
 from fractalwave.cli import main
+from fractalwave.sets import build_cantor
 
 
 def run_cli(capsys, *argv):
@@ -46,10 +49,22 @@ def test_sets_save_and_load(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sets", "--alpha", "1/2", "--j", "6", "--out", str(path))
     assert code == 0
     assert f"wrote {path}" in out
+    want = build_cantor(0.5, 6, L=4.0).points
+    assert json.loads(path.read_text()) == list(want)  # the points come back exactly
     code, out, _ = run_cli(capsys, "sets", "--load", str(path), "--delta", "0.3")
     assert code == 0
     assert f"loaded from {path}" in out
     assert "0.3," in out
+    assert f"cardinality: {len(want)}\n" in out
+
+
+@pytest.mark.parametrize("content, where", [(b"[1.25, ]", ":1:8:"), (b"\xff[1.25]", ": 'utf-8' codec")])
+def test_sets_load_names_a_broken_file(tmp_path, capsys, content, where):
+    path = tmp_path / "set.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "sets", "--load", str(path))
+    assert code == 2
+    assert f"{path}{where}" in err and out == ""
 
 
 # --- thresholds / regions ----------------------------------------------------
@@ -160,9 +175,10 @@ def test_scaling_run_and_report(tmp_path, capsys, quick_config):
 
 
 def test_scaling_missing_config(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "scaling", "--config", str(tmp_path / "nope.json"))
+    path = tmp_path / "nope.json"
+    code, _, err = run_cli(capsys, "scaling", "--config", str(path))
     assert code == 2
-    assert "no such config" in err
+    assert str(path) in err
 
 
 def test_scaling_malformed_config(tmp_path, capsys):
@@ -223,6 +239,81 @@ def test_scaling_rejects_a_legacy_key_the_run_would_not_honour(tmp_path, capsys,
     assert code == 2
     assert "bad config" in err and repr(key) in err
     assert out == ""  # no level ran
+
+
+TINY = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "time_L": 2.0}
+
+
+def _configs(tmp_path, *docs):
+    """Write each doc (a dict, raw text, or None for no file) to cfg<i>.json."""
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"cfg{i}.json"
+        if doc is not None:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def test_scaling_runs_several_configs_and_report_lists_them(tmp_path, capsys, quick_config):
+    out_dir = tmp_path / "runs"
+    paths = [str(quick_config), *_configs(tmp_path, dict(TINY, label="tiny"))]
+    code, out, _ = run_cli(capsys, "scaling", "--config", *paths, "--out", str(out_dir))
+    assert code == 0
+    assert out.count("verdict: consistent") == 2
+    assert out.index("family=radial_focusing") < out.index("family=knapp")
+    for stem in ("cli_demo", "tiny"):
+        assert (out_dir / f"{stem}.json").exists() and (out_dir / f"{stem}.csv").exists()
+
+    code, out, _ = run_cli(capsys, "report", "--dir", str(out_dir))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["cli_demo", "tiny"]
+
+
+def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, monkeypatch):
+    real = cli.run_scaling
+
+    def run_scaling(config):
+        run = real(config)
+        return dataclasses.replace(run, verdict="inconclusive") if config.label == "b" else run
+
+    monkeypatch.setattr(cli, "run_scaling", run_scaling)
+    paths = _configs(tmp_path, dict(TINY, label="a"), dict(TINY, label="b"), dict(TINY, label="c"))
+    code, out, _ = run_cli(capsys, "scaling", "--config", *paths)
+    assert code == 1
+    assert out.count("verdict: consistent") == 2 and "verdict: inconclusive" in out
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (dict(TINY, alpha="3/2"), "bad config"),
+        ("{not json", ":1:2:"),
+        ("[]", "JSON object"),
+        (None, "No such file"),
+    ],
+)
+def test_scaling_checks_every_config_before_the_first_level(tmp_path, capsys, second, message):
+    paths = _configs(tmp_path, TINY, second)
+    code, out, err = run_cli(capsys, "scaling", "--config", *paths)
+    assert code == 2
+    assert message in err and paths[1] in err
+    assert out == ""  # no level ran
+
+
+@pytest.mark.parametrize(
+    "first, second, stem",
+    [
+        (dict(TINY, label="same"), dict(TINY, label="same", j_max=5), "same"),
+        (TINY, dict(TINY, j_min=3, j_max=5), "knapp_5over2_5"),
+    ],
+)
+def test_scaling_refuses_two_configs_with_one_output_stem(tmp_path, capsys, first, second, stem):
+    paths = _configs(tmp_path, first, second)
+    code, out, err = run_cli(capsys, "scaling", "--config", *paths, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert repr(stem) in err
+    assert out == "" and not (tmp_path / "runs").exists()
 
 
 def test_report_empty_dir(tmp_path, capsys):

@@ -15,7 +15,6 @@ from fractalwave.extremizers import (
     DEFAULT_C1,
     annulus_shell_minimum,
     concentration_constant,
-    knapp,
     knapp_center_value,
     knapp_coherence,
     knapp_phase_error,
@@ -65,12 +64,6 @@ def test_families_equal_their_full_lattice_formulas(j):
         assert not want[(r <= lo) | (r >= hi)].any()
 
 
-def test_knapp_c1_range():
-    for c1 in (0.0, 1.5):
-        with pytest.raises(ValueError, match="c1"):
-            knapp(GRID, 4, c1)
-
-
 def test_frequency_support_is_annular(fields):
     f = fields["radial_focusing", 5]
     assert f.space == "frequency"
@@ -84,7 +77,7 @@ def test_frequency_support_is_annular(fields):
 
 def test_focusing_mass_concentrates_on_unit_shell(fields):
     for j in JS:
-        frac = shell_mass_fraction(fields["radial_focusing", j], 1.0, 8.0 * 2.0**-j)
+        frac = shell_mass_fraction(fields["radial_focusing", j], 8.0 * 2.0**-j)
         assert frac >= 0.5  # measured ~0.998
 
 
@@ -109,14 +102,14 @@ def test_focusing_global_envelope_grows(fields):
 
 def test_knapp_center_value(fields):
     for j in JS:
-        kappa = knapp_center_value(GRID, j)
+        kappa = knapp_center_value(fields["knapp", j], j)
         assert kappa >= 0.025  # measured ~0.049
 
 
 def test_knapp_coherence(fields):
     # the refocused center value reaches >= 99% of the absolute upper bound
     for j in JS:
-        assert knapp_coherence(GRID, j, c1=DEFAULT_C1) >= 0.99
+        assert knapp_coherence(GRID, j) >= 0.99
 
 
 def test_knapp_phase_error_scales_like_c1_squared():

@@ -27,10 +27,8 @@ from fractalwave.sets import (
     covering_number,
     decompose_cantor_levels,
     discretize,
-    load_timeset,
     marginal_sum,
     minkowski_estimate,
-    save_timeset,
 )
 
 # --- brute-force oracles -----------------------------------------------------
@@ -121,6 +119,18 @@ def test_discretize_keeps_the_greedy_cover_starts(points, delta):
         if p - want[-1] >= delta:
             want.append(p)
     assert list(kept) == want
+
+
+@given(
+    st.integers(min_value=1, max_value=24).map(lambda k: k / 24),
+    st.integers(min_value=0, max_value=14),
+    st.floats(min_value=1.0, max_value=100.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_calibrated_cantor_set_is_already_separated(alpha, j, L):
+    # a scaling run uses build_cantor(alpha, j, L) as its 2^-j-separated E_j directly
+    ts = build_cantor(alpha, j, L=L)
+    assert discretize(ts, 2.0**-j) == ts
 
 
 # --- frozen construction examples -------------------------------------------
@@ -309,9 +319,13 @@ def test_timeset_validation():
 
 
 def test_timeset_roundtrip(tmp_path):
+    # a set stored with `sets --out` loads back as the same TimeSet
+    from fractalwave.cli import main
+    from fractalwave.experiments import read_json
+
     ts = build_cantor(0.5, 10, L=2.0)
     path = tmp_path / "set.json"
-    save_timeset(ts, path)
-    back = load_timeset(path)
+    assert main(["sets", "--alpha", "1/2", "--j", "10", "--L", "2", "--out", str(path)]) == 0
+    back = TimeSet.from_points(read_json(path))
     assert back.points == ts.points
     assert back.min_gap == ts.min_gap
