@@ -41,8 +41,15 @@ def main() -> int:
     print(f"grid: n={args.n} period={grid.period:g} nyquist={grid.nyquist:.2f}")
     print()
 
-    print("radial_focusing: near-field envelope C(j) = sup |f| (1 + 2^j||x|-1|)^4 / 2^(3j/2)")
-    print("  on the scaled shell 2^j||x|-1| <= 8 (frozen: C <= 40); global sup for contrast")
+    def section(title: str, test: str) -> None:
+        print(title)
+        print(f"  (bound frozen by tests/test_extremizers.py::{test})")
+
+    section(
+        "radial_focusing: near-field envelope C(j) = sup |f| (1 + 2^j||x|-1|)^4 / 2^(3j/2)\n"
+        "  on the scaled shell 2^j||x|-1| <= 8; global sup for contrast",
+        "test_focusing_near_field_envelope",
+    )
     for j in js:
         f = radial_focusing(grid, j)
         near = concentration_constant(f, j, shell_limit=8.0)
@@ -50,26 +57,28 @@ def main() -> int:
         print(f"  j={j}: C_shell = {near:.1f}   C_global = {full:.1f}")
     print()
 
-    print("radial_focusing: shell mass fraction on ||x|-1| <= 8 * 2^-j (frozen: >= 0.5)")
+    section(
+        "radial_focusing: shell mass fraction on ||x|-1| <= 8 * 2^-j", "test_focusing_mass_concentrates_on_unit_shell"
+    )
     for j in js:
         f = radial_focusing(grid, j)
         frac = shell_mass_fraction(f, 8.0 * 2.0**-j)
         print(f"  j={j}: mass fraction = {frac:.4f}")
     print()
 
-    print("knapp: center value at the refocusing point, in units kappa * 2^(3j/2)")
-    print("  frozen bound: kappa >= 0.025 (calibrated value ~0.05)")
+    section("knapp: center value at the refocusing point, in units of 2^(3j/2)", "test_knapp_center_value")
     for j in js:
         print(f"  j={j}: kappa = {knapp_center_value(knapp(grid, j), j):.4f}")
     print()
 
-    print("knapp: coherence = attained center value / triangle-inequality bound")
-    print("  frozen bound: >= 0.99 (phase spread across the window is O(c1^2))")
+    section("knapp: coherence = attained center value / triangle-inequality bound", "test_knapp_coherence")
     for j in js:
         print(f"  j={j}: coherence = {knapp_coherence(grid, j):.6f}")
     print()
 
-    print("knapp: quadratic phase error on the tube (should be O(c1^2))")
+    section(
+        "knapp: quadratic phase error on the tube, in units of c1^2", "test_knapp_phase_error_scales_like_c1_squared"
+    )
     for c1 in (0.0625, 0.125, 0.25):
         plat = knapp_phase_error(j=6, c1=c1, region="plateau")
         supp = knapp_phase_error(j=6, c1=c1, region="support")
@@ -77,17 +86,21 @@ def main() -> int:
             f"  c1={c1:g}: plateau err = {plat:.4f} ({plat / c1**2:.2f} c1^2), "
             f"support err = {supp:.4f} ({supp / c1**2:.2f} c1^2)"
         )
-    print("  frozen bounds: plateau <= 8.05 c1^2, support <= min(65 c1^2, 2.0)")
     print()
 
-    print("annulus: minimum of |e^(it sqrt(-Lap)) f| over the shell |x| = t (frozen: >= 0.12)")
+    section(
+        "annulus: minimum of |e^(it sqrt(-Lap)) f| over the shell |x| = t, in units of 2^(3j/2)",
+        "test_annulus_shell_minimum",
+    )
     for j in js:
-        m = annulus_shell_minimum(grid, j)
-        print(f"  j={j}: shell min / 2^(j/2) = {m:.4f}")
+        print(f"  j={j}: shell min = {annulus_shell_minimum(grid, j):.4f}")
     print()
 
-    print("L^p norm growth exponents (log2 successive ratios; frozen: within 0.1 of")
-    print("  the closed forms j(d - (d+1)/p)+ for focusing, j(3/2)(1/2 - 1/p)... )")
+    section(
+        "L^p norm growth exponents (log2 successive ratios; the closed forms are\n"
+        "  CLOSED_FORM_SLOPES there and in the fractalwave.extremizers docstring)",
+        "test_norm_growth_matches_closed_forms",
+    )
     for family in ("radial_focusing", "knapp", "annulus"):
         for p in (1.0, 2.0, 4.0):
             norms = []

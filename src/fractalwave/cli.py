@@ -86,7 +86,11 @@ def _write_out(out, csv_text: str, doc=None) -> None:
 def _cmd_sets(args) -> int:
     alpha = None if args.alpha is None else float(args.alpha)
     if args.load:
-        ts = TimeSet.from_points(read_json(args.load))
+        points = read_json(args.load)
+        if not isinstance(points, list) or not points or not all(type(t) in (int, float) for t in points):
+            got = json.dumps(points)[:60]
+            raise ValueError(f"{args.load}: a time set is a nonempty JSON list of numbers, got {got}")
+        ts = TimeSet.from_points(points)
         origin = f"loaded from {args.load}"
     else:
         if args.alpha is None or args.j is None:

@@ -26,7 +26,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,19 +140,6 @@ class RunConfig:
         return config
 
 
-@dataclass(frozen=True)
-class ScalingRun:
-    config: RunConfig
-    time_sets: tuple[tuple[int, int], ...]  # (j, #E_j)
-    measured: tuple[tuple[int, float], ...]  # (j, log2 R(j))
-    fitted_slope: float
-    intercept: float
-    residual: float
-    predicted: Fraction
-    verdict: str
-    monotone: bool
-
-
 def fit_exponent(samples) -> tuple[float, float, float]:
     """Least-squares line through (j, y); returns (slope, intercept, RMS residual)."""
     pts = [(float(j), float(y)) for j, y in samples]
@@ -177,6 +164,43 @@ def _time_set(config: RunConfig, j: int) -> TimeSet:
     return build_cantor(config.alpha, j, L=config.time_L)  # already 2^-j-separated
 
 
+@dataclass(frozen=True)
+class ScalingRun:
+    """What a study measured: its config and, per level j, #E_j and log2 R(j), listing
+    the same j in the same order.  The fit, the predicted exponent and the verdict
+    are derived from them here, and stored nowhere else."""
+
+    config: RunConfig
+    time_sets: tuple[tuple[int, int], ...]  # (j, #E_j)
+    measured: tuple[tuple[int, float], ...]  # (j, log2 R(j))
+    fitted_slope: float = field(init=False)
+    intercept: float = field(init=False)
+    residual: float = field(init=False)
+    predicted: Fraction = field(init=False)
+    verdict: str = field(init=False)
+
+    def __post_init__(self):
+        listed = [j for j, _ in self.time_sets]
+        if listed != [j for j, _ in self.measured]:
+            raise ValueError(f"time_sets lists the levels {listed}, measured {[j for j, _ in self.measured]}")
+        slope, intercept, resid = fit_exponent(self.measured)
+        predicted = predicted_exponent(self.config)
+        if resid > 0.25 or slope > float(predicted) + TOLERANCE:
+            verdict = "inconclusive"
+        elif slope < float(predicted) - TOLERANCE:
+            verdict = "lower_bound_violated"
+        else:
+            verdict = "consistent"
+        fit = dict(fitted_slope=slope, intercept=intercept, residual=resid, predicted=predicted, verdict=verdict)
+        for name, value in fit.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def monotone(self) -> bool:
+        """Whether log2 R(j) never falls from one level to the next."""
+        return all(b >= a for (_, a), (_, b) in zip(self.measured, self.measured[1:]))
+
+
 def run_scaling(config: RunConfig) -> ScalingRun:
     grid = config.grid
     measured = []
@@ -190,28 +214,7 @@ def run_scaling(config: RunConfig) -> ScalingRun:
         den = lp_norm(f, config.p)
         measured.append((j, math.log2(num / den)))
         set_sizes.append((j, len(E.points)))
-    slope, intercept, resid = fit_exponent(measured)
-    predicted = predicted_exponent(config)
-    monotone = all(b >= a for (_, a), (_, b) in zip(measured, measured[1:]))
-    if resid > 0.25:
-        verdict = "inconclusive"
-    elif slope < float(predicted) - TOLERANCE:
-        verdict = "lower_bound_violated"
-    elif slope > float(predicted) + TOLERANCE:
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent"
-    return ScalingRun(
-        config=config,
-        time_sets=tuple(set_sizes),
-        measured=tuple(measured),
-        fitted_slope=slope,
-        intercept=intercept,
-        residual=resid,
-        predicted=predicted,
-        verdict=verdict,
-        monotone=monotone,
-    )
+    return ScalingRun(config, tuple(set_sizes), tuple(measured))
 
 
 # --- verification suites ------------------------------------------------------
@@ -386,17 +389,12 @@ def run_to_json(run: ScalingRun) -> dict:
 
 
 def run_from_json(data: dict) -> ScalingRun:
+    """The run a document records; its stored fit and verdict are derived again, not read."""
     try:
         return ScalingRun(
-            config=RunConfig.from_json(data["config"]),
-            time_sets=tuple((int(j), int(m)) for j, m in data["time_sets"]),
-            measured=tuple((int(j), float(y)) for j, y in data["measured"]),
-            fitted_slope=float(data["fitted_slope"]),
-            intercept=float(data["intercept"]),
-            residual=float(data["residual"]),
-            predicted=Fraction(data["predicted"]),
-            verdict=str(data["verdict"]),
-            monotone=bool(data["monotone"]),
+            RunConfig.from_json(data["config"]),
+            tuple((int(j), int(m)) for j, m in data["time_sets"]),
+            tuple((int(j), float(y)) for j, y in data["measured"]),
         )
     except KeyError as exc:
         raise ValueError(f"scaling-run document missing field {exc}") from exc
@@ -433,4 +431,8 @@ def read_json(path):
 
 
 def load(path) -> ScalingRun:
-    return run_from_json(read_json(path))
+    data = read_json(path)
+    try:
+        return run_from_json(data)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

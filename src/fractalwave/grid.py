@@ -48,6 +48,8 @@ from .sets import TimeSet, discretize
 
 _SPACES = ("physical", "frequency")
 _WHOLE_LATTICE = (-1.0, math.inf)  # lo = -1 keeps |xi| = 0 inside the open annulus
+COEFF_RESOLUTION = 512  # samples per axis of a coefficient-decay table's period cell
+COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,6 @@ class GridSpec:
             )
 
 
-@lru_cache(maxsize=64)
 def _axis_freq(spec: GridSpec) -> np.ndarray:
     k = np.fft.fftfreq(spec.n, d=1.0 / spec.n)
     return 2.0 * np.pi * k / spec.period
@@ -124,22 +125,16 @@ def _meet(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return max(a[0], b[0]), min(a[1], b[1])
 
 
-@lru_cache(maxsize=64)
-def _axis_coord(spec: GridSpec) -> np.ndarray:
-    n = spec.n
-    idx = (np.arange(n) + n // 2) % n - n // 2
-    return idx * spec.cell
-
-
 def frequency_lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcastable (XI1, XI2) arrays of the frequency lattice."""
+    """Broadcastable (XI1, XI2) arrays of the frequency lattice, made per call."""
     xi = _axis_freq(spec)
     return xi[:, None], xi[None, :]
 
 
 def physical_coords(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcastable (X1, X2) signed torus coordinates."""
-    x = _axis_coord(spec)
+    """Broadcastable (X1, X2) signed torus coordinates, made per call."""
+    n = spec.n
+    x = ((np.arange(n) + n // 2) % n - n // 2) * spec.cell
     return x[:, None], x[None, :]
 
 
@@ -349,9 +344,7 @@ class CoeffDecayTable:
     coeff_sum: float
 
 
-def multiplier_coeff_decay(
-    j: int, dt: float, M: int = 8, resolution: int = 512, shell_max: int = 48
-) -> CoeffDecayTable:
+def multiplier_coeff_decay(j: int, dt: float, M: int = 8) -> CoeffDecayTable:
     """Per-shell maxima of the multiplier's Fourier-series coefficients.
 
     Rapid decay here is the quantitative form of the locally constant
@@ -364,16 +357,16 @@ def multiplier_coeff_decay(
     if abs(dt) > 2.0**-j * (1.0 + 1e-12):
         raise ValueError(f"|dt| must be <= 2^-j = {2.0**-j}, got {dt}")
     u = 2.0**j * dt
-    N = resolution
+    N = COEFF_RESOLUTION
     xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
     r = np.hypot(xi[:, None], xi[None, :])
     symbol = beta(r) * np.exp(1j * u * r)
     d = np.fft.fft2(symbol) / N**2
     kk = np.fft.fftfreq(N, d=1.0 / N)
     shell = np.floor(np.hypot(kk[:, None], kk[None, :])).astype(np.intp)  # s <= |k| < s+1
-    keep = shell <= shell_max
+    keep = shell <= COEFF_SHELL_MAX
     mag = np.abs(d)
-    peaks = np.zeros(shell_max + 1)
+    peaks = np.zeros(COEFF_SHELL_MAX + 1)
     np.maximum.at(peaks, shell[keep], mag[keep])
     shells = tuple((s, float(peak)) for s, peak in enumerate(peaks))
     c_m = max(peak * (1.0 + s) ** M for s, peak in shells)

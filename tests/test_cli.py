@@ -1,6 +1,5 @@
 """Command-line interface: argument wiring, output shape, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ import pytest
 
 from fractalwave import cli
 from fractalwave.cli import main
+from fractalwave.experiments import ScalingRun
 from fractalwave.sets import build_cantor
 
 
@@ -58,7 +58,18 @@ def test_sets_save_and_load(tmp_path, capsys):
     assert f"cardinality: {len(want)}\n" in out
 
 
-@pytest.mark.parametrize("content, where", [(b"[1.25, ]", ":1:8:"), (b"\xff[1.25]", ": 'utf-8' codec")])
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b"[1.25, ]", ":1:8:"),
+        (b"\xff[1.25]", ": 'utf-8' codec"),
+        (b'{"a": 1}', ": a time set is a nonempty JSON list of numbers"),
+        (b"[true, 1.5]", ": a time set is a nonempty JSON list of numbers"),  # a bool is no time
+        (b'[1.25, "1.5"]', ": a time set is a nonempty JSON list of numbers"),
+        (b"1.25", ": a time set is a nonempty JSON list of numbers"),
+        (b"[]", ": a time set is a nonempty JSON list of numbers"),
+    ],
+)
 def test_sets_load_names_a_broken_file(tmp_path, capsys, content, where):
     path = tmp_path / "set.json"
     path.write_bytes(content)
@@ -275,7 +286,9 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
 
     def run_scaling(config):
         run = real(config)
-        return dataclasses.replace(run, verdict="inconclusive") if config.label == "b" else run
+        if config.label != "b":
+            return run
+        return ScalingRun(config, run.time_sets, tuple((j, 3.0 * j) for j, _ in run.measured))  # too steep
 
     monkeypatch.setattr(cli, "run_scaling", run_scaling)
     paths = _configs(tmp_path, dict(TINY, label="a"), dict(TINY, label="b"), dict(TINY, label="c"))
@@ -326,6 +339,35 @@ def test_report_names_a_broken_run_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "report", "--dir", str(tmp_path))
     assert code == 2
     assert "broken.json:1:12:" in err and out == ""
+
+
+@pytest.fixture
+def tiny_run_dir(tmp_path, capsys):
+    """A directory holding one persisted run of the tiny Knapp config."""
+    out_dir = tmp_path / "runs"
+    (cfg,) = _configs(tmp_path, dict(TINY, label="tiny"))
+    assert run_cli(capsys, "scaling", "--config", cfg, "--out", str(out_dir))[0] == 0
+    return out_dir
+
+
+def test_report_derives_the_fit_from_the_stored_levels(tiny_run_dir, capsys):
+    path = tiny_run_dir / "tiny.json"
+    doc = json.loads(path.read_text())
+    doc["measured"] = [[j, 3.0 * j] for j, _ in doc["measured"]]  # rises with slope 3; stored fit untouched
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
+    assert code == 0
+    assert out.splitlines()[1] == "tiny,knapp,5/2,5,1,3.000000,1/2,0.000000,inconclusive"
+
+
+def test_report_refuses_a_run_whose_levels_do_not_match(tiny_run_dir, capsys):
+    path = tiny_run_dir / "tiny.json"
+    doc = json.loads(path.read_text())
+    del doc["time_sets"][1]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
+    assert code == 2
+    assert f"{path}: time_sets lists the levels" in err and out == ""
 
 
 # --- verify ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Scaling experiments: configuration, slope fitting, verdicts, persistence,
 and the four verification suites."""
 
+import dataclasses
 import importlib
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -330,18 +332,9 @@ def test_persist_stem_from_exponents(tmp_path):
 
 
 def test_persisted_run_bytes(tmp_path):
+    # levels on an exact line, so the derived fit is exactly (0.5, -2.0, 0.0)
     config = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0, label="tiny")
-    run = ScalingRun(
-        config=config,
-        time_sets=((2, 2), (3, 4), (4, 8)),
-        measured=((2, -1.5), (3, -1.0), (4, -0.5)),
-        fitted_slope=0.5,
-        intercept=-2.5,
-        residual=0.0,
-        predicted=Fraction(1, 2),
-        verdict="consistent",
-        monotone=True,
-    )
+    run = ScalingRun(config, ((2, 2), (3, 4), (4, 8)), ((2, -1.0), (3, -0.5), (4, 0.0)))
     json_path, csv_path = persist(run, tmp_path)
     doc = {
         "config": {
@@ -349,16 +342,71 @@ def test_persisted_run_bytes(tmp_path):
             "j_min": 2, "j_max": 4, "time_L": 2.0, "label": "tiny",
         },
         "time_sets": [[2, 2], [3, 4], [4, 8]],
-        "measured": [[2, -1.5], [3, -1.0], [4, -0.5]],
+        "measured": [[2, -1.0], [3, -0.5], [4, 0.0]],
         "fitted_slope": 0.5,
-        "intercept": -2.5,
+        "intercept": -2.0,
         "residual": 0.0,
         "predicted": "1/2",
         "verdict": "consistent",
         "monotone": True,
     }
     assert json_path.read_text() == json.dumps(doc, indent=2) + "\n"
-    assert csv_path.read_bytes() == b"j,log2_ratio,set_size\r\n2,-1.5,2\r\n3,-1,4\r\n4,-0.5,8\r\n"
+    assert csv_path.read_bytes() == b"j,log2_ratio,set_size\r\n2,-1,2\r\n3,-0.5,4\r\n4,0,8\r\n"
+
+
+TINY_CONFIG = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0)  # predicts 1/2
+TINY_SIZES = ((2, 2), (3, 4), (4, 8))
+
+
+@pytest.mark.parametrize(
+    "ys, verdict, monotone",
+    [
+        ((0.1, 0.55, 1.1), "consistent", True),
+        ((0.0, 0.3, 0.6), "lower_bound_violated", True),  # slope 0.3 < 1/2 - 0.15
+        ((0.0, 0.7, 1.4), "inconclusive", True),  # slope 0.7 > 1/2 + 0.15
+        ((0.0, 2.0, 1.0), "inconclusive", False),  # RMS residual ~0.71 > 0.25
+        ((0.2, 0.15, 1.0), "consistent", False),  # slope 0.4, RMS residual ~0.21
+    ],
+)
+def test_a_run_derives_its_fit_and_verdict_from_its_levels(ys, verdict, monotone):
+    measured = tuple(zip((2, 3, 4), ys))
+    run = ScalingRun(TINY_CONFIG, TINY_SIZES, measured)
+    assert (run.fitted_slope, run.intercept, run.residual) == fit_exponent(measured)
+    assert run.predicted == predicted_exponent(TINY_CONFIG) == Fraction(1, 2)
+    assert run.verdict == verdict
+    assert run.monotone is monotone
+    with pytest.raises(ValueError):
+        dataclasses.replace(run, verdict="consistent")  # a derived value cannot be set
+
+
+def test_run_from_json_derives_what_the_document_stores(sample_run):
+    doc = run_to_json(sample_run)
+    doc.update(fitted_slope=9.0, intercept=9.0, residual=9.0, predicted="9", verdict="consistent", monotone=False)
+    assert run_from_json(doc) == sample_run
+    doc["measured"] = [[j, 3.0 * j] for j, _ in doc["measured"]]
+    steep = run_from_json(doc)
+    assert steep.fitted_slope == pytest.approx(3.0, abs=1e-12)
+    assert steep.verdict == "inconclusive" and steep.monotone
+
+
+@pytest.mark.parametrize(
+    "time_sets",
+    [
+        ((2, 2), (3, 4)),  # a level dropped
+        ((3, 4), (2, 2), (4, 8)),  # the same levels, out of order
+        ((2, 2), (3, 4), (5, 8)),  # another level
+    ],
+)
+def test_a_run_refuses_levels_that_do_not_match(tmp_path, time_sets):
+    measured = ((2, 0.0), (3, 0.5), (4, 1.0))
+    with pytest.raises(ValueError, match="time_sets lists the levels"):
+        ScalingRun(TINY_CONFIG, time_sets, measured)
+    doc = run_to_json(ScalingRun(TINY_CONFIG, TINY_SIZES, measured))
+    doc["time_sets"] = [list(x) for x in time_sets]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: time_sets lists the levels")):
+        load(path)
 
 
 def test_load_reports_line_and_column(tmp_path):

@@ -88,6 +88,20 @@ def test_coordinate_layout():
     assert np.sort(xi1.ravel())[1] - np.sort(xi1.ravel())[0] == pytest.approx(spacing)
 
 
+def test_lattice_arrays_are_the_callers_own():
+    # the lattice and coordinate arrays are made per call: editing one in
+    # place leaves every later field on that grid alone
+    g = GridSpec(128, 6.0)
+    plate = extremizers.knapp(g, 3).values.copy()
+    mass = extremizers.shell_mass_fraction(extremizers.radial_focusing(g, 3), 0.5)
+    xi1, _ = frequency_lattice(g)
+    xi1[:, 0] *= 0.5
+    x1, _ = physical_coords(g)
+    x1[:, 0] *= 0.5
+    assert np.array_equal(extremizers.knapp(g, 3).values, plate)
+    assert extremizers.shell_mass_fraction(extremizers.radial_focusing(g, 3), 0.5) == mass
+
+
 def test_roundtrip_and_plancherel():
     f = random_field(GridSpec(128, 8.0), seed=3)
     fh = to_frequency(f)

@@ -14,6 +14,8 @@ from fractalwave import grid as grid_module
 from fractalwave.bessel import bessel_j0
 from fractalwave.cutoffs import beta
 from fractalwave.grid import (
+    COEFF_RESOLUTION,
+    COEFF_SHELL_MAX,
     Field,
     GridSpec,
     circular_average,
@@ -200,8 +202,8 @@ def test_circular_average_of_a_physical_band_field_stays_on_the_band(monkeypatch
 
 
 def test_coeff_decay_table_certifies_its_bound():
-    tab = multiplier_coeff_decay(4, 2.0**-5, M=8, resolution=256, shell_max=32)
-    assert len(tab.shells) == 33
+    tab = multiplier_coeff_decay(4, 2.0**-5, M=8)
+    assert len(tab.shells) == COEFF_SHELL_MAX + 1
     for s, peak in tab.shells:
         assert peak <= tab.c_m / (1.0 + s) ** 8 * (1.0 + 1e-12)
     assert tab.coeff_sum >= tab.shells[0][1]
@@ -210,8 +212,8 @@ def test_coeff_decay_table_certifies_its_bound():
 def test_coeff_decay_shells_equal_the_per_shell_masks():
     # reference: one mask s <= |k| < s+1 per shell; the sum runs in another
     # order, so it is held to a few ulp
-    N, shells, u = 128, 20, 0.5
-    tab = multiplier_coeff_decay(5, u * 2.0**-5, M=6, resolution=N, shell_max=shells)
+    N, shells, u = COEFF_RESOLUTION, COEFF_SHELL_MAX, 0.5
+    tab = multiplier_coeff_decay(5, u * 2.0**-5, M=6)
     xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
     r = np.hypot(xi[:, None], xi[None, :])
     mag = np.abs(np.fft.fft2(beta(r) * np.exp(1j * u * r)) / N**2)
@@ -226,8 +228,8 @@ def test_coeff_decay_shells_equal_the_per_shell_masks():
 def test_coeff_decay_depends_only_on_scaled_offset():
     # the symbol depends on (j, dt) only through u = 2^j dt: tables at equal u
     # are identical to the last bit
-    a = multiplier_coeff_decay(4, 0.5 * 2.0**-4, M=6, resolution=256, shell_max=24)
-    b = multiplier_coeff_decay(9, 0.5 * 2.0**-9, M=6, resolution=256, shell_max=24)
+    a = multiplier_coeff_decay(4, 0.5 * 2.0**-4, M=6)
+    b = multiplier_coeff_decay(9, 0.5 * 2.0**-9, M=6)
     assert a.c_m == b.c_m
     assert a.coeff_sum == b.coeff_sum
     assert a.shells == b.shells

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end on tiny inputs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,4 +21,18 @@ def test_calibrate_extremizers_runs():
     proc = run_script("calibrate_extremizers.py", "--n", "256", "--jmin", "2", "--jmax", "4")
     assert proc.returncode == 0, proc.stderr
     assert "annulus" in proc.stdout
+    # each bound is named by the test that freezes it, and that test exists
+    named = re.findall(r"tests/test_extremizers\.py::(\w+)", proc.stdout)
+    assert len(named) == 7
+    source = (ROOT / "tests" / "test_extremizers.py").read_text()
+    assert all(f"def {name}(" in source for name in named)
 
+
+
+def test_bench_refuses_an_existing_output_before_running(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text("kept")
+    proc = run_script("bench.py", str(out))
+    assert proc.returncode == 2
+    assert str(out) in proc.stderr and proc.stdout == ""
+    assert out.read_text() == "kept"
