@@ -89,6 +89,13 @@ class RunConfig:
             raise ValueError(f"cantor time sets need alpha in (0, 1], got {self.alpha}")
         if self.set_kind == "single_time" and not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.p < 1 or self.q < 1:
+            raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
+        for name in ("j_min", "j_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not math.isfinite(self.time_L):
+            raise ValueError(f"time_L must be finite, got {self.time_L}")
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
         self.grid  # derived here, so a grid beyond physical memory fails on load
@@ -257,6 +264,8 @@ class DecayReport:
 def verify_locally_constant(j_range=range(3, 9), M: int = 8) -> DecayReport:
     """Sweep multiplier_coeff_decay over j and dt in {0, 2^{-j-1}, 2^{-j}};
     certify a single C_M with factor-4 stability across the sweep."""
+    if not len(j_range):
+        raise ValueError(f"j_range must be nonempty, got {j_range}")
     rows = []
     sums = []
     for j in j_range:

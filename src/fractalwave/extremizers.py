@@ -8,10 +8,11 @@ Three single-field families at dyadic scale 2^j (d = 2 throughout):
   a curvature-free plate (c1 = ``DEFAULT_C1``), ||f||_p ~ 2^{j(3/2)(1 - 1/p)};
 * annulus          --  fhat(xi) = beta1(|xi|/2^j); ||f||_p ~ 2^{2j(1 - 1/p)}.
 
-The radial supports lie in |xi| < 2^{j+2} and the Knapp window in
-|xi_1| < 4 c1 2^{j/2}, 0 < xi_2 < 2^{j+2}, so constructors demand
-2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on that support only
-and records it on the field (``Field.support``).  Physical-space
+The radial supports lie in 2^{j-2} < |xi| < 2^{j+2} and the Knapp window in
+|xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}, so constructors demand
+2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on the lattice points
+of that support only, and those points, the ones it fills, are the field's
+``Field.support``; no support is derived by hand.  Physical-space
 concentration facts (focusing shell, Knapp box lower bound after half-wave
 propagation to the probe time ``PROBE_T`` = 1.5) are exposed as helpers so
 the same measurements drive tests and calibration scripts.  A scaling study
@@ -28,8 +29,8 @@ from .grid import (
     GridSpec,
     _as_physical,
     _axis_freq,
-    _own,
-    _radial_field,
+    _band_points,
+    _on_support,
     half_wave,
     physical_coords,
 )
@@ -44,7 +45,8 @@ def _beta1_band(j: int) -> tuple[float, float]:
 
 def radial_focusing(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
-    return _radial_field(grid, lambda r: np.exp(-1j * r) * beta1(r / 2.0**j), _beta1_band(j))
+    support = _band_points(grid, *_beta1_band(j))
+    return _on_support(grid, support, np.exp(-1j * support[1]) * beta1(support[1] / 2.0**j))
 
 
 def knapp(grid: GridSpec, j: int) -> Field:
@@ -52,18 +54,16 @@ def knapp(grid: GridSpec, j: int) -> Field:
     xi = _axis_freq(grid)
     s1 = xi / (DEFAULT_C1 * 2.0 ** (j / 2.0))
     s2 = xi / 2.0**j
-    rows = (s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1])
-    cols = (s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1])
-    vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    vals[np.ix_(rows, cols)] = beta0(s1[rows])[:, None] * beta1(s2[cols])[None, :]
-    # |xi| >= xi_2 > 2^{j-2}, and |xi| <= |xi_1| + |xi_2| bounds it above
-    lo, hi = _beta1_band(j)
-    return _own(grid, vals, "frequency", (lo, hi + BETA0_SUPPORT[1] * DEFAULT_C1 * 2.0 ** (j / 2.0)))
+    rows = np.flatnonzero((s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1]))
+    cols = np.flatnonzero((s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1]))
+    support = (rows[:, None] * grid.n + cols).ravel(), np.hypot(xi[rows, None], xi[cols]).ravel()
+    return _on_support(grid, support, (beta0(s1[rows])[:, None] * beta1(s2[cols])).ravel())
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
-    return _radial_field(grid, lambda r: beta1(r / 2.0**j), _beta1_band(j))
+    support = _band_points(grid, *_beta1_band(j))
+    return _on_support(grid, support, beta1(support[1] / 2.0**j))
 
 
 # --- measurement helpers ------------------------------------------------------

@@ -21,16 +21,16 @@ The half-wave propagator is the multiplier e^{i t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
 
-Spectral supports.  Every field carries ``support``: an open annulus
-lo < |xi| < hi outside which its transform vanishes.  It comes from the
-cutoff that made the field (see ``cutoffs``), never from scanning values;
-``_WHOLE_LATTICE`` = (-1, inf) claims nothing.  A frequency field's values
-are exactly zero outside its support.  ``to_physical`` passes the support
-on, and for the physical field the claim holds up to FFT rounding.
-Multipliers evaluate their symbol on the support points only and write
-exact zeros elsewhere, and the inverse FFT transforms only the rows that
-meet the support; on a frequency field both give the same bits as the
-full-lattice computation.
+Spectral supports.  Every field carries ``support``: the read-only point
+set ``(flat, r)``, ascending flat indices and |xi|, of the lattice points
+where its transform may be nonzero.  It is the set its builder filled (see
+``extremizers``), met with each band applied since, never found by scanning
+values; ``None`` claims nothing.  A frequency field is exactly zero off its
+support.  ``to_physical`` passes the support on, and for the physical field
+the claim holds up to FFT rounding.  Multipliers evaluate their symbol on the
+support points only, and the inverse FFT transforms only the rows that hold
+them; on a frequency field both give the same bits as the full-lattice
+computation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .cutoffs import BETA_SUPPORT, beta, step
 from .sets import TimeSet, discretize
 
 _SPACES = ("physical", "frequency")
-_WHOLE_LATTICE = (-1.0, math.inf)  # lo = -1 keeps |xi| = 0 inside the open annulus
 COEFF_RESOLUTION = 512  # samples per axis of a coefficient-decay table's period cell
 COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
 
@@ -113,16 +112,25 @@ def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return flat, r
 
 
-def _row_blocks(spec: GridSpec, hi: float) -> tuple[slice, slice]:
-    """Rows [0, a) and [b, n): every lattice row whose |xi_1| < hi."""
-    keep = np.abs(_axis_freq(spec)) < hi
-    half = spec.n // 2
-    return slice(0, int(keep[:half].sum())), slice(spec.n - int(keep[half:].sum()), spec.n)
+def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
+    """Rows [0, a) and [b, n) that hold every support point; all rows for None."""
+    n = spec.n
+    if support is None:
+        return slice(0, n // 2), slice(n // 2, n)
+    flat = support[0]
+    m = int(np.searchsorted(flat, n * n // 2))  # the points in rows [0, n/2)
+    a = int(flat[m - 1]) // n + 1 if m else 0
+    b = int(flat[m]) // n if m < flat.size else n
+    return slice(0, a), slice(b, n)
 
 
-def _meet(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Intersection of two supports."""
-    return max(a[0], b[0]), min(a[1], b[1])
+def _meet(grid: GridSpec, support, band: tuple[float, float]):
+    """The support points with lo < |xi| < hi: the band's own points for None."""
+    if support is None:
+        return _band_points(grid, *band)
+    flat, r = support
+    inside = (r > band[0]) & (r < band[1])
+    return flat[inside], r[inside]
 
 
 def frequency_lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -143,15 +151,15 @@ class Field:
     """Immutable n x n complex field tagged with its space.
 
     The values are a read-only copy of the array passed in: the caller's array
-    stays writeable and changing it leaves the field alone.  ``support`` is
-    set by this package's operators only (see the module docstring); a field
-    made here claims ``_WHOLE_LATTICE``.
+    stays writeable and changing it leaves the field alone.  ``support``, the
+    point set ``(flat, r)`` its builder filled, is set by this package's
+    operators only (see the module docstring); a field made here has None.
     """
 
     grid: GridSpec
     values: np.ndarray
     space: str
-    support: tuple[float, float] = field(default=_WHOLE_LATTICE, init=False)
+    support: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -163,7 +171,7 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-def _own(grid: GridSpec, vals: np.ndarray, space: str, support=_WHOLE_LATTICE) -> Field:
+def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
@@ -172,18 +180,14 @@ def _own(grid: GridSpec, vals: np.ndarray, space: str, support=_WHOLE_LATTICE) -
     return f
 
 
-def _scatter(grid: GridSpec, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """n x n complex array holding ``values`` at the flat indices and zeros elsewhere."""
+def _on_support(grid: GridSpec, support, values: np.ndarray) -> Field:
+    """The frequency field with ``values`` at the support points and exact zeros
+    elsewhere; for None, ``values`` covers the whole lattice.  Freezes the support."""
     out = np.zeros(grid.n * grid.n, dtype=np.complex128)
-    out[flat] = values
-    return out.reshape(grid.n, grid.n)
-
-
-def _radial_field(grid: GridSpec, symbol: Callable, band: tuple[float, float]) -> Field:
-    """The frequency field symbol(|xi|) on the band lo < |xi| < hi, where symbol
-    must vanish outside; exact zeros elsewhere."""
-    flat, r = _band_points(grid, *band)
-    return _own(grid, _scatter(grid, flat, symbol(r)), "frequency", band)
+    out[slice(None) if support is None else support[0]] = values
+    for a in support or ():
+        a.setflags(write=False)
+    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support)
 
 
 def to_frequency(f: Field) -> Field:
@@ -195,12 +199,12 @@ def to_frequency(f: Field) -> Field:
 
 def to_physical(f: Field) -> Field:
     """Inverse transform as np.fft.ifft2 computes it, axis 1 then axis 0, with
-    the axis-1 pass run only on the rows that meet the support (the others
+    the axis-1 pass run only on the rows that hold support points (the others
     are zero in, zero out).  The result keeps the input's support."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
     vals = np.zeros((f.grid.n, f.grid.n), dtype=np.complex128)
-    for rows in _row_blocks(f.grid, f.support[1]):
+    for rows in _row_blocks(f.grid, f.support):
         np.fft.ifft(f.values[rows], axis=1, out=vals[rows])
     np.fft.ifft(vals, axis=0, out=vals)
     vals /= f.grid.cell**2
@@ -211,20 +215,21 @@ def _as_physical(f: Field) -> Field:
     return f if f.space == "physical" else to_physical(f)
 
 
-def _apply_multiplier(f: Field, symbol, band: tuple[float, float] = _WHOLE_LATTICE) -> Field:
+def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None) -> Field:
     """Multiply in frequency space, preserving the caller's space tag.
 
     ``symbol`` is the multiplier as a function of |xi|, or its full-lattice
-    array; ``band`` is where it may be nonzero.  Only the points of ``f``'s
-    support met with the band are multiplied, in either space: a physical
+    array; ``band``, if given, is where it may be nonzero.  Only the points of
+    ``f``'s support in the band are multiplied, in either space: a physical
     input's transform is read there and the rest, rounding, is dropped.
     """
     grid = f.grid
     g = f if f.space == "frequency" else to_frequency(f)
-    support = _meet(f.support, band)
-    flat, r = _band_points(grid, *support)
-    mult = symbol(r) if callable(symbol) else symbol.ravel()[flat]
-    out = _own(grid, _scatter(grid, flat, g.values.ravel()[flat] * mult), "frequency", support)
+    support = f.support if band is None else _meet(grid, f.support, band)
+    at = slice(None) if support is None else support[0]
+    r = np.hypot(*frequency_lattice(grid)).ravel() if support is None else support[1]
+    mult = symbol(r) if callable(symbol) else symbol.ravel()[at]
+    out = _on_support(grid, support, g.values.ravel()[at] * mult)
     return out if f.space == "frequency" else to_physical(out)
 
 

@@ -301,6 +301,11 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
     "second, message",
     [
         (dict(TINY, alpha="3/2"), "bad config"),
+        (dict(TINY, p="1/2"), "bad config: {path}: p and q must be >= 1"),
+        (dict(TINY, q="0"), "bad config: {path}: p and q must be >= 1"),
+        (dict(TINY, j_min=2.0), "bad config: {path}: j_min must be an integer"),
+        (dict(TINY, time_L=float("inf")), "bad config: {path}: time_L must be finite"),
+        (dict(TINY, time_L=float("nan")), "bad config: {path}: time_L must be finite"),
         ("{not json", ":1:2:"),
         ("[]", "JSON object"),
         (None, "No such file"),
@@ -310,7 +315,7 @@ def test_scaling_checks_every_config_before_the_first_level(tmp_path, capsys, se
     paths = _configs(tmp_path, TINY, second)
     code, out, err = run_cli(capsys, "scaling", "--config", *paths)
     assert code == 2
-    assert message in err and paths[1] in err
+    assert message.format(path=paths[1]) in err and paths[1] in err
     assert out == ""  # no level ran
 
 
@@ -384,6 +389,12 @@ def test_verify_locally_constant(capsys):
         capsys, "verify", "locally-constant", "--jmin", "3", "--jmax", "5", "--order", "4"
     )
     assert code == 0
+
+
+def test_verify_locally_constant_refuses_an_empty_range(capsys):
+    code, out, err = run_cli(capsys, "verify", "locally-constant", "--jmin", "9", "--jmax", "8")
+    assert code == 2
+    assert "j_range must be nonempty, got range(9, 9)" in err and out == ""
 
 
 def test_verify_whitney(capsys):

@@ -48,7 +48,7 @@ def test_alias_guard():
 
 
 @pytest.mark.parametrize("j", [2, 3, 4])
-def test_families_equal_their_full_lattice_formulas(j):
+def test_families_equal_their_full_lattice_formulas(j, honest_support):
     grid = GridSpec(256, 8.0)
     xi1, xi2 = frequency_lattice(grid)
     r = np.hypot(xi1, xi2)
@@ -60,8 +60,7 @@ def test_families_equal_their_full_lattice_formulas(j):
     for family, want in dense.items():
         f = getattr(extremizers, family)(grid, j)
         assert np.array_equal(f.values, want)
-        lo, hi = f.support
-        assert not want[(r <= lo) | (r >= hi)].any()
+        honest_support(f)
 
 
 def test_frequency_support_is_annular(fields):

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave import extremizers
-from fractalwave.cutoffs import BETA1_SUPPORT, BETA_SUPPORT
+from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig
 from fractalwave.grid import (
     Field,
     GridSpec,
-    _WHOLE_LATTICE,
     _band_points,
+    _row_blocks,
     frequency_lattice,
     half_wave,
     littlewood_paley,
@@ -207,44 +207,66 @@ def test_mixed_norm_holds_one_field_at_a_time(q):
 
 def _band_fields(grid):
     """Frequency fields of every admissible support on the grid: the evolved
-    dyadic projection of a full-lattice field at each j, and each family at each j."""
+    dyadic projection of a full-lattice field and of the Knapp plate at each j,
+    and each family at each j."""
     base = to_frequency(random_field(grid, seed=9))
     for j in range(grid.max_band_j(2.0) + 1):
         yield half_wave(littlewood_paley(base, j), 1.3)
     for j in range(grid.max_band_j(4.0) + 1):
+        yield half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 1.3)
         for build in (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus):
             yield build(grid, j)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
-def test_pruned_inverse_transform_is_ifft2(n):
+def test_pruned_inverse_transform_is_ifft2(n, honest_support):
     grid = GridSpec(n, 8.0)
     seen = 0
-    r = np.hypot(*frequency_lattice(grid))
     for f in _band_fields(grid):
-        assert f.support != _WHOLE_LATTICE
-        lo, hi = f.support
-        assert not f.values[(r <= lo) | (r >= hi)].any()  # the support is honest
+        honest_support(f)
         want = np.fft.ifft2(f.values) / grid.cell**2
         assert np.array_equal(to_physical(f).values, want)
         seen += 1
     assert seen >= 3
-    # a field that claims the whole lattice goes through the same path
+    # a field that claims nothing goes through the same path
     full = to_frequency(random_field(grid, seed=2))
-    assert full.support == _WHOLE_LATTICE
+    assert full.support is None
     assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
 
 
-def test_support_survives_to_physical():
+def test_support_survives_to_physical(honest_support):
     grid = GridSpec(256, 8.0)
     f = extremizers.annulus(grid, 4)
     phys = to_physical(f)
-    assert phys.space == "physical" and phys.support == f.support != _WHOLE_LATTICE
+    assert phys.space == "physical" and phys.support is f.support
     pj = littlewood_paley(random_field(grid, seed=3), 4)
-    assert pj.space == "physical" and pj.support == (8.0, 32.0)
-    # a caller's array and a forward transform claim the whole lattice
-    assert Field(grid, phys.values, "physical").support == _WHOLE_LATTICE
-    assert to_frequency(phys).support == _WHOLE_LATTICE
+    assert pj.space == "physical"
+    honest_support(pj, rtol=1e-12)
+    assert np.array_equal(pj.support[0], _band_points(grid, 8.0, 32.0)[0])  # the band's points
+    # a caller's array and a forward transform claim nothing
+    assert Field(grid, phys.values, "physical").support is None
+    assert to_frequency(phys).support is None
+
+
+def test_knapp_support_is_the_plate_and_its_rows():
+    """At j = 7, n = 2048 the Knapp field's support is its plate, the lattice
+    points of the open window |xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}, so
+    the inverse transform's row pass touches at most 15 rows; its projection
+    keeps exactly the plate points inside 2^{j-1} < |xi| < 2^{j+1}."""
+    grid = GridSpec(2048, 8.0)
+    j = 7
+    f = extremizers.knapp(grid, j)
+    head, tail = _row_blocks(grid, f.support)
+    assert (head.stop - head.start) + (tail.stop - tail.start) <= 15
+    flat, r = f.support
+    xi1, xi2 = np.broadcast_arrays(*frequency_lattice(grid))
+    s1, s2 = np.abs(xi1) / (extremizers.DEFAULT_C1 * 2.0 ** (j / 2.0)), xi2 / 2.0**j
+    plate = (s1 < BETA0_SUPPORT[1]) & (s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1])
+    assert np.array_equal(flat, np.flatnonzero(plate))
+    inside = (r > 2.0 ** (j - 1)) & (r < 2.0 ** (j + 1))
+    pf = littlewood_paley(f, j)
+    assert np.array_equal(pf.support[0], flat[inside])
+    assert np.array_equal(pf.support[1], r[inside])
 
 
 def test_full_lattice_caches_are_bounded():
