@@ -7,9 +7,15 @@ Runs ``benchmark/run.py --workload W --seed 1 --seconds 40 --trace T`` for each
 workload W and T in (0, 1), then the tier-1 test suite, all from the root of
 this checkout, and writes OUT: the ``git describe --always --dirty`` of the
 checkout, the benchmark's environment record, each run's result line tagged
-with its workload and trace, and tier-1's wall time and summary line.  About
-five minutes on a 2-core machine.  An existing OUT is refused (exit 2) before
-anything runs; the exit code is 1 if any benchmark run fails.
+with its workload and trace and with the 1, 5 and 15 minute load averages
+(``os.getloadavg()``) taken as it started, and tier-1's wall time and summary
+line.  About five minutes on a 2-core machine.  An existing OUT is refused
+(exit 2) before anything runs; the exit code is 1 if any benchmark run fails.
+
+A BENCH_*.json holds one unpaired run per workload and trace, so it records
+where a tree stands, not a comparison: other tenants of the machine move a
+single run by more than most changes do.  A speed claim rests on alternating
+runs of the parent and the change, taken side by side.
 """
 
 import json
@@ -43,14 +49,15 @@ def main(argv) -> int:
         for trace in (0, 1):
             argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "1",
                     "--seconds", "40", "--trace", str(trace)]
+            load = os.getloadavg()
             proc = _run(argv)
             lines = proc.stdout.splitlines()
             ok = proc.returncode == 0 and len(lines) >= 2
             result = json.loads(lines[-1]) if ok else None
             env = env or (json.loads(lines[-2])["env"] if ok else None)
             missing = [line.split(": ", 1)[1] for line in lines if line.startswith("boundaries not found:")]
-            runs.append({"workload": workload, "trace": trace, "returncode": proc.returncode,
-                         "boundaries_not_found": missing, "result": result})
+            runs.append({"workload": workload, "trace": trace, "loadavg": [round(x, 2) for x in load],
+                         "returncode": proc.returncode, "boundaries_not_found": missing, "result": result})
             print(f"{workload} --trace {trace}: exit {proc.returncode}, "
                   f"failed {result['failed'] if result else '-'}", flush=True)
     start = time.perf_counter()

@@ -7,8 +7,11 @@ A scaling run measures, for each dyadic level j,
 
 for an extremizer family f and a per-level time set E_j, then fits
 log2 R(j) against j and compares the slope to the exact predicted exponent
-s_i(p, q) of the matching regime.  Every level runs on the smallest grid the
-alias guard admits j_max on (``RunConfig.grid``).  The three stock runs:
+s_i(p, q) of the matching regime.  Every level runs its numerator on the
+smallest grid the alias guard admits the level on (``level_grid``; levels
+below ``_OWN_GRID_FROM`` share the grid of that one), and its denominator on
+the grid of j_max (``RunConfig.grid``), where the discretization error of R(j)
+sits.  The three stock runs:
 
 * radial focusing with the single time E_j = {1 + L 2^{-j}}   -> s1,
 * Knapp plate with a Cantor time set (#E_j ~ 2^{j alpha})     -> s2,
@@ -58,10 +61,19 @@ _RUN_FAMILIES = {
 }
 
 
-# Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each).  A
-# level holds a few fields whatever #E_j is: the shipped studies peak at 287 MB
-# with 64 MiB fields at n = 2048, interpreter included, i.e. under 4.5 fields.
+# Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each) on
+# the grid of j_max.  A level holds a few fields whatever #E_j is: the shipped
+# studies peak at 253 MB with 64 MiB fields at n = 2048, interpreter included,
+# i.e. under 4 fields, as the top level's denominator is dropped before its
+# numerator runs.
 _FIELDS_PER_LEVEL = 5
+
+# The lowest level whose numerator runs on its own grid.  Near its focus a
+# radial field's q-th power aliases on the level's grid n = 2^(j+4): a q = 16
+# annulus (focus t = 0) evolved to t = 1 reads 2.8e-4 off in log2 at j = 2
+# against n = 2^(j+6), 2.0e-8 at j = 3 and 2.9e-13 at j = 4.  Lower levels take
+# the grid of this one, or of j_max when that is smaller.
+_OWN_GRID_FROM = 4
 
 TOLERANCE = 0.15  # largest |fitted - predicted| slope a run calls consistent
 
@@ -106,21 +118,9 @@ class RunConfig:
 
     @property
     def grid(self) -> GridSpec:
-        """The grid every level runs on: n the least power of two >= 64 whose
-        max_band_j(BETA1_SUPPORT[1]), the builders' alias guard, reaches j_max, at
-        the default period.  A level on each larger candidate must fit in physical
-        memory, so a j_max out of reach fails after a few doublings."""
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        n = 64
-        while GridSpec(n).max_band_j(BETA1_SUPPORT[1]) < self.j_max:
-            n *= 2
-            need = _FIELDS_PER_LEVEL * 16 * n**2
-            if need > have:
-                raise ValueError(
-                    f"j_max={self.j_max} needs n > {n // 2}, and n={n} needs about {need / 2**30:.3g} "
-                    f"GiB per level, more than the {have / 2**30:.3g} GiB of physical memory"
-                )
-        return GridSpec(n)
+        """The grid of the top level, ``level_grid(j_max)``: every denominator is
+        taken on it, and it is the largest grid the run uses."""
+        return level_grid(self.j_max)
 
     @property
     def stem(self) -> str:
@@ -145,6 +145,24 @@ class RunConfig:
             if key in data and data[key] != value:
                 raise ValueError(f"{key!r} is {data[key]!r}, but this run uses {value!r}; drop the key")
         return config
+
+
+def level_grid(j: int) -> GridSpec:
+    """The smallest grid level j runs on: n the least power of two >= 64 whose
+    max_band_j(BETA1_SUPPORT[1]), the builders' alias guard, reaches j, at the
+    default period; n = 2^(j+4) for j >= 2.  A level on each larger candidate
+    must fit in physical memory, so a j out of reach fails after a few doublings."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = 64
+    while GridSpec(n).max_band_j(BETA1_SUPPORT[1]) < j:
+        n *= 2
+        need = _FIELDS_PER_LEVEL * 16 * n**2
+        if need > have:
+            raise ValueError(
+                f"j={j} needs n > {n // 2}, and n={n} needs about {need / 2**30:.3g} "
+                f"GiB per level, more than the {have / 2**30:.3g} GiB of physical memory"
+            )
+    return GridSpec(n)
 
 
 def fit_exponent(samples) -> tuple[float, float, float]:
@@ -208,20 +226,32 @@ class ScalingRun:
         return all(b >= a for (_, a), (_, b) in zip(self.measured, self.measured[1:]))
 
 
+def measure_level(config: RunConfig, j: int) -> tuple[int, float]:
+    """(#E_j, log2 R(j)) of one level: the denominator on ``config.grid``, taken
+    first so that its field is gone before the numerator's are made, and the
+    numerator on ``level_grid(j)`` (see ``_OWN_GRID_FROM``), where it agrees
+    with its value on ``config.grid`` to rounding."""
+    # through the module attribute, so that a patched builder is the one called
+    build = getattr(extremizers, config.family)
+    f = build(config.grid, j)
+    den = lp_norm(f, config.p)
+    grid = level_grid(min(max(j, _OWN_GRID_FROM), config.j_max))
+    if grid != config.grid:
+        f = build(grid, j)
+    pf = littlewood_paley(f, j)
+    del f  # it may be the denominator's field; the numerator needs only pf
+    E = _time_set(config, j)
+    num = mixed_norm(E.points, lambda t: half_wave(pf, t), config.q)
+    return len(E.points), math.log2(num / den)
+
+
 def run_scaling(config: RunConfig) -> ScalingRun:
-    grid = config.grid
-    measured = []
-    set_sizes = []
-    for j in range(config.j_min, config.j_max + 1):
-        # through the module attribute, so that a patched builder is the one called
-        f = getattr(extremizers, config.family)(grid, j)
-        E = _time_set(config, j)
-        pf = littlewood_paley(f, j)
-        num = mixed_norm(E.points, lambda t: half_wave(pf, t), config.q)
-        den = lp_norm(f, config.p)
-        measured.append((j, math.log2(num / den)))
-        set_sizes.append((j, len(E.points)))
-    return ScalingRun(config, tuple(set_sizes), tuple(measured))
+    levels = {j: measure_level(config, j) for j in range(config.j_min, config.j_max + 1)}
+    return ScalingRun(
+        config,
+        tuple((j, size) for j, (size, _) in levels.items()),
+        tuple((j, y) for j, (_, y) in levels.items()),
+    )
 
 
 # --- verification suites ------------------------------------------------------

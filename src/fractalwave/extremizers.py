@@ -12,7 +12,9 @@ The radial supports lie in 2^{j-2} < |xi| < 2^{j+2} and the Knapp window in
 |xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}, so constructors demand
 2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on the lattice points
 of that support only, and those points, the ones it fills, are the field's
-``Field.support``; no support is derived by hand.  Physical-space
+``Field.support``; no support is derived by hand.  The Knapp symbol is an
+outer product, and ``knapp`` records its two 1-D factors as ``Field.factors``,
+so ``grid.lp_norm`` takes its norm from two 1-D transforms.  Physical-space
 concentration facts (focusing shell, Knapp box lower bound after half-wave
 propagation to the probe time ``PROBE_T`` = 1.5) are exposed as helpers so
 the same measurements drive tests and calibration scripts.  A scaling study
@@ -56,8 +58,10 @@ def knapp(grid: GridSpec, j: int) -> Field:
     s2 = xi / 2.0**j
     rows = np.flatnonzero((s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1]))
     cols = np.flatnonzero((s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1]))
+    a, b = np.zeros(grid.n), np.zeros(grid.n)
+    a[rows], b[cols] = beta0(s1[rows]), beta1(s2[cols])
     support = (rows[:, None] * grid.n + cols).ravel(), np.hypot(xi[rows, None], xi[cols]).ravel()
-    return _on_support(grid, support, (beta0(s1[rows])[:, None] * beta1(s2[cols])).ravel())
+    return _on_support(grid, support, (a[rows, None] * b[cols]).ravel(), factors=(a, b))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:

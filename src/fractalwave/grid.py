@@ -31,6 +31,12 @@ the claim holds up to FFT rounding.  Multipliers evaluate their symbol on the
 support points only, and the inverse FFT transforms only the rows that hold
 them; on a frequency field both give the same bits as the full-lattice
 computation.
+
+Separable fields.  A field may also carry ``factors``: two length-n arrays
+``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
+``extremizers.knapp``).  Its physical field is then the outer product of two
+1-D inverse transforms, so ``lp_norm`` multiplies their 1-D norms.  Every
+operator that makes a new field drops them.
 """
 
 from __future__ import annotations
@@ -152,14 +158,16 @@ class Field:
 
     The values are a read-only copy of the array passed in: the caller's array
     stays writeable and changing it leaves the field alone.  ``support``, the
-    point set ``(flat, r)`` its builder filled, is set by this package's
-    operators only (see the module docstring); a field made here has None.
+    point set ``(flat, r)`` its builder filled, and ``factors``, the 1-D
+    symbols of a separable transform, are set by this package's operators
+    only (see the module docstring); a field made here has None for both.
     """
 
     grid: GridSpec
     values: np.ndarray
     space: str
     support: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
+    factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -171,23 +179,25 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None) -> Field:
+def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None, factors=None) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
-    for name, value in (("grid", grid), ("values", vals), ("space", space), ("support", support)):
+    parts = (("grid", grid), ("values", vals), ("space", space), ("support", support), ("factors", factors))
+    for name, value in parts:
         object.__setattr__(f, name, value)
     return f
 
 
-def _on_support(grid: GridSpec, support, values: np.ndarray) -> Field:
+def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None) -> Field:
     """The frequency field with ``values`` at the support points and exact zeros
-    elsewhere; for None, ``values`` covers the whole lattice.  Freezes the support."""
+    elsewhere; for None, ``values`` covers the whole lattice.  Freezes the
+    support and the factors."""
     out = np.zeros(grid.n * grid.n, dtype=np.complex128)
     out[slice(None) if support is None else support[0]] = values
-    for a in support or ():
+    for a in (*(support or ()), *(factors or ())):
         a.setflags(write=False)
-    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support)
+    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support, factors)
 
 
 def to_frequency(f: Field) -> Field:
@@ -287,16 +297,26 @@ def lp_norm(f: Field, p) -> float:
     """Discrete L^p norm (sum |f|^p cell^2)^(1/p); max |f| at p = infinity.
 
     Norms are taken on the physical-space representation (frequency input is
-    transformed first).
+    transformed first).  A field with ``factors`` (a, b) is ifft(a) ifft(b) /
+    cell^2 as an outer product, so its norm is the product of the two 1-D norms,
+    from two length-n inverse FFTs.
     """
     pv = float(p)
     if pv < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(_as_physical(f).values)
+    cell = f.grid.cell
+    if f.factors is not None:
+        return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
+    return _sum_norm(_as_physical(f).values, pv, cell**2)
+
+
+def _sum_norm(values: np.ndarray, pv: float, measure: float) -> float:
+    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity."""
+    a = np.abs(values)
     if math.isinf(pv):
         return float(a.max())
     a **= pv  # in place: same bits as a**pv, one array fewer
-    return float((np.sum(a) * f.grid.cell**2) ** (1.0 / pv))
+    return float((np.sum(a) * measure) ** (1.0 / pv))
 
 
 def mixed_norm(times: Sequence[float], field_at: Callable[[float], Field], q) -> float:

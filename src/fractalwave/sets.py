@@ -340,17 +340,15 @@ def build_interval_family(spec: CantorSpec, theta: float = 1.0) -> IntervalFamil
     for i in range(0, len(starts), 128):
         block = np.round(starts[None, :] - starts[i:i + 128, None], 9)
         diffs = np.union1d(diffs, block[block > 0.0])
-    r_cands = {1.0}
-    for dv in diffs:
-        r_cands.add(max(1.0, dv + 1.0 - 1e-9))
-    mexp = 0
-    while 2.0**mexp < (starts[-1] - starts[0]) + 2.0:
-        r_cands.add(2.0**mexp)
-        mexp += 1
+    dyadic = [1.0]
+    while dyadic[-1] * 2.0 < (starts[-1] - starts[0]) + 2.0:
+        dyadic.append(dyadic[-1] * 2.0)
+    lengths = np.unique(np.concatenate([dyadic, np.maximum(1.0, diffs + 1.0 - 1e-9)]))
+    # The counts, 128 lengths at a time (never the lengths x starts matrix).
     best = 0.0
-    n = len(starts)
-    idx = np.arange(n)
-    for r in sorted(r_cands):
-        counts = np.searchsorted(starts, starts + r + 1.0 - 1e-9, side="left") - idx
-        best = max(best, float(counts.max()) / r**spec.alpha)
+    idx = np.arange(len(starts))
+    for i in range(0, len(lengths), 128):
+        r = lengths[i:i + 128]
+        counts = np.searchsorted(starts, starts + r[:, None] + 1.0 - 1e-9, side="left") - idx
+        best = max(best, float((counts.max(axis=1) / r**spec.alpha).max()))
     return IntervalFamily(starts=tuple(starts.tolist()), alpha=spec.alpha, certified_constant=best)

@@ -44,6 +44,15 @@ def test_sets_invalid_alpha_exits_2(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("j", ["0", "-1"])
+def test_sets_refuses_j_below_1_before_printing(capsys, j):
+    # delta = 2^-j >= 1 leaves the Assouad sweep no scale; nothing may be printed first
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1/2", "--j", j)
+    assert code == 2
+    assert out == ""
+    assert "--j" in err
+
+
 def test_sets_save_and_load(tmp_path, capsys):
     path = tmp_path / "set.json"
     code, out, _ = run_cli(capsys, "sets", "--alpha", "1/2", "--j", "6", "--out", str(path))

@@ -271,16 +271,19 @@ def test_run_is_deterministic():
 
 def test_run_scaling_calls_the_builder_through_the_module(monkeypatch):
     # the benchmark tracer patches module attributes; a stored reference would hide calls
+    # each level builds its denominator on the run's grid (n = 512 for j_max = 5),
+    # then its numerator on its own grid; below j = 4 on the grid of j = 4, and the
+    # top level's one field serves both
     calls = []
     original = extremizers.knapp
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[0].n, args[1]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(extremizers, "knapp", counting)
-    run_scaling(RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0))
-    assert calls == [2, 3, 4]
+    run_scaling(RunConfig(family="knapp", p="5/2", q="5", j_min=3, j_max=5, time_L=2.0))
+    assert calls == [(512, 3), (256, 3), (512, 4), (256, 4), (512, 5)]
 
 
 def test_benchmark_tracer_finds_every_boundary(monkeypatch):

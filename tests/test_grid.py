@@ -5,7 +5,9 @@ sum |f|^2 cell^2 = sum |f_hat|^2 / period^2 holds exactly, and a pure lattice
 plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
+import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave import extremizers
+from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig
 from fractalwave.grid import (
@@ -267,6 +270,33 @@ def test_knapp_support_is_the_plate_and_its_rows():
     pf = littlewood_paley(f, j)
     assert np.array_equal(pf.support[0], flat[inside])
     assert np.array_equal(pf.support[1], r[inside])
+
+
+def test_knapp_factors_are_its_symbol_and_no_operator_keeps_them(monkeypatch):
+    grid = GridSpec(256, 8.0)
+    f = extremizers.knapp(grid, 4)
+    a, b = f.factors
+    assert not a.flags.writeable and not b.flags.writeable
+    assert np.array_equal(np.outer(a, b), f.values)
+    pf = littlewood_paley(f, 4)
+    for g in (pf, half_wave(f, 1.3), half_wave(pf, 1.3), to_physical(f)):
+        assert g.factors is None
+    assert Field(grid, f.values, "frequency").factors is None
+    monkeypatch.setattr(grid_module, "to_physical", None)  # its norm makes no n x n transform
+    assert lp_norm(f, 4) > 0.0
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_factored_knapp_norm_is_the_2d_norm(n):
+    """lp_norm of a field with factors multiplies two 1-D norms; to_physical drops
+    the factors, so its output takes the n x n path, the reference here."""
+    grid = GridSpec(n, 8.0)
+    for j in range(grid.max_band_j(BETA1_SUPPORT[1]) + 1):
+        f = extremizers.knapp(grid, j)
+        phys = to_physical(f)
+        for p in (1, Fraction(5, 2), 4, math.inf):
+            want = lp_norm(phys, p)
+            assert abs(lp_norm(f, p) - want) <= 4 * math.ulp(want), (j, p)
 
 
 def test_full_lattice_caches_are_bounded():
