@@ -86,6 +86,8 @@ def _write_out(out, csv_text: str, doc=None) -> None:
 def _cmd_sets(args) -> int:
     if args.j is not None and args.j < 1:
         raise ValueError(f"--j must be >= 1, so that delta = 2^-j < 1; got {args.j}")
+    if not all(0.0 < d < 1.0 for d in args.delta or ()):
+        raise ValueError(f"--delta must lie in (0, 1); got {args.delta}")
     alpha = None if args.alpha is None else float(args.alpha)
     if args.load:
         points = read_json(args.load)

@@ -14,11 +14,14 @@ The radial supports lie in 2^{j-2} < |xi| < 2^{j+2} and the Knapp window in
 of that support only, and those points, the ones it fills, are the field's
 ``Field.support``; no support is derived by hand.  The Knapp symbol is an
 outer product, and ``knapp`` records its two 1-D factors as ``Field.factors``,
-so ``grid.lp_norm`` takes its norm from two 1-D transforms.  Physical-space
-concentration facts (focusing shell, Knapp box lower bound after half-wave
-propagation to the probe time ``PROBE_T`` = 1.5) are exposed as helpers so
-the same measurements drive tests and calibration scripts.  A scaling study
-names its family by the builder's name (``experiments.RunConfig.family``).
+so ``grid.lp_norm`` takes its norm from two 1-D transforms.  ``Field.even``
+records the axes a symbol is even in: (0, 1) for the radial families, (0,) for
+Knapp (``beta0`` is even), so a projected, evolved member's norm transforms
+half or a quarter of the grid.  Physical-space concentration facts
+(focusing shell, Knapp box lower bound after half-wave propagation to the
+probe time ``PROBE_T`` = 1.5) are exposed as helpers so the same
+measurements drive tests and calibration scripts.  A scaling study names its
+family by the builder's name (``experiments.RunConfig.family``).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _beta1_band(j: int) -> tuple[float, float]:
 def radial_focusing(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
     support = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, np.exp(-1j * support[1]) * beta1(support[1] / 2.0**j))
+    return _on_support(grid, support, np.exp(-1j * support[1]) * beta1(support[1] / 2.0**j), even=(0, 1))
 
 
 def knapp(grid: GridSpec, j: int) -> Field:
@@ -61,13 +64,13 @@ def knapp(grid: GridSpec, j: int) -> Field:
     a, b = np.zeros(grid.n), np.zeros(grid.n)
     a[rows], b[cols] = beta0(s1[rows]), beta1(s2[cols])
     support = (rows[:, None] * grid.n + cols).ravel(), np.hypot(xi[rows, None], xi[cols]).ravel()
-    return _on_support(grid, support, (a[rows, None] * b[cols]).ravel(), factors=(a, b))
+    return _on_support(grid, support, (a[rows, None] * b[cols]).ravel(), factors=(a, b), even=(0,))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
     support = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, beta1(support[1] / 2.0**j))
+    return _on_support(grid, support, beta1(support[1] / 2.0**j), even=(0, 1))
 
 
 # --- measurement helpers ------------------------------------------------------

@@ -37,6 +37,13 @@ Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``extremizers.knapp``).  Its physical field is then the outer product of two
 1-D inverse transforms, so ``lp_norm`` multiplies their 1-D norms.  Every
 operator that makes a new field drops them.
+
+Mirror-even fields.  A frequency field may also carry ``even``: the axes in
+which its transform is even, F[-k] = F[k], read off its builder's formula and
+kept by the |xi| multipliers.  Its physical field is even in the same axes, so
+``lp_norm`` transforms only the rows k_1 >= 0 (axis 0) and the columns x_2 in
+[0, n/2] (axis 1), and sums over x_i in [0, n/2] with weight 1 on the mirror
+lines x_i = 0, n/2 and 2 elsewhere.  Every other operator drops it.
 """
 
 from __future__ import annotations
@@ -158,9 +165,10 @@ class Field:
 
     The values are a read-only copy of the array passed in: the caller's array
     stays writeable and changing it leaves the field alone.  ``support``, the
-    point set ``(flat, r)`` its builder filled, and ``factors``, the 1-D
-    symbols of a separable transform, are set by this package's operators
-    only (see the module docstring); a field made here has None for both.
+    point set ``(flat, r)`` its builder filled, ``factors``, the 1-D
+    symbols of a separable transform, and ``even``, the axes of a mirror-even
+    transform, are set by this package's operators only (see the module
+    docstring); a field made here has None, None and ().
     """
 
     grid: GridSpec
@@ -168,6 +176,7 @@ class Field:
     space: str
     support: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
+    even: tuple[int, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -179,17 +188,15 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None, factors=None) -> Field:
+def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None, factors=None, even=()) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
-    parts = (("grid", grid), ("values", vals), ("space", space), ("support", support), ("factors", factors))
-    for name, value in parts:
-        object.__setattr__(f, name, value)
+    vars(f).update(grid=grid, values=vals, space=space, support=support, factors=factors, even=even)
     return f
 
 
-def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None) -> Field:
+def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None, even=()) -> Field:
     """The frequency field with ``values`` at the support points and exact zeros
     elsewhere; for None, ``values`` covers the whole lattice.  Freezes the
     support and the factors."""
@@ -197,7 +204,7 @@ def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None) -> Fi
     out[slice(None) if support is None else support[0]] = values
     for a in (*(support or ()), *(factors or ())):
         a.setflags(write=False)
-    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support, factors)
+    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support, factors, even)
 
 
 def to_frequency(f: Field) -> Field:
@@ -231,7 +238,8 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     ``symbol`` is the multiplier as a function of |xi|, or its full-lattice
     array; ``band``, if given, is where it may be nonzero.  Only the points of
     ``f``'s support in the band are multiplied, in either space: a physical
-    input's transform is read there and the rest, rounding, is dropped.
+    input's transform is read there and the rest, rounding, is dropped.  A
+    frequency input keeps its ``even`` axes under a symbol of |xi|.
     """
     grid = f.grid
     g = f if f.space == "frequency" else to_frequency(f)
@@ -239,7 +247,7 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     at = slice(None) if support is None else support[0]
     r = np.hypot(*frequency_lattice(grid)).ravel() if support is None else support[1]
     mult = symbol(r) if callable(symbol) else symbol.ravel()[at]
-    out = _on_support(grid, support, g.values.ravel()[at] * mult)
+    out = _on_support(grid, support, g.values.ravel()[at] * mult, even=f.even if callable(symbol) else ())
     return out if f.space == "frequency" else to_physical(out)
 
 
@@ -299,7 +307,8 @@ def lp_norm(f: Field, p) -> float:
     Norms are taken on the physical-space representation (frequency input is
     transformed first).  A field with ``factors`` (a, b) is ifft(a) ifft(b) /
     cell^2 as an outer product, so its norm is the product of the two 1-D norms,
-    from two length-n inverse FFTs.
+    from two length-n inverse FFTs.  Else a field with ``even`` axes is
+    transformed and summed on x_i in [0, n/2] along each, with mirror weights.
     """
     pv = float(p)
     if pv < 1.0:
@@ -307,15 +316,36 @@ def lp_norm(f: Field, p) -> float:
     cell = f.grid.cell
     if f.factors is not None:
         return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
-    return _sum_norm(_as_physical(f).values, pv, cell**2)
+    vals, weights = _even_part(f) if f.even else (_as_physical(f).values, None)
+    return _sum_norm(vals, pv, cell**2, weights)
 
 
-def _sum_norm(values: np.ndarray, pv: float, measure: float) -> float:
-    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity."""
+def _even_part(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Physical values of a mirror-even field on x_i in [0, n/2] for each even axis
+    i, and weights that sum them as the whole grid (its Nyquist lines are empty)."""
+    n, h = f.grid.n, f.grid.n // 2
+    even0, even1 = 0 in f.even, 1 in f.even
+    top, bottom = _row_blocks(f.grid, f.support)
+    vals = np.zeros((n, h + 1 if even1 else n), dtype=np.complex128)
+    for rows in (top,) if even0 else (top, bottom):
+        vals[rows] = np.fft.ifft(f.values[rows], axis=1)[:, : vals.shape[1]]
+    if even0:
+        vals[n - 1:n - top.stop:-1] = vals[1:top.stop]  # row -k is row k
+    np.fft.ifft(vals, axis=0, out=vals)
+    vals = vals[: h + 1 if even0 else n]
+    vals /= f.grid.cell**2
+    w = np.r_[1.0, np.full(h - 1, 2.0), 1.0]  # 1 on the mirror lines x_i = 0, n/2
+    return vals, (w[:, None] if even0 else 1.0) * (w if even1 else 1.0)
+
+
+def _sum_norm(values: np.ndarray, pv: float, measure: float, weights=None) -> float:
+    """(sum weights |values|^pv measure)^(1/pv), or max |values| at pv = infinity."""
     a = np.abs(values)
     if math.isinf(pv):
         return float(a.max())
     a **= pv  # in place: same bits as a**pv, one array fewer
+    if weights is not None:
+        a *= weights
     return float((np.sum(a) * measure) ** (1.0 / pv))
 
 

@@ -53,6 +53,15 @@ def test_sets_refuses_j_below_1_before_printing(capsys, j):
     assert "--j" in err
 
 
+@pytest.mark.parametrize("delta", ["1", "0", "-0.5"])
+def test_sets_refuses_delta_outside_unit_interval_before_printing(capsys, delta):
+    # delta >= 1 leaves the Assouad sweep no scale, and delta <= 0 is no scale at all
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1/2", "--j", "3", "--delta", delta)
+    assert code == 2
+    assert out == ""
+    assert "--delta" in err
+
+
 def test_sets_save_and_load(tmp_path, capsys):
     path = tmp_path / "set.json"
     code, out, _ = run_cli(capsys, "sets", "--alpha", "1/2", "--j", "6", "--out", str(path))

@@ -23,6 +23,8 @@ from fractalwave.grid import (
     GridSpec,
     _band_points,
     _row_blocks,
+    circular_average,
+    circular_average_quadrature,
     frequency_lattice,
     half_wave,
     littlewood_paley,
@@ -30,6 +32,7 @@ from fractalwave.grid import (
     mixed_norm,
     physical_coords,
     random_field,
+    sector_project,
     to_frequency,
     to_physical,
 )
@@ -297,6 +300,66 @@ def test_factored_knapp_norm_is_the_2d_norm(n):
         for p in (1, Fraction(5, 2), 4, math.inf):
             want = lp_norm(phys, p)
             assert abs(lp_norm(f, p) - want) <= 4 * math.ulp(want), (j, p)
+
+
+BUILDERS = (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus)
+CLAIMED_EVEN = {"radial_focusing": (0, 1), "knapp": (0,), "annulus": (0, 1)}
+
+
+def _mirror(values, axis):
+    """values at -k along ``axis``: index i -> (n - i) mod n."""
+    return np.roll(np.flip(values, axis), 1, axis)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_mirrored_norm_is_the_full_grid_norm(n):
+    """The half or quarter grid sum with mirror weights against the n x n sum of
+    to_physical, at every admissible j, for each builder's field (read through
+    ``_even_part``, as bare Knapp's norm takes its factors) and its projected,
+    evolved field (read through lp_norm) at an off-grid time."""
+    grid = GridSpec(n, 8.0)
+    measure = grid.cell**2
+    for build in BUILDERS:
+        for j in range(grid.max_band_j(BETA1_SUPPORT[1]) + 1):
+            f = build(grid, j)
+            assert f.even == CLAIMED_EVEN[build.__name__]
+            for axis in f.even:  # the builder's values are mirror-symmetric to the bit
+                assert np.array_equal(_mirror(f.values, axis), f.values), (build.__name__, j, axis)
+            for g in (f, half_wave(littlewood_paley(f, j), 0.7318)):
+                full = to_physical(g).values
+                half, weights = grid_module._even_part(g)
+                for p in (1, Fraction(5, 2), 4, 16, math.inf):
+                    want = grid_module._sum_norm(full, float(p), measure)
+                    got = grid_module._sum_norm(half, float(p), measure, weights)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
+                if g is not f:
+                    assert lp_norm(g, 16) == grid_module._sum_norm(half, 16.0, measure, weights)
+
+
+def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypatch):
+    grid = GridSpec(256, 8.0)
+    for build in BUILDERS:
+        f = build(grid, 4)
+        for g in (littlewood_paley(f, 4), half_wave(f, 1.3), circular_average(f, 1.3)):
+            assert g.even == f.even
+        dropped = (
+            sector_project(f, (0.0, 1.0), 0.2),
+            circular_average_quadrature(f, 1.3),
+            to_physical(f),
+            to_frequency(to_physical(f)),
+            Field(grid, f.values, "frequency"),
+        )
+        assert all(g.even == () for g in dropped)
+    # an even field takes the mirrored path, with no n x n transform ...
+    f = half_wave(littlewood_paley(extremizers.annulus(grid, 4), 4), 1.3)
+    want = lp_norm(f, 4)
+    hand = Field(grid, f.values, "frequency")
+    monkeypatch.setattr(grid_module, "to_physical", None)
+    assert lp_norm(f, 4) == want
+    monkeypatch.undo()
+    # ... and a hand-made one whose values happen to be even takes the full path
+    monkeypatch.setattr(grid_module, "_even_part", None)
+    assert lp_norm(hand, 4) == pytest.approx(want, rel=1e-13)
 
 
 def test_full_lattice_caches_are_bounded():
