@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +49,7 @@ from .grid import (
     random_field,
     sector_project,
 )
-from .sets import TimeSet, build_cantor, cantor_spec_from_stages, marginal_sum
+from .sets import TimeSet, build_cantor, cantor_spec_from_stages, check_memory, marginal_sum
 from .whitney import check_coverage, separation_band, whitney
 
 # family -> the exponent it measures; each family is a builder in ``extremizers``
@@ -152,16 +151,10 @@ def level_grid(j: int) -> GridSpec:
     max_band_j(BETA1_SUPPORT[1]), the builders' alias guard, reaches j, at the
     default period; n = 2^(j+4) for j >= 2.  A level on each larger candidate
     must fit in physical memory, so a j out of reach fails after a few doublings."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     n = 64
     while GridSpec(n).max_band_j(BETA1_SUPPORT[1]) < j:
         n *= 2
-        need = _FIELDS_PER_LEVEL * 16 * n**2
-        if need > have:
-            raise ValueError(
-                f"j={j} needs n > {n // 2}, and n={n} needs about {need / 2**30:.3g} "
-                f"GiB per level, more than the {have / 2**30:.3g} GiB of physical memory"
-            )
+        check_memory(_FIELDS_PER_LEVEL * 16 * n**2, f"j={j} needs n > {n // 2}, and a level on n={n}")
     return GridSpec(n)
 
 

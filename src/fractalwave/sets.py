@@ -19,6 +19,7 @@ Conventions used throughout this module:
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _TOL = 1e-9
+_BYTES_PER_POINT = 96  # a Cantor set's peak while it is built: 89 B per point by tracemalloc
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, ``what`` if its ``need`` bytes exceed physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, "
+                         f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,8 @@ def cantor_spec(alpha: float, j: int, L: float = 16.0) -> CantorSpec:
     """Calibrate a Cantor construction to resolution ``2**-j``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if L < 1.0:
-        raise ValueError(f"calibration constant L must be >= 1, got {L}")
+    if not 1.0 <= L < math.inf:
+        raise ValueError(f"calibration constant L must be finite and >= 1, got {L}")
     mu = 2.0 ** (-1.0 / alpha)
     k = max(0, math.floor(alpha * (j - math.log2(L)) + _TOL))
     return CantorSpec(alpha=alpha, mu=mu, k=k, j=j, L=L)
@@ -107,7 +117,8 @@ def _cantor_offsets(mu: float, k: int, stage: int = 0, origin: float = 0.0) -> n
 
 
 def cantor_points(spec: CantorSpec) -> TimeSet:
-    """Materialize the stage-``k`` Cantor set of a spec."""
+    """Materialize the stage-``k`` Cantor set of a spec, if its 2^k points fit in memory."""
+    check_memory(_BYTES_PER_POINT << spec.k, f"a Cantor set of 2^{spec.k} points")
     pts = np.sort(1.0 + spec.mu**spec.k + _cantor_offsets(spec.mu, spec.k))
     return TimeSet.from_points(pts.tolist())
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fractalwave import cli
+from fractalwave import sets as sets_module
 from fractalwave.cli import main
 from fractalwave.experiments import ScalingRun
 from fractalwave.sets import build_cantor
@@ -60,6 +61,23 @@ def test_sets_refuses_delta_outside_unit_interval_before_printing(capsys, delta)
     assert code == 2
     assert out == ""
     assert "--delta" in err
+
+
+@pytest.mark.parametrize("L", ["inf", "nan"])
+def test_sets_refuses_a_non_finite_L(capsys, L):
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1", "--j", "8", "--L", L)
+    assert code == 2
+    assert out == ""
+    assert "L must be finite" in err
+
+
+def test_sets_refuses_a_cantor_set_beyond_physical_memory(capsys, monkeypatch):
+    # j = 40 gives k = 38, 2^38 points; the builder is gone, so only the guard can answer
+    monkeypatch.setattr(sets_module, "_cantor_offsets", None)
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1", "--j", "40")
+    assert code == 2
+    assert out == ""
+    assert "2^38 points" in err and "physical memory" in err
 
 
 def test_sets_save_and_load(tmp_path, capsys):

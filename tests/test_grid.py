@@ -6,6 +6,7 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from fractalwave import extremizers
 from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
-from fractalwave.experiments import RunConfig
+from fractalwave.experiments import RunConfig, level_grid
 from fractalwave.grid import (
     Field,
     GridSpec,
@@ -334,6 +335,64 @@ def test_mirrored_norm_is_the_full_grid_norm(n):
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
                 if g is not f:
                     assert lp_norm(g, 16) == grid_module._sum_norm(half, 16.0, measure, weights)
+
+
+def _ifft_calls(monkeypatch):
+    """Record the (input shape, axis) of every np.fft.ifft call from here on."""
+    calls, ifft = [], np.fft.ifft
+
+    def spy(a, *args, axis=-1, **kwargs):
+        calls.append((np.shape(a), axis))
+        return ifft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    return calls
+
+
+@pytest.mark.parametrize("j", [4, 5, 6, 7])
+def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j):
+    """A Knapp numerator on its level's grid holds a < 2 n.bit_length() rows
+    k_1 >= 0, so its norm transforms those a rows and sums the column pass as
+    cosines: no axis-0 FFT and no n x n array.  It is the n x n norm of
+    to_physical within 1e-13 relative, up to n = 2048 at j = 7."""
+    grid = level_grid(j)
+    n, measure = grid.n, grid.cell**2
+    f = half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 0.7318)
+    top, _ = _row_blocks(grid, f.support)
+    assert top.stop < 2 * n.bit_length()
+    full = to_physical(f).values
+    for p in (Fraction(5, 2), 5):
+        want = grid_module._sum_norm(full, float(p), measure)
+        assert lp_norm(f, p) == pytest.approx(want, rel=1e-13, abs=0.0), p
+    del full
+    calls = _ifft_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        lp_norm(f, Fraction(5, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [((top.stop, n), 1)]
+    assert peak < 16 * n * n  # less than one n x n complex array
+
+
+@pytest.mark.parametrize("build", [extremizers.radial_focusing, extremizers.annulus])
+def test_radial_numerator_norm_keeps_the_fft_column_pass(monkeypatch, build):
+    """A radial numerator holds hundreds of rows, so its norm keeps the axis-0
+    FFT: its quarter grid is to_physical's to the bit, and its norm is the
+    mirror-weighted sum of exactly those values."""
+    for j in range(4, 8):
+        grid = level_grid(j)
+        h, measure = grid.n // 2, grid.cell**2
+        f = half_wave(littlewood_paley(build(grid, j), j), 0.7318)
+        quarter = to_physical(f).values[: h + 1, : h + 1]
+        calls = _ifft_calls(monkeypatch)
+        half, weights = grid_module._even_part(f)
+        monkeypatch.undo()
+        assert any(axis == 0 for _, axis in calls), j
+        assert np.array_equal(half, quarter), j
+        for p in (1, Fraction(5, 2), 16, math.inf):
+            assert lp_norm(f, p) == grid_module._sum_norm(quarter, float(p), measure, weights), (j, p)
 
 
 def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypatch):

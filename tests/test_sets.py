@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalwave import sets as sets_module
 from fractalwave.sets import (
     TimeSet,
     assouad_characteristic,
@@ -312,6 +313,9 @@ def test_timeset_validation():
         cantor_spec(1.5, 4)
     with pytest.raises(ValueError):
         cantor_spec(1.0, 4, L=0.5)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="L must be finite"):
+            cantor_spec(1.0, 8, L=L)
     with pytest.raises(ValueError):
         covering_number(build_cantor(1.0, 4, L=4.0), (1.0, 2.0), 0.0)
     with pytest.raises(ValueError):
@@ -329,3 +333,10 @@ def test_timeset_roundtrip(tmp_path):
     back = TimeSet.from_points(read_json(path))
     assert back.points == ts.points
     assert back.min_gap == ts.min_gap
+
+
+def test_cantor_set_beyond_physical_memory_is_refused_before_it_is_built(monkeypatch):
+    # k = 58: 2^58 points; the builder is gone, so only the guard can answer
+    monkeypatch.setattr(sets_module, "_cantor_offsets", None)
+    with pytest.raises(ValueError, match=r"2\^58 points .* physical memory"):
+        cantor_points(cantor_spec(1.0, 60, L=4.0))
