@@ -228,7 +228,8 @@ class ThresholdTable:
 
 
 def thresholds(d: int, alpha, r=None) -> ThresholdTable:
-    """Evaluate every threshold exponent exactly; ``r`` (> 2) is optional."""
+    """Evaluate every threshold exponent exactly; ``r`` is optional and must exceed
+    the r0 at which the denominator of ``q_star_r`` vanishes."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     a = _frac(alpha)
@@ -246,8 +247,9 @@ def thresholds(d: int, alpha, r=None) -> ThresholdTable:
     rr = None
     if r is not None:
         rr = _frac(r)
-        if rr <= 2:
-            raise ValueError(f"r must exceed 2 (denominator changes sign), got {rr}")
+        r0 = 2 * (3 * a + dd - 1) / (2 * a + dd - 1)
+        if rr <= r0:
+            raise ValueError(f"r must exceed r0 = 2(3 alpha + d - 1)/(2 alpha + d - 1) = {r0}, got {rr}")
         num = rr * (2 * (dd - 1 + 2 * a) ** 2 - 4 * a * a) - 4 * (
             4 * a * a + (dd - 1) ** 2 + 5 * a * (dd - 1)
         )
@@ -341,7 +343,7 @@ def region_plot_data(spec: RegionSpec, feature_set: str, r=Fraction(4)) -> list[
         )
         out.append(PlotElement("q_tilde_circ_mark", "point", (PQPoint(half, 1 / tab.q_tilde_circ),)))
         out.append(PlotElement("one_over_r", "tick", (PQPoint(Fraction(0), 1 / rr),)))
-        if tab.q_star_r is not None and 0 <= 1 / tab.q_star_r <= 1:
+        if tab.q_star_r is not None and tab.q_star_r >= 1:  # 1/q_star_r in [0, 1]
             out.append(PlotElement("q_star_r_mark", "tick", (PQPoint(Fraction(0), 1 / tab.q_star_r),)))
         return out
     raise ValueError(f"unknown feature set {feature_set!r} (expected fig1/fig2/fig3)")

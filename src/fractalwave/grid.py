@@ -40,13 +40,14 @@ operator that makes a new field drops them.
 
 Mirror-even fields.  A frequency field may also carry ``even``: the axes in
 which its transform is even, F[-k] = F[k], read off its builder's formula and
-kept by the |xi| multipliers.  Its physical field is even in the same axes, so
-``lp_norm`` transforms only the rows k_1 >= 0 (axis 0) and the columns x_2 in
-[0, n/2] (axis 1), and sums over x_i in [0, n/2] with weight 1 on the mirror
-lines x_i = 0, n/2 and 2 elsewhere.  With few such rows, a < 2 n.bit_length()
-(a Knapp plate's; a radial band has hundreds), the column pass is their even
-cosine sum on x_1 in [0, n/2], the FFT with its zero inputs pruned exactly
-(Markel, "FFT pruning", 1971).  Every other operator drops it.
+kept by the |xi| multipliers; it is (), (0,) or (0, 1).  Its physical field is
+even in the same axes, so ``lp_norm`` asks ``_inverse``, the one inverse
+transform (``to_physical`` is its case even = ()), for x_i in [0, n/2] along
+them only, and ``_sum_norm`` weights them 1 on the mirror lines x_i = 0, n/2
+and 2 elsewhere.  With few rows k_1 >= 0, a < 2 n.bit_length() (a Knapp plate's; a
+radial band has hundreds), the column pass is their even cosine sum, the FFT
+with its zero inputs pruned exactly (Markel, "FFT pruning", 1971).  Every
+other operator drops ``even``.
 """
 
 from __future__ import annotations
@@ -218,17 +219,11 @@ def to_frequency(f: Field) -> Field:
 
 
 def to_physical(f: Field) -> Field:
-    """Inverse transform as np.fft.ifft2 computes it, axis 1 then axis 0, with
-    the axis-1 pass run only on the rows that hold support points (the others
-    are zero in, zero out).  The result keeps the input's support."""
+    """Inverse transform as np.fft.ifft2 computes it (see ``_inverse``); the
+    result keeps the input's support."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
-    vals = np.zeros((f.grid.n, f.grid.n), dtype=np.complex128)
-    for rows in _row_blocks(f.grid, f.support):
-        np.fft.ifft(f.values[rows], axis=1, out=vals[rows])
-    np.fft.ifft(vals, axis=0, out=vals)
-    vals /= f.grid.cell**2
-    return _own(f.grid, vals, "physical", f.support)
+    return _own(f.grid, _inverse(f), "physical", f.support)
 
 
 def _as_physical(f: Field) -> Field:
@@ -319,47 +314,47 @@ def lp_norm(f: Field, p) -> float:
     cell = f.grid.cell
     if f.factors is not None:
         return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
-    vals, weights = _even_part(f) if f.even else (_as_physical(f).values, None)
-    return _sum_norm(vals, pv, cell**2, weights)
+    vals = f.values if f.space == "physical" else _inverse(f, f.even)
+    return _sum_norm(vals, pv, cell**2, f.even)
 
 
-def _even_part(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Physical values of a mirror-even field on x_i in [0, n/2] for each even axis
-    i, and weights that sum them as the whole grid (its Nyquist lines are empty).
-    Even in axis 0 with a < 2 n.bit_length() support rows k_1 >= 0, the column
-    pass is the cosine sum f(x_1) = sum_k w_k cos(2 pi k x_1 / n) V_k / (n cell^2)
-    of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops against
-    5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls on these shapes."""
+def _inverse(f: Field, even: tuple[int, ...] = ()) -> np.ndarray:
+    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them:
+    axis 1 on the rows that hold support points only (the rest are zero in, zero
+    out), then axis 0.  ``even``, (0,) or (0, 1) for an ``f`` even in those axes,
+    keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length() rows
+    k_1 >= 0, the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k
+    / (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops
+    against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
     n, h = f.grid.n, f.grid.n // 2
-    even0, even1 = 0 in f.even, 1 in f.even
     top, bottom = _row_blocks(f.grid, f.support)
-    cols = h + 1 if even1 else n
-    if even0 and top.stop < 2 * n.bit_length():
+    cols = h + 1 if 1 in even else n
+    if even and top.stop < 2 * n.bit_length():
         v = np.fft.ifft(f.values[top], axis=1)[:, :cols].view(np.float64)  # V_k, re and im
         k = np.arange(top.stop)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
-        vals = np.einsum("xk,kc->xc", table / (n * f.grid.cell**2), v).view(np.complex128)
-    else:
-        vals = np.zeros((n, cols), dtype=np.complex128)
-        for rows in (top,) if even0 else (top, bottom):
-            vals[rows] = np.fft.ifft(f.values[rows], axis=1)[:, :cols]
-        if even0:
-            vals[n - 1:n - top.stop:-1] = vals[1:top.stop]  # row -k is row k
-        np.fft.ifft(vals, axis=0, out=vals)
-        vals = vals[: h + 1 if even0 else n]
-        vals /= f.grid.cell**2
-    w = np.r_[1.0, np.full(h - 1, 2.0), 1.0]  # 1 on the mirror lines x_i = 0, n/2
-    return vals, (w[:, None] if even0 else 1.0) * (w if even1 else 1.0)
+        return np.einsum("xk,kc->xc", table / (n * f.grid.cell**2), v).view(np.complex128)
+    vals = np.zeros((n, cols), dtype=np.complex128)
+    for rows in (top,) if even else (top, bottom):
+        vals[rows] = np.fft.ifft(f.values[rows], axis=1)[:, :cols]
+    if even:
+        vals[n - 1:n - top.stop:-1] = vals[1:top.stop]  # row -k is row k
+    np.fft.ifft(vals, axis=0, out=vals)
+    vals = vals[: h + 1 if even else n]
+    vals /= f.grid.cell**2
+    return vals
 
 
-def _sum_norm(values: np.ndarray, pv: float, measure: float, weights=None) -> float:
-    """(sum weights |values|^pv measure)^(1/pv), or max |values| at pv = infinity."""
+def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:
+    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity.  With
+    ``even`` axes, ``values`` is ``_inverse``'s half or quarter grid, summed as the
+    whole one: weight 1 on the mirror lines x_i = 0, n/2 and 2 between them."""
     a = np.abs(values)
     if math.isinf(pv):
         return float(a.max())
     a **= pv  # in place: same bits as a**pv, one array fewer
-    if weights is not None:
-        a *= weights
+    for axis in even:
+        np.moveaxis(a, axis, 0)[1:-1] *= 2.0
     return float((np.sum(a) * measure) ** (1.0 / pv))
 
 
@@ -374,10 +369,7 @@ def mixed_norm(times: Sequence[float], field_at: Callable[[float], Field], q) ->
     qv = float(q)
     if qv < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    norms = [lp_norm(field_at(t), qv) for t in times]
-    if math.isinf(qv):
-        return max(norms)
-    return float(sum(v**qv for v in norms) ** (1.0 / qv))
+    return _sum_norm(np.array([lp_norm(field_at(t), qv) for t in times]), qv, 1.0)
 
 
 def maximal_function(f: Field, E: TimeSet, j: int) -> Field:

@@ -164,8 +164,10 @@ def _subset_in(ts: TimeSet, lo: float, hi: float) -> list[float]:
 
 
 def _chain_next(pts: np.ndarray, delta: float) -> np.ndarray:
-    """nxt[i] = index of the first point not covered by an open interval at pts[i]."""
-    return np.searchsorted(pts, pts + delta * (1.0 - _TOL), side="left").astype(np.int64)
+    """nxt[i] = index of the first point not covered by an open interval at pts[i];
+    at least i + 1, as the interval covers its start even if pts[i] + delta rounds to pts[i]."""
+    nxt = np.searchsorted(pts, pts + delta * (1.0 - _TOL), side="left")
+    return np.maximum(nxt, np.arange(1, len(pts) + 1, dtype=np.int64))
 
 
 def _cover_starts(pts: Sequence[float], delta: float) -> list[float]:

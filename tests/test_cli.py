@@ -133,6 +133,28 @@ def test_thresholds_json_out(tmp_path, capsys):
     json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("argv, r0", [
+    (("thresholds", "--alpha", "1", "--r", "8/3"), "8/3"),  # the denominator vanishes
+    (("thresholds", "--alpha", "1", "--r", "5/2"), "8/3"),  # ... and is negative below
+    (("regions", "--alpha", "1/2", "--fig", "3", "--r", "5/2"), "5/2"),
+])
+def test_r_at_or_below_r0_is_refused(capsys, argv, r0):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"r must exceed r0 = 2(3 alpha + d - 1)/(2 alpha + d - 1) = {r0}" in err
+
+
+def test_sets_with_a_delta_below_an_ulp_of_the_points_returns():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalwave", "sets", "--alpha", "1", "--j", "4", "--delta", "1e-17"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1e-17, 4" in proc.stdout.splitlines()
+
+
 def test_thresholds_json_bytes(tmp_path, capsys):
     path = tmp_path / "x.json"
     code, _, _ = run_cli(capsys, "thresholds", "--alpha", "5/6", "--r", "4", "--out", str(path))

@@ -67,6 +67,12 @@ def test_threshold_r_refinement():
     assert abs(far.q_star_r - tab.q_tilde_star) < F(1, 10**4)
     with pytest.raises(ValueError):
         thresholds(2, 1, r=2)
+    # the denominator (d-1)[r(2 alpha + d - 1) - 2(3 alpha + d - 1)] vanishes at r0 = 8/3
+    with pytest.raises(ValueError, match="r0 = .* = 8/3, got 8/3"):
+        thresholds(2, 1, r=F(8, 3))
+    with pytest.raises(ValueError, match="r0 = .* = 8/3, got 5/2"):
+        thresholds(2, 1, r=F(5, 2))
+    assert thresholds(2, 1, r=F(8, 3) + F(1, 10**6)).q_star_r is not None
 
 
 @given(alphas)
@@ -240,6 +246,9 @@ def test_plot_data_feature_sets():
 
     fig3 = region_plot_data(spec, "fig3", r=4)
     assert "interpolation_segment" in {e.label for e in fig3}
+    # q_star_r is 0 at r = 20/7 and negative on (r0, 20/7) = (8/3, 20/7): no tick, no crash
+    for r in (F(20, 7), F(11, 4)):
+        assert "q_star_r_mark" not in {e.label for e in region_plot_data(spec, "fig3", r=r)}
     with pytest.raises(ValueError):
         region_plot_data(spec, "fig9")
 

@@ -186,6 +186,12 @@ def test_mixed_norm_reduces_to_lp():
     assert mixed_norm(list(fields), fields.__getitem__, np.inf) == max(
         lp_norm(f, np.inf), lp_norm(g, np.inf)
     )
+    # 13 times, past the 8 terms np.sum adds in sequence: its pairwise order may
+    # move the last bits, but stays within 4 ulp of the exact power sum
+    many = [random_field(GridSpec(64, 8.0), seed=s) for s in range(13)]
+    for q in (Fraction(5, 2), 4, 16):
+        want = math.fsum(lp_norm(h, q) ** float(q) for h in many) ** (1.0 / float(q))
+        assert abs(mixed_norm(range(13), many.__getitem__, q) - want) <= 4 * math.ulp(want), q
     with pytest.raises(ValueError):
         mixed_norm([], fields.__getitem__, 2)
     with pytest.raises(ValueError):
@@ -316,8 +322,8 @@ def _mirror(values, axis):
 def test_mirrored_norm_is_the_full_grid_norm(n):
     """The half or quarter grid sum with mirror weights against the n x n sum of
     to_physical, at every admissible j, for each builder's field (read through
-    ``_even_part``, as bare Knapp's norm takes its factors) and its projected,
-    evolved field (read through lp_norm) at an off-grid time."""
+    ``_inverse(f, f.even)``, as bare Knapp's norm takes its factors) and its
+    projected, evolved field (read through lp_norm) at an off-grid time."""
     grid = GridSpec(n, 8.0)
     measure = grid.cell**2
     for build in BUILDERS:
@@ -328,13 +334,13 @@ def test_mirrored_norm_is_the_full_grid_norm(n):
                 assert np.array_equal(_mirror(f.values, axis), f.values), (build.__name__, j, axis)
             for g in (f, half_wave(littlewood_paley(f, j), 0.7318)):
                 full = to_physical(g).values
-                half, weights = grid_module._even_part(g)
+                half = grid_module._inverse(g, g.even)
                 for p in (1, Fraction(5, 2), 4, 16, math.inf):
                     want = grid_module._sum_norm(full, float(p), measure)
-                    got = grid_module._sum_norm(half, float(p), measure, weights)
+                    got = grid_module._sum_norm(half, float(p), measure, g.even)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
                 if g is not f:
-                    assert lp_norm(g, 16) == grid_module._sum_norm(half, 16.0, measure, weights)
+                    assert lp_norm(g, 16) == grid_module._sum_norm(half, 16.0, measure, g.even)
 
 
 def _ifft_calls(monkeypatch):
@@ -387,12 +393,12 @@ def test_radial_numerator_norm_keeps_the_fft_column_pass(monkeypatch, build):
         f = half_wave(littlewood_paley(build(grid, j), j), 0.7318)
         quarter = to_physical(f).values[: h + 1, : h + 1]
         calls = _ifft_calls(monkeypatch)
-        half, weights = grid_module._even_part(f)
+        half = grid_module._inverse(f, f.even)
         monkeypatch.undo()
         assert any(axis == 0 for _, axis in calls), j
         assert np.array_equal(half, quarter), j
         for p in (1, Fraction(5, 2), 16, math.inf):
-            assert lp_norm(f, p) == grid_module._sum_norm(quarter, float(p), measure, weights), (j, p)
+            assert lp_norm(f, p) == grid_module._sum_norm(quarter, float(p), measure, f.even), (j, p)
 
 
 def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypatch):
@@ -417,8 +423,15 @@ def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypa
     assert lp_norm(f, 4) == want
     monkeypatch.undo()
     # ... and a hand-made one whose values happen to be even takes the full path
-    monkeypatch.setattr(grid_module, "_even_part", None)
+    seen, inverse = [], grid_module._inverse
+
+    def spy(g, even=()):
+        seen.append((g is hand, even))
+        return inverse(g, even)
+
+    monkeypatch.setattr(grid_module, "_inverse", spy)
     assert lp_norm(hand, 4) == pytest.approx(want, rel=1e-13)
+    assert seen == [(True, ())]
 
 
 def test_full_lattice_caches_are_bounded():

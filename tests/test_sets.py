@@ -7,8 +7,12 @@ weighted sums) against closed forms.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,25 @@ def test_assouad_on_four_point_set():
     assert assouad_characteristic(ts, 1 / 16, 1.0) == pytest.approx(1.0)
     # the sup over coarser scales is attained at delta' = gap = 1/4
     assert assouad_characteristic_sup(ts, 1 / 16, 1.0) == pytest.approx(2.0)
+
+
+def test_a_delta_below_an_ulp_of_the_points_still_advances():
+    """pts + delta rounds to pts at delta = 1e-17: each interval still covers its
+    start, so the greedy cover and the chain walk end (in a subprocess, so a
+    hang fails the test instead of stalling the suite)."""
+    code = (
+        "from fractalwave.sets import assouad_characteristic, build_cantor, covering_number, discretize\n"
+        "ts = build_cantor(1.0, 4, L=4.0)\n"
+        "print(covering_number(ts, (1.0, 2.0), 1e-17), len(discretize(ts, 1e-17).points),\n"
+        "      assouad_characteristic(ts, 1e-17, 1.0))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "4", "1.0"]
 
 
 def test_assouad_bounded_for_calibrated_sets():
