@@ -52,19 +52,22 @@ def _j0_asymptotic(z: np.ndarray) -> np.ndarray:
     inv_z = 1.0 / z
     p = np.ones_like(z)
     q = np.zeros_like(z)
-    t_prev = np.ones_like(z)
+    t_prev = abs_prev = np.ones_like(z)
     active = np.ones(z.shape, dtype=bool)
     for m in range(1, _ASYMPTOTIC_TERMS + 1):
         t = t_prev * (2 * m - 1) ** 2 * inv_z / (8.0 * m)
-        active &= np.abs(t) < np.abs(t_prev)
-        if not active.any():
+        abs_t = np.abs(t)
+        active &= abs_t < abs_prev
+        n_active = np.count_nonzero(active)
+        if not n_active:
             break
-        contrib = np.where(active, t, 0.0)
-        if m % 2 == 1:
-            q += contrib if (m - 1) % 4 == 0 else -contrib
+        contrib = t if n_active == active.size else np.where(active, t, 0.0)
+        acc = q if m % 2 else p  # signs + - - + repeat with period 4 from m = 1
+        if m % 4 in (0, 1):
+            acc += contrib
         else:
-            p += -contrib if m % 4 == 2 else contrib
-        t_prev = t
+            acc -= contrib
+        t_prev, abs_prev = t, abs_t
     chi = z - 0.25 * np.pi
     return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) + q * np.sin(chi))
 

@@ -225,7 +225,7 @@ def _cmd_verify(args) -> int:
         rep = verify_locally_constant(range(args.jmin, args.jmax + 1), args.order)
         spread = max(c for _, _, c in rep.c_values) / min(c for _, _, c in rep.c_values)
         print(f"order M={rep.order}  j in [{args.jmin}, {args.jmax}]  dt in {{0, 2^-j-1, 2^-j}}")
-        print(f"certified C_M = {rep.certified_c:.6g}, spread across sweep = {spread:.4f} (must be <= 4)")
+        print(f"certified C_M = {rep.certified_c:.6g}, spread across u = 2^j dt = {spread:.4f} (must be <= 4)")
         print("factor-4 stability:", "certified" if rep.passed else "FAILED")
         return 0 if rep.passed else 1
     if args.suite == "whitney":

@@ -285,16 +285,25 @@ class DecayReport:
 
 
 def verify_locally_constant(j_range=range(3, 9), M: int = 8) -> DecayReport:
-    """Sweep multiplier_coeff_decay over j and dt in {0, 2^{-j-1}, 2^{-j}};
-    certify a single C_M with factor-4 stability across the sweep."""
+    """Sweep multiplier_coeff_decay over j and dt in {0, 2^{-j-1}, 2^{-j}} and
+    certify a single C_M with factor-4 stability across u = 2^j dt in {0, 1/2, 1}.
+
+    The table depends on (j, dt) only through u, so C_M is constant in j by
+    construction: one table is computed per u and reported on every j's row.
+    """
     if not len(j_range):
         raise ValueError(f"j_range must be nonempty, got {j_range}")
     rows = []
     sums = []
+    tables = {}
     for j in j_range:
         for frac in (0.0, 0.5, 1.0):
-            tab = multiplier_coeff_decay(j, frac * 2.0**-j, M=M)
-            rows.append((j, frac * 2.0**-j, tab.c_m))
+            dt = frac * 2.0**-j
+            u = 2.0**j * dt
+            if u not in tables:
+                tables[u] = multiplier_coeff_decay(j, dt, M=M)
+            tab = tables[u]
+            rows.append((j, dt, tab.c_m))
             sums.append(tab.coeff_sum)
     cs = [r[2] for r in rows]
     stable = max(cs) <= 4.0 * min(cs) and max(sums) <= 4.0 * min(sums)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 _LABELS = ("s1", "s2", "s3")
@@ -125,13 +126,20 @@ def _classify_hull(p, hull: Sequence[tuple[Fraction, Fraction]]) -> str:
     """'interior' / 'boundary' / 'outside' for a convex CCW hull of >= 3 vertices: the
     Q-hull has Q1 = (0, 0), Q2 = (x, x) with x >= 1/2, and Q4 off the diagonal."""
     strict = True
-    for a, b in zip(hull, hull[1:] + [hull[0]]):
+    for a, b in zip(hull, hull[1:] + hull[:1]):
         c = _cross(a, b, p)
         if c < 0:
             return "outside"
         if c == 0:
             strict = False
     return "interior" if strict else "boundary"
+
+
+@lru_cache(maxsize=64)
+def _q_hull(spec: RegionSpec) -> tuple[tuple[PQPoint, ...], tuple[tuple[Fraction, Fraction], ...]]:
+    """The spec's Q-points and their hull, computed once per (frozen) spec."""
+    qs = q_points(spec)
+    return qs, tuple(_hull([q.as_tuple() for q in qs]))
 
 
 def region_membership(point: PQPoint, spec: RegionSpec) -> str:
@@ -142,8 +150,7 @@ def region_membership(point: PQPoint, spec: RegionSpec) -> str:
     every other point of the half-open diagonal edge [Q1, Q2) reports
     ``in_R``.  Use :func:`in_region` for the literal region predicate.
     """
-    qs = q_points(spec)
-    hull = _hull([q.as_tuple() for q in qs])
+    qs, hull = _q_hull(spec)
     where = _classify_hull(point.as_tuple(), hull)
     if where == "interior":
         return "interior_Q"
@@ -162,7 +169,7 @@ def in_region(point: PQPoint, spec: RegionSpec) -> bool:
 
     Q1 is the one point of R that :func:`region_membership` labels ``boundary_Q``.
     """
-    return region_membership(point, spec) in ("interior_Q", "in_R") or point == q_points(spec)[0]
+    return region_membership(point, spec) in ("interior_Q", "in_R") or point == _q_hull(spec)[0][0]
 
 
 def s_exponents(point: PQPoint, d: int, alpha) -> SExponents:

@@ -228,18 +228,18 @@ def assouad_characteristic(ts: TimeSet, delta: float, alpha: float) -> float:
     n = len(pts)
     nxt = _chain_next(pts, delta)
     best = 1.0  # any single point in its clamped window
-    cur = np.arange(n, dtype=np.int64)
-    start = pts.copy()
-    m = 0
+    cur, start = nxt, pts  # after m links, cur is the chain's (m+1)-th point
+    m = 1
     while True:
-        m += 1
-        cur = np.where(cur < n, nxt[np.minimum(cur, n - 1)], n)
-        alive = cur < n
-        if not alive.any():
+        live = cur < n  # chains that have not run off the end
+        cur, start = cur[live], start[live]
+        if not cur.size:
             break
-        span = pts[cur[alive]] - start[alive]
+        span = pts[cur] - start
         vals = (delta / np.maximum(span, delta)) ** alpha * (m + 1)
         best = max(best, float(vals.max()))
+        cur = nxt[cur]
+        m += 1
     return best
 
 

@@ -58,3 +58,12 @@ def test_leading_term_formula():
     r = np.array([7.3, 42.0])
     expect = np.sqrt(2.0 / (np.pi * r)) * np.cos(r - np.pi / 4.0)
     assert np.allclose(wave_leading_term(r), expect, atol=1e-15)
+
+
+def test_asymptotic_branch_is_elementwise():
+    # the terms start growing near m = 2z, so z in (12, 14.5) stops at its
+    # smallest term before the 30th while z >= 16 keeps all 30: the mixed
+    # array must give each element's scalar value
+    rng = np.random.default_rng(5)
+    xs = rng.permutation(np.concatenate([rng.uniform(12.0, 14.5, 40), rng.uniform(16.0, 400.0, 40)]))
+    assert bessel_j0(xs).tolist() == [bessel_j0(float(x)) for x in xs]

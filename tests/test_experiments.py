@@ -456,6 +456,24 @@ def test_locally_constant_suite():
     assert len(set(at_zero)) == 1
 
 
+def test_locally_constant_suite_builds_one_table_per_u(monkeypatch):
+    # u = 2^j dt is 0, 1/2 or 1 at every j, so j = 3..8 needs three tables,
+    # and each row reports exactly the direct table's constant
+    calls = []
+    direct = experiments_module.multiplier_coeff_decay
+
+    def spy(j, dt, M):
+        calls.append((j, dt))
+        return direct(j, dt, M=M)
+
+    monkeypatch.setattr(experiments_module, "multiplier_coeff_decay", spy)
+    rep = verify_locally_constant(range(3, 9), M=8)
+    assert len(calls) == 3
+    assert len(rep.c_values) == 18
+    for j, dt, c in rep.c_values:
+        assert c == direct(j, dt, M=8).c_m
+
+
 def test_whitney_suite():
     rep = verify_whitney(nu_max=4)
     assert rep.passed

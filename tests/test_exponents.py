@@ -15,7 +15,9 @@ from fractalwave.exponents import (
     PQPoint,
     RegionSpec,
     ThresholdTable,
+    _classify_hull,
     _hull,
+    _q_hull,
     critical_line,
     in_region,
     marginal_vertex,
@@ -199,6 +201,26 @@ def test_in_region_on_the_diagonal_edge(mu, alpha):
     assert not in_region(q2, spec)
     for w in (F(1, 3), F(1, 2), F(5, 6)):  # the open edge (Q1, Q2)
         assert in_region(PQPoint(w * q2.inv_p, w * q2.inv_q), spec)
+
+
+def test_cached_q_hull_is_immutable():
+    qs, hull = _q_hull(RegionSpec(2, F(1, 2), 1))
+    assert isinstance(qs, tuple) and isinstance(hull, tuple)
+    assert qs == q_points(RegionSpec(2, F(1, 2), 1))
+    assert hull == tuple(_hull([q.as_tuple() for q in qs]))
+
+
+def test_cached_hull_labels_interleaved_specs():
+    # two specs alternate point by point, so a hull cached for one spec
+    # cannot leak into the other's labels
+    specs = (RegionSpec(2, F(1, 2), 1), RegionSpec(3, F(1, 3), F(1, 2)))
+    hulls = [_hull([q.as_tuple() for q in q_points(spec)]) for spec in specs]
+    expect = {"interior": {"interior_Q"}, "outside": {"outside"}, "boundary": {"boundary_Q", "in_R"}}
+    for a in range(49):
+        for b in range(49):
+            pt = PQPoint(F(a, 48), F(b, 48))
+            for spec, hull in zip(specs, hulls):
+                assert region_membership(pt, spec) in expect[_classify_hull(pt.as_tuple(), hull)]
 
 
 def test_membership_needs_parameters():

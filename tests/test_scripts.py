@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,3 +38,20 @@ def test_bench_refuses_an_existing_output_before_running(tmp_path):
     assert proc.returncode == 2
     assert str(out) in proc.stderr and proc.stdout == ""
     assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("HEAD", "nope", "3"), "unknown workload"),
+    (("HEAD", "certify", "0"), "N must be a positive integer"),
+    (("no-such-rev", "certify", "1"), "is not a commit"),
+    (("HEAD", "certify"), "expected PARENT_REV WORKLOAD N"),
+    (("HEAD", "certify", "2", "40"), "expected PARENT_REV WORKLOAD N"),
+])
+def test_pairs_refuses_bad_arguments_before_running(tmp_path, argv, message):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pairs.py"), *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, TMPDIR=str(tmp_path)),
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr and proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # no parent tree was extracted
