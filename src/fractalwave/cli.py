@@ -58,8 +58,13 @@ from .sets import (
     assouad_characteristic_sup,
     build_cantor,
     cantor_spec,
+    check_memory,
     covering_number,
 )
+
+# The operator battery's peak by tracemalloc: 9.6 n x n complex fields at n = 512
+# and 1024, plus under 3 n x m complex arrays while the quadrature's factors exist.
+_BATTERY_FIELDS = 10
 
 
 def _fraction(text: str) -> Fraction:
@@ -142,6 +147,8 @@ def _cmd_regions(args) -> int:
 
 def _cmd_operators(args) -> int:
     grid = GridSpec(args.n, 8.0)
+    check_memory(16 * args.n * (_BATTERY_FIELDS * args.n + 3 * args.m),
+                 f"the operator battery on n={args.n}, m={args.m}")
     f = random_field(grid, seed=args.seed, band_j=args.j)
     checks = []
 

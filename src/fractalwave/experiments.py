@@ -62,9 +62,9 @@ _RUN_FAMILIES = {
 
 # Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each) on
 # the grid of j_max.  A level holds a few fields whatever #E_j is: the shipped
-# studies peak at 218 MB with 64 MiB fields at n = 2048, interpreter included,
-# i.e. under 4 fields, as the top level's denominator is dropped before its
-# numerator runs.
+# studies peak at 200 MB with 64 MiB fields at n = 2048, interpreter included
+# (``benchmark/run.py``, 10 runs), i.e. about 3 fields, as the top level's
+# denominator is dropped before its numerator runs.
 _FIELDS_PER_LEVEL = 5
 
 # The lowest level whose numerator runs on its own grid.  Near its focus a

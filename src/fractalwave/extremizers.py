@@ -10,9 +10,12 @@ Three single-field families at dyadic scale 2^j (d = 2 throughout):
 
 The radial supports lie in 2^{j-2} < |xi| < 2^{j+2} and the Knapp window in
 |xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}, so constructors demand
-2^{j+2} <= nyquist.  Each builder evaluates its cutoffs on the lattice points
-of that support only, and those points, the ones it fills, are the field's
-``Field.support``; no support is derived by hand.  The Knapp symbol is an
+2^{j+2} <= nyquist.  The lattice points of that support, the ones a builder
+fills, are the field's ``Field.support`` ``(flat, inv, radii)``; no support is
+derived by hand.  The radial builders take their band's points from
+``grid._band_points`` and evaluate beta1 and e^{-i|xi|} once per lattice
+orbit, on its ``radii``, then gather to the points with ``inv``; Knapp's
+radii are one per point, as its symbol is not radial.  The Knapp symbol is an
 outer product, and ``knapp`` records its two 1-D factors as ``Field.factors``,
 so ``grid.lp_norm`` takes its norm from two 1-D transforms.  ``Field.even``
 records the axes a symbol is even in: (0, 1) for the radial families, (0,) for
@@ -50,8 +53,8 @@ def _beta1_band(j: int) -> tuple[float, float]:
 
 def radial_focusing(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
-    support = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, np.exp(-1j * support[1]) * beta1(support[1] / 2.0**j), even=(0, 1))
+    support = _, inv, radii = _band_points(grid, *_beta1_band(j))
+    return _on_support(grid, support, np.take(np.exp(-1j * radii) * beta1(radii / 2.0**j), inv), even=(0, 1))
 
 
 def knapp(grid: GridSpec, j: int) -> Field:
@@ -63,14 +66,15 @@ def knapp(grid: GridSpec, j: int) -> Field:
     cols = np.flatnonzero((s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1]))
     a, b = np.zeros(grid.n), np.zeros(grid.n)
     a[rows], b[cols] = beta0(s1[rows]), beta1(s2[cols])
-    support = (rows[:, None] * grid.n + cols).ravel(), np.hypot(xi[rows, None], xi[cols]).ravel()
+    flat = (rows[:, None] * grid.n + cols).ravel()
+    support = flat, np.arange(flat.size, dtype=np.int32), np.hypot(xi[rows, None], xi[cols]).ravel()
     return _on_support(grid, support, (a[rows, None] * b[cols]).ravel(), factors=(a, b), even=(0,))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
     grid.check_band(j, BETA1_SUPPORT[1])
-    support = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, beta1(support[1] / 2.0**j), even=(0, 1))
+    support = _, inv, radii = _band_points(grid, *_beta1_band(j))
+    return _on_support(grid, support, np.take(beta1(radii / 2.0**j), inv), even=(0, 1))
 
 
 # --- measurement helpers ------------------------------------------------------

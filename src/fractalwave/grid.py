@@ -21,16 +21,21 @@ The half-wave propagator is the multiplier e^{i t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
 
-Spectral supports.  Every field carries ``support``: the read-only point
-set ``(flat, r)``, ascending flat indices and |xi|, of the lattice points
-where its transform may be nonzero.  It is the set its builder filled (see
-``extremizers``), met with each band applied since, never found by scanning
-values; ``None`` claims nothing.  A frequency field is exactly zero off its
-support.  ``to_physical`` passes the support on, and for the physical field
-the claim holds up to FFT rounding.  Multipliers evaluate their symbol on the
-support points only, and the inverse FFT transforms only the rows that hold
-them; on a frequency field both give the same bits as the full-lattice
-computation.
+Spectral supports.  Every field carries ``support``: the read-only triple
+``(flat, inv, radii)`` of the lattice points where its transform may be
+nonzero.  ``flat`` holds their ascending flat indices and ``inv`` (int32)
+each point's entry in ``radii``, so radii[inv] is |xi| at ``flat``.  The
+lattice's 8 symmetries (k1 <-> k2 and the signs) keep |xi|, so a radial
+band stores one radius per orbit of them: 166,749 radii for 1,329,820
+points at n = 2048, j = 7.  The support is the set its builder filled (see
+``extremizers``), met with each band applied since, which keeps only the
+radii in the band; it is never found by scanning values, and ``None``
+claims nothing.  A frequency field is exactly zero off its support.
+``to_physical`` passes the support on, and for the physical field the claim
+holds up to FFT rounding.  Multipliers evaluate a symbol of |xi| once per
+radius and gather it to the points, and the inverse FFT transforms only the
+rows that hold them; on a frequency field both give the same bits as the
+full-lattice computation.
 
 Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
@@ -112,21 +117,33 @@ def _axis_freq(spec: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending flat indices and radii of the lattice points with lo < |xi| < hi.
+def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support ``(flat, inv, radii)`` of the lattice points with lo < |xi| < hi.
 
-    Built on the axis block |xi_k| < hi only; the radii are bit-identical to
-    np.hypot over the full lattice at the same points.
+    ``radii`` holds one |xi| per lattice orbit, the up to 8 points (±k1, ±k2),
+    (±k2, ±k1), taken by np.hypot on the quadrant 0 <= k2 <= k1 of |xi_k| < hi;
+    np.hypot reads |xi1| and |xi2| and is symmetric in them, so radii[inv] is
+    bit-identical to np.hypot over the full lattice at ``flat``.  No per-point
+    radius is made, and nothing is sorted.
     """
-    xi = _axis_freq(spec)
-    ks = np.flatnonzero(np.abs(xi) < hi)
-    r = np.hypot(xi[ks, None], xi[None, ks])
-    inside = (r > lo) & (r < hi)
-    flat = (ks[:, None] * spec.n + ks[None, :])[inside]
-    r = r[inside]
-    flat.setflags(write=False)
-    r.setflags(write=False)
-    return flat, r
+    n = spec.n
+    xa = np.abs(_axis_freq(spec))
+    ks = np.flatnonzero(xa < hi)  # axis indices, ascending
+    kabs = np.minimum(ks, n - ks)  # their |k|; index i <= n/2 has |xi| = xa[i]
+    q = xa[: kabs.max(initial=-1) + 1]
+    r = np.hypot(q[:, None], q[None, :])
+    orbit = (r > lo) & (r < hi) & np.tri(q.size, dtype=bool)  # rows k1 >= k2
+    radii = r[orbit]
+    table = np.full(r.shape, -1, dtype=np.int32)
+    table[orbit] = np.arange(radii.size, dtype=np.int32)
+    table = np.maximum(table, table.T)  # (k2, k1) is in the orbit of (k1, k2)
+    idx = table[kabs][:, kabs]
+    inside = idx >= 0
+    flat = (ks[:, None] * n + ks[None, :])[inside]
+    support = flat, idx[inside], radii
+    for a in support:
+        a.setflags(write=False)
+    return support
 
 
 def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
@@ -142,12 +159,15 @@ def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
 
 
 def _meet(grid: GridSpec, support, band: tuple[float, float]):
-    """The support points with lo < |xi| < hi: the band's own points for None."""
+    """The support points with lo < |xi| < hi: the band's own points for None.
+    Only the radii in the band are kept, and ``inv`` is renumbered to them."""
     if support is None:
         return _band_points(grid, *band)
-    flat, r = support
-    inside = (r > band[0]) & (r < band[1])
-    return flat[inside], r[inside]
+    flat, inv, radii = support
+    keep = (radii > band[0]) & (radii < band[1])
+    inside = np.take(keep, inv)
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    return flat[inside], np.take(renumber, inv[inside]), radii[keep]
 
 
 def frequency_lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +189,7 @@ class Field:
 
     The values are a read-only copy of the array passed in: the caller's array
     stays writeable and changing it leaves the field alone.  ``support``, the
-    point set ``(flat, r)`` its builder filled, ``factors``, the 1-D
+    points ``(flat, inv, radii)`` its builder filled, ``factors``, the 1-D
     symbols of a separable transform, and ``even``, the axes of a mirror-even
     transform, are set by this package's operators only (see the module
     docstring); a field made here has None, None and ().
@@ -178,7 +198,7 @@ class Field:
     grid: GridSpec
     values: np.ndarray
     space: str
-    support: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
+    support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False)
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     even: tuple[int, ...] = field(default=(), init=False)
 
@@ -233,18 +253,23 @@ def _as_physical(f: Field) -> Field:
 def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None) -> Field:
     """Multiply in frequency space, preserving the caller's space tag.
 
-    ``symbol`` is the multiplier as a function of |xi|, or its full-lattice
-    array; ``band``, if given, is where it may be nonzero.  Only the points of
-    ``f``'s support in the band are multiplied, in either space: a physical
-    input's transform is read there and the rest, rounding, is dropped.  A
-    frequency input keeps its ``even`` axes under a symbol of |xi|.
+    ``symbol`` is the multiplier as a function of |xi|, evaluated once per
+    support radius, or its full-lattice array; ``band``, if given, is where it
+    may be nonzero.  Only the points of ``f``'s support in the band are
+    multiplied, in either space: a physical input's transform is read there
+    and the rest, rounding, is dropped.  A frequency input keeps its ``even``
+    axes under a symbol of |xi|.
     """
     grid = f.grid
     g = f if f.space == "frequency" else to_frequency(f)
     support = f.support if band is None else _meet(grid, f.support, band)
     at = slice(None) if support is None else support[0]
-    r = np.hypot(*frequency_lattice(grid)).ravel() if support is None else support[1]
-    mult = symbol(r) if callable(symbol) else symbol.ravel()[at]
+    if not callable(symbol):
+        mult = symbol.ravel()[at]
+    elif support is None:
+        mult = symbol(np.hypot(*frequency_lattice(grid)).ravel())
+    else:
+        mult = np.take(symbol(support[2]), support[1])  # once per radius, then to the points
     out = _on_support(grid, support, g.values.ravel()[at] * mult, even=f.even if callable(symbol) else ())
     return out if f.space == "frequency" else to_physical(out)
 

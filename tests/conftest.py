@@ -7,13 +7,18 @@ from fractalwave.grid import frequency_lattice, to_frequency
 
 
 def _check_honest_support(f, rtol: float = 0.0) -> None:
-    """``f.support`` is honest: ascending read-only flat indices, r = |xi| at them,
-    and a transform that is zero off them (within rtol of its peak for a
-    physical field, whose claim holds up to FFT rounding)."""
-    flat, r = f.support
-    assert not flat.flags.writeable and not r.flags.writeable
+    """``f.support`` is honest: read-only arrays, strictly ascending flat
+    indices, int32 ``inv`` in range and using every radius, radii[inv] = |xi|
+    at the indices bit for bit, and a transform that is zero off them (within
+    rtol of its peak for a physical field, whose claim holds up to FFT
+    rounding)."""
+    flat, inv, radii = f.support
+    assert not any(a.flags.writeable for a in (flat, inv, radii))
     assert np.all(np.diff(flat) > 0)
-    assert np.array_equal(r, np.hypot(*frequency_lattice(f.grid)).ravel()[flat])
+    assert inv.dtype == np.int32 and inv.shape == flat.shape
+    assert inv.size == 0 or (inv.min() >= 0 and inv.max() < radii.size)
+    assert np.bincount(inv, minlength=radii.size).all()
+    assert np.array_equal(radii[inv], np.hypot(*frequency_lattice(f.grid)).ravel()[flat])
     vals = (f if f.space == "frequency" else to_frequency(f)).values.ravel()
     off = np.ones(vals.size, dtype=bool)
     off[flat] = False

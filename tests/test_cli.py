@@ -213,6 +213,15 @@ def test_operator_battery_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_operators_refuses_a_grid_beyond_physical_memory(capsys, monkeypatch):
+    # n = 2^20: one field is 16 TiB; the builder is gone, so only the guard can answer
+    monkeypatch.setattr(cli, "random_field", None)
+    code, out, err = run_cli(capsys, "operators", "--n", str(2**20))
+    assert code == 2
+    assert out == ""
+    assert "n=1048576" in err and "physical memory" in err
+
+
 # --- scaling / report --------------------------------------------------------
 
 

@@ -271,7 +271,8 @@ def test_knapp_support_is_the_plate_and_its_rows():
     f = extremizers.knapp(grid, j)
     head, tail = _row_blocks(grid, f.support)
     assert (head.stop - head.start) + (tail.stop - tail.start) <= 15
-    flat, r = f.support
+    flat, inv, radii = f.support
+    r = radii[inv]
     xi1, xi2 = np.broadcast_arrays(*frequency_lattice(grid))
     s1, s2 = np.abs(xi1) / (extremizers.DEFAULT_C1 * 2.0 ** (j / 2.0)), xi2 / 2.0**j
     plate = (s1 < BETA0_SUPPORT[1]) & (s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1])
@@ -279,7 +280,90 @@ def test_knapp_support_is_the_plate_and_its_rows():
     inside = (r > 2.0 ** (j - 1)) & (r < 2.0 ** (j + 1))
     pf = littlewood_paley(f, j)
     assert np.array_equal(pf.support[0], flat[inside])
-    assert np.array_equal(pf.support[1], r[inside])
+    assert np.array_equal(pf.support[2][pf.support[1]], r[inside])
+
+
+def _orbit_key(grid, flat):
+    """One integer per lattice orbit, from (max |k|, min |k|) of each flat index."""
+    k = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.int64))
+    a, b = k[flat // grid.n], k[flat % grid.n]
+    return np.maximum(a, b) * (grid.n + 1) + np.minimum(a, b)
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_band_points_hold_one_radius_per_orbit(n, honest_support):
+    """Bands that touch the axes (and the origin), hold one diagonal orbit, reach
+    the alias-guard edge hi = nyquist, or pass it into the Nyquist row: the
+    support is the band's lattice points, radii[inv] is the block np.hypot bit
+    for bit, and each orbit has one radius, shared by its points."""
+    grid = GridSpec(n, 8.0)
+    r = np.hypot(*frequency_lattice(grid)).ravel()
+    step = 2.0 * np.pi / grid.period
+    diagonal = float(np.hypot(3 * step, 3 * step))
+    edge = grid.nyquist - 4.0 * step
+    bands = [(-1.0, 3.0), (0.5, 4.0 * step), (diagonal - 1e-9, diagonal + 1e-9),
+             (edge, grid.nyquist), (edge, grid.nyquist + 4.0 * step)]
+    for lo, hi in bands:
+        flat, inv, radii = support = _band_points(grid, lo, hi)
+        assert np.array_equal(flat, np.flatnonzero((r > lo) & (r < hi)))
+        honest_support(grid_module._on_support(grid, support, np.ones(flat.size)))
+        orbit = _orbit_key(grid, flat)
+        assert np.unique(orbit).size == radii.size  # one radius per orbit ...
+        assert np.unique(orbit * radii.size + inv).size == radii.size  # ... shared by its points
+    assert _band_points(grid, diagonal - 1e-9, diagonal + 1e-9)[2].size == 1  # 4 points, one orbit
+
+
+@pytest.mark.parametrize("build", [extremizers.annulus, extremizers.knapp])
+def test_meet_keeps_only_the_radii_in_the_band(build, honest_support):
+    grid = GridSpec(512, 8.0)
+    f = build(grid, 5)
+    flat, inv, radii = f.support
+    band = (2.0**4, 2.0**6)
+    got = grid_module._meet(grid, f.support, band)
+    honest_support(grid_module._on_support(grid, got, np.ones(got[0].size)))
+    assert np.all((got[2] > band[0]) & (got[2] < band[1]))  # with every radius used: none stale
+    assert np.array_equal(got[0], flat[(radii[inv] > band[0]) & (radii[inv] < band[1])])
+
+
+def test_symbols_are_evaluated_once_per_orbit(monkeypatch):
+    """beta1 in the builder, the projection's beta, the half-wave and J0
+    symbols each see one radius per orbit of the support, not one per point."""
+    grid = GridSpec(512, 8.0)
+    seen = []
+
+    def spy(fn):
+        def wrapped(x, *args):
+            seen.append(np.size(x))
+            return fn(x, *args)
+        return wrapped
+
+    monkeypatch.setattr(extremizers, "beta1", spy(extremizers.beta1))
+    f = extremizers.annulus(grid, 5)
+    assert seen == [f.support[2].size] and f.support[2].size < f.support[0].size / 6
+    monkeypatch.setattr(grid_module, "beta", spy(grid_module.beta))
+    pf = littlewood_paley(f, 5)
+    assert seen[1:] == [pf.support[2].size]
+    monkeypatch.setattr(grid_module, "bessel_j0", spy(grid_module.bessel_j0))
+    circular_average(pf, 1.3)
+    assert seen[2:] == [pf.support[2].size]
+    apply = grid_module._apply_multiplier
+    monkeypatch.setattr(grid_module, "_apply_multiplier",
+                        lambda g, symbol, band=None: apply(g, spy(symbol), band))
+    half_wave(pf, 1.3)
+    assert seen[3:] == [pf.support[2].size]
+
+
+@pytest.mark.parametrize("build", [extremizers.radial_focusing, extremizers.annulus])
+def test_radial_multipliers_equal_their_full_lattice_symbols(build):
+    grid = GridSpec(1024, 8.0)
+    j, t = 6, 1.3
+    r = np.hypot(*frequency_lattice(grid))
+    f = build(grid, j)
+    pf = littlewood_paley(f, j)
+    want = f.values * grid_module.beta(r / 2.0**j)
+    assert np.array_equal(pf.values, want)
+    assert np.array_equal(half_wave(pf, t).values, want * np.exp(1j * t * r))
+    assert np.array_equal(circular_average(pf, t).values, want * grid_module.bessel_j0(t * r))
 
 
 def test_knapp_factors_are_its_symbol_and_no_operator_keeps_them(monkeypatch):
