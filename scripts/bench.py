@@ -1,81 +1,170 @@
 #!/usr/bin/env python3
-"""Record one BENCH_*.json: every benchmark workload, untraced and traced, and tier-1.
+"""Record one BENCH_*.json: this checkout against a parent revision, and tier-1.
 
-Usage: python3 scripts/bench.py OUT
+Usage: python3 scripts/bench.py OUT PARENT_REV N
 
-Runs ``benchmark/run.py --workload W --seed 1 --seconds 40 --trace T`` for each
-workload W and T in (0, 1), then the tier-1 test suite, all from the root of
-this checkout, and writes OUT: the ``git describe --always --dirty`` of the
-checkout, the benchmark's environment record, each run's result line tagged
-with its workload and trace and with the 1, 5 and 15 minute load averages
-(``os.getloadavg()``) taken as it started, and tier-1's wall time and summary
-line.  About five minutes on a 2-core machine.  An existing OUT is refused
-(exit 2) before anything runs; the exit code is 1 if any benchmark run fails.
+Extracts PARENT_REV with ``git archive`` into a temporary directory.  For each
+workload of ``BENCHMARK.json`` it runs N pairs of ``benchmark/run.py --workload
+W --seed K --seconds S --trace 0`` (S is ``run_seconds`` of ``BENCHMARK.json``,
+K the pair's number from 1): one run of the parent's tree and one of this
+checkout's working tree, the side that goes first switching from pair to pair.
+Then one ``--seed 1 --trace 1`` run of each side gives both layer splits, and
+the tier-1 suite runs on this checkout.  OUT records each run's result line
+with its workload, side, pair, seed, trace and the 1, 5 and 15 minute load
+averages taken as it started; for each workload and end-to-end metric each
+side's median and interquartile range over the pairs both sides ran without a
+failure, and on how many of them the checkout was better; and tier-1's wall
+time and summary line.  About (2N + 2) x 3 runs of S seconds.
 
-A BENCH_*.json holds one unpaired run per workload and trace, so it records
-where a tree stands, not a comparison: other tenants of the machine move a
-single run by more than most changes do.  A speed claim rests on alternating
-runs of the parent and the change, taken side by side.
+Bad arguments exit 2 before anything runs.  The temporary directory is
+removed at the end, also on SIGTERM.  The exit code is 1 if any run fails,
+reports a failed operation or, traced, a boundary it did not find.
 """
 
+import io
 import json
 import os
+import shutil
+import signal
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("studies", "dense_times", "certify")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
-def _run(argv, **kwargs):
-    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, **kwargs)
+def _usage(message: str) -> int:
+    print(f"bench: {message}; nothing was run", file=sys.stderr)
+    print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    return 2
+
+
+def _run(tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
+    argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    load = os.getloadavg()
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    ok = proc.returncode == 0 and len(lines) >= 2
+    return {"loadavg": [round(x, 2) for x in load], "returncode": proc.returncode,
+            "boundaries_not_found": [line.split(": ", 1)[1] for line in lines
+                                     if line.startswith("boundaries not found:")],
+            "env": json.loads(lines[-2])["env"] if ok else None,
+            "result": json.loads(lines[-1]) if ok else None}
+
+
+def _failed(run: dict) -> bool:
+    return run["result"] is None or run["result"]["failed"] > 0 or bool(run["boundaries_not_found"])
+
+
+def _spread(values: list[float]) -> tuple[float, float]:
+    """(median, interquartile range)."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and end-to-end metric, over the untraced pairs with no failed side:
+    each side's median and IQR, the change of the median, and the checkout's wins."""
+    by_pair = {}
+    for r in runs:
+        if r["trace"] == 0:
+            by_pair.setdefault(r["workload"], {}).setdefault(r["pair"], {})[r["side"]] = r
+    summary = {}
+    for workload, sides in by_pair.items():
+        pairs = [(s["parent"]["result"], s["change"]["result"]) for s in sides.values()
+                 if len(s) == 2 and not any(map(_failed, s.values()))]
+        summary[workload] = {}
+        for m in metrics if pairs else ():
+            name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+            old = [p["metrics"][name]["value"] for p, _ in pairs]
+            new = [c["metrics"][name]["value"] for _, c in pairs]
+            (om, oi), (nm, ni) = _spread(old), _spread(new)
+            summary[workload][name] = {
+                "parent_median": om, "parent_iqr": oi, "change_median": nm, "change_iqr": ni,
+                "change_pct": 100.0 * (nm - om) / om if om else None,
+                "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)), "pairs": len(pairs)}
+    return summary
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    out = Path(argv[0])
+    if len(argv) != 3:
+        return _usage("expected OUT PARENT_REV N")
+    out, rev, n = Path(argv[0]), argv[1], argv[2]
+    if not n.isdigit() or int(n) < 1:
+        return _usage(f"N must be a positive integer, got {n!r}")
     if out.exists() or not out.parent.is_dir():
-        print(f"bench: {out} exists or has no parent directory; nothing was run", file=sys.stderr)
-        return 2
-    describe = _run(["git", "describe", "--always", "--dirty"]).stdout.strip()
-    env = None
+        return _usage(f"{out} exists or has no parent directory")
+    commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True)
+    if commit.returncode != 0:
+        return _usage(f"{rev!r} is not a commit of this repository")
+    commit = commit.stdout.strip()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+
+    # a terminated script still stops its current run and removes the parent tree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-"))
     runs = []
-    for workload in WORKLOADS:
-        for trace in (0, 1):
-            argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "1",
-                    "--seconds", "40", "--trace", str(trace)]
-            load = os.getloadavg()
-            proc = _run(argv)
-            lines = proc.stdout.splitlines()
-            ok = proc.returncode == 0 and len(lines) >= 2
-            result = json.loads(lines[-1]) if ok else None
-            env = env or (json.loads(lines[-2])["env"] if ok else None)
-            missing = [line.split(": ", 1)[1] for line in lines if line.startswith("boundaries not found:")]
-            runs.append({"workload": workload, "trace": trace, "loadavg": [round(x, 2) for x in load],
-                         "returncode": proc.returncode, "boundaries_not_found": missing, "result": result})
-            print(f"{workload} --trace {trace}: exit {proc.returncode}, "
-                  f"failed {result['failed'] if result else '-'}", flush=True)
+    try:
+        archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                                 cwd=ROOT, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {"parent": tmp, "change": ROOT}
+        schedule = [(k + 1, side, 0) for k in range(int(n))
+                    for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))]
+        schedule += [(None, "parent", 1), (None, "change", 1)]
+        for workload in (w["name"] for w in bench["workloads"]):
+            for pair, side, trace in schedule:
+                seed = pair or 1
+                run = {"workload": workload, "side": side, "pair": pair, "seed": seed, "trace": trace,
+                       **_run(trees[side], workload, seed, seconds, trace)}
+                runs.append(run)
+                result = run["result"]
+                shown = [f"run failed (exit {run['returncode']})"] if result is None else (
+                    [] if trace else [f"{m['name']} {result['metrics'][m['name']]['value']:.4g}" for m in metrics]
+                ) + [f"failed {result['failed']}"] + [f"boundaries not found: {b}" for b in run["boundaries_not_found"]]
+                print(f"{workload} {f'pair {pair}' if pair else 'traced'} {side}: {', '.join(shown)}", flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
     start = time.perf_counter()
-    tier1 = _run(TIER1, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+    tier1 = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True, env=dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
     wall = time.perf_counter() - start
-    summary = (tier1.stdout.strip().splitlines() or [""])[-1]
-    print(f"tier-1: {summary} ({wall:.1f} s wall)")
+    line = (tier1.stdout.strip().splitlines() or [""])[-1]
+    print(f"tier-1: {line} ({wall:.1f} s wall)")
+
+    summary = summarize(runs, metrics)
+    for workload, by_metric in summary.items():
+        for name, s in by_metric.items():
+            change = f"{s['change_pct']:+.1f}%" if s["change_pct"] is not None else "n/a"
+            print(f"{workload} {name}: parent {s['parent_median']:.4g} (IQR {s['parent_iqr']:.3g}), "
+                  f"change {s['change_median']:.4g} (IQR {s['change_iqr']:.3g}), median {change}, "
+                  f"better on {s['wins']}/{s['pairs']} pairs")
+    env = next((r["env"] for r in runs if r["side"] == "change" and r["env"]), None)
     doc = {
-        "git_describe": describe,
+        "git_describe": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                                       capture_output=True, text=True).stdout.strip(),
+        "parent": {"rev": rev, "commit": commit},
+        "run_seconds": seconds,
         "env": env,
-        "runs": runs,
-        "tier1": {"wall_s": round(wall, 2), "returncode": tier1.returncode, "summary": summary},
+        "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs],
+        "summary": summary,
+        "tier1": {"wall_s": round(wall, 2), "returncode": tier1.returncode, "summary": line},
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out}")
-    failed = [r for r in runs if r["result"] is None or not r["result"]["correct"]]
-    return 1 if failed else 0
+    return 1 if any(map(_failed, runs)) else 0
 
 
 if __name__ == "__main__":

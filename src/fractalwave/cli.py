@@ -41,6 +41,7 @@ from .experiments import (
 from .grid import (
     Field,
     GridSpec,
+    _check_radius,
     circular_average,
     circular_average_quadrature,
     half_wave,
@@ -51,7 +52,7 @@ from .grid import (
     to_frequency,
     to_physical,
 )
-from .cutoffs import beta
+from .cutoffs import BETA_SUPPORT, beta
 from .sets import (
     TimeSet,
     assouad_characteristic,
@@ -147,6 +148,12 @@ def _cmd_regions(args) -> int:
 
 def _cmd_operators(args) -> int:
     grid = GridSpec(args.n, 8.0)
+    # every argument is checked before the field is drawn
+    grid.check_band(args.j, BETA_SUPPORT[1])
+    _check_radius(grid, args.t)
+    times = TimeSet.from_points([1.1, args.t, 1.9])
+    if args.m < 64:
+        raise ValueError(f"quadrature needs m >= 64 points, got {args.m}")
     check_memory(16 * args.n * (_BATTERY_FIELDS * args.n + 3 * args.m),
                  f"the operator battery on n={args.n}, m={args.m}")
     f = random_field(grid, seed=args.seed, band_j=args.j)
@@ -167,7 +174,6 @@ def _cmd_operators(args) -> int:
     part = sum(beta(ts / 2.0**j) for j in range(0, 8))
     checks.append(("dyadic partition of unity", float(np.abs(part - 1.0).max()), 1e-12))
 
-    times = TimeSet.from_points([1.1, args.t, 1.9])
     mx = np.abs(maximal_function(f, times, j=args.j).values)
     pj = littlewood_paley(f, args.j)
     defect = max(

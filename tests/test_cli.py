@@ -222,6 +222,22 @@ def test_operators_refuses_a_grid_beyond_physical_memory(capsys, monkeypatch):
     assert "n=1048576" in err and "physical memory" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--m", "10"), "quadrature needs m >= 64 points"),
+    (("--t", "0"), "outside (0, period/4]"),
+    (("--t", "3"), "outside (0, period/4]"),
+    (("--t", "0.5"), "time set must lie in [1, 2]"),
+    (("--j", "6"), "alias guard"),
+])
+def test_operators_refuses_bad_arguments_before_drawing_the_field(capsys, monkeypatch, argv, message):
+    # the builder is gone: a missed guard fails on None, not on the argument
+    monkeypatch.setattr(cli, "random_field", None)
+    code, out, err = run_cli(capsys, "operators", "--n", "256", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # --- scaling / report --------------------------------------------------------
 
 
