@@ -61,10 +61,12 @@ _RUN_FAMILIES = {
 
 
 # Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each) on
-# the grid of j_max.  A level holds a few fields whatever #E_j is: the shipped
-# studies peak at 200 MB with 64 MiB fields at n = 2048, interpreter included
-# (``benchmark/run.py``, 10 runs), i.e. about 3 fields, as the top level's
-# denominator is dropped before its numerator runs.
+# the grid of j_max.  A level holds a few fields whatever #E_j is: a frequency
+# field is stored on its support, so the top level of a shipped study peaks at
+# 1.5 fields of 64 MiB in tracemalloc at n = 2048 (s1; s2 0.75, s3 1.2), most of
+# it the denominator's inverse transform, which is dropped before the numerator
+# runs.  The shipped studies peak at 178 MB RSS, interpreter included
+# (``benchmark/run.py``).  The preflight keeps 5 as margin.
 _FIELDS_PER_LEVEL = 5
 
 # The lowest level whose numerator runs on its own grid.  Near its focus a

@@ -128,7 +128,7 @@ def knapp_coherence(grid: GridSpec, j: int) -> float:
     increases to 1 with j because the relative spread shrinks like 2^{-j} c1^2.
     """
     f = knapp(grid, j)
-    bound = float(np.abs(f.values).sum() / grid.period**2)
+    bound = float(np.abs(f.data).sum() / grid.period**2)  # its support values: zero elsewhere
     return knapp_center_value(f, j) * 2.0 ** (1.5 * j) / bound
 
 

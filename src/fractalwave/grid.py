@@ -30,12 +30,16 @@ band stores one radius per orbit of them: 166,749 radii for 1,329,820
 points at n = 2048, j = 7.  The support is the set its builder filled (see
 ``extremizers``), met with each band applied since, which keeps only the
 radii in the band; it is never found by scanning values, and ``None``
-claims nothing.  A frequency field is exactly zero off its support.
+claims nothing.  A frequency field is exactly zero off its support and is
+stored on it: ``Field.data`` holds one value per entry of ``flat``, and
+``Field.values`` scatters them to n x n on each read, keeping nothing.
 ``to_physical`` passes the support on, and for the physical field the claim
-holds up to FFT rounding.  Multipliers evaluate a symbol of |xi| once per
-radius and gather it to the points, and the inverse FFT transforms only the
-rows that hold them; on a frequency field both give the same bits as the
-full-lattice computation.
+holds up to FFT rounding; physical fields, forward transforms and fields
+whose support is None stay dense.  Multipliers evaluate a symbol of |xi|
+once per radius, gather it to the points and multiply the stored values
+there, and the inverse FFT scatters the values of the rows that hold points
+into one block and transforms only those rows; on a frequency field both
+give the same bits as the full-lattice computation.
 
 Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
@@ -159,15 +163,16 @@ def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
 
 
 def _meet(grid: GridSpec, support, band: tuple[float, float]):
-    """The support points with lo < |xi| < hi: the band's own points for None.
-    Only the radii in the band are kept, and ``inv`` is renumbered to them."""
+    """(the support points with lo < |xi| < hi, the mask of them among
+    ``support``'s points): the band's own points and None for None.  Only the
+    radii in the band are kept, and ``inv`` is renumbered to them."""
     if support is None:
-        return _band_points(grid, *band)
+        return _band_points(grid, *band), None
     flat, inv, radii = support
     keep = (radii > band[0]) & (radii < band[1])
     inside = np.take(keep, inv)
     renumber = np.cumsum(keep, dtype=np.int32) - 1
-    return flat[inside], np.take(renumber, inv[inside]), radii[keep]
+    return (flat[inside], np.take(renumber, inv[inside]), radii[keep]), inside
 
 
 def frequency_lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +197,14 @@ class Field:
     points ``(flat, inv, radii)`` its builder filled, ``factors``, the 1-D
     symbols of a separable transform, and ``even``, the axes of a mirror-even
     transform, are set by this package's operators only (see the module
-    docstring); a field made here has None, None and ().
+    docstring); a field made here has None, None and ().  ``data`` is what is
+    stored: a frequency field with a support holds one value per entry of
+    support[0], in that order, and ``values`` scatters them on each read;
+    every other field holds its n x n values.
     """
 
     grid: GridSpec
-    values: np.ndarray
+    data: np.ndarray
     space: str
     support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False)
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
@@ -205,30 +213,42 @@ class Field:
     def __post_init__(self):
         if self.space not in _SPACES:
             raise ValueError(f"space must be one of {_SPACES}, got {self.space!r}")
-        vals = np.array(self.values, dtype=np.complex128, order="C")
+        vals = np.array(self.data, dtype=np.complex128, order="C")
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values must be {self.grid.n} x {self.grid.n}, got {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "data", vals)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only n x n complex128 values, scattered afresh (and not kept)
+        for a field stored on its support."""
+        if self.data.ndim == 2:
+            return self.data
+        out = np.zeros(self.grid.n**2, dtype=np.complex128)
+        out[self.support[0]] = self.data
+        out.setflags(write=False)
+        return out.reshape(self.grid.n, self.grid.n)
 
 
 def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None, factors=None, even=()) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
-    vars(f).update(grid=grid, values=vals, space=space, support=support, factors=factors, even=even)
+    vars(f).update(grid=grid, data=vals, space=space, support=support, factors=factors, even=even)
     return f
 
 
 def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None, even=()) -> Field:
     """The frequency field with ``values`` at the support points and exact zeros
-    elsewhere; for None, ``values`` covers the whole lattice.  Freezes the
-    support and the factors."""
-    out = np.zeros(grid.n * grid.n, dtype=np.complex128)
-    out[slice(None) if support is None else support[0]] = values
+    elsewhere, stored as ``values``; for None, ``values`` covers the whole
+    lattice.  Freezes the support and the factors."""
+    vals = np.asarray(values, dtype=np.complex128)
     for a in (*(support or ()), *(factors or ())):
         a.setflags(write=False)
-    return _own(grid, out.reshape(grid.n, grid.n), "frequency", support, factors, even)
+    if support is None:
+        vals = vals.reshape(grid.n, grid.n)
+    return _own(grid, vals, "frequency", support, factors, even)
 
 
 def to_frequency(f: Field) -> Field:
@@ -262,15 +282,18 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     """
     grid = f.grid
     g = f if f.space == "frequency" else to_frequency(f)
-    support = f.support if band is None else _meet(grid, f.support, band)
+    support, inside = (f.support, slice(None)) if band is None else _meet(grid, f.support, band)
     at = slice(None) if support is None else support[0]
+    # stored on f.support: the values kept; else the dense transform at the points
+    vals = g.data[inside] if g.data.ndim == 1 else g.data.ravel()[at]
     if not callable(symbol):
         mult = symbol.ravel()[at]
     elif support is None:
         mult = symbol(np.hypot(*frequency_lattice(grid)).ravel())
     else:
         mult = np.take(symbol(support[2]), support[1])  # once per radius, then to the points
-    out = _on_support(grid, support, g.values.ravel()[at] * mult, even=f.even if callable(symbol) else ())
+    vals = np.multiply(vals, mult, out=vals if vals.flags.writeable else None)  # in place on a gathered copy
+    out = _on_support(grid, support, vals, even=f.even if callable(symbol) else ())
     return out if f.space == "frequency" else to_physical(out)
 
 
@@ -355,19 +378,32 @@ def _inverse(f: Field, even: tuple[int, ...] = ()) -> np.ndarray:
     top, bottom = _row_blocks(f.grid, f.support)
     cols = h + 1 if 1 in even else n
     if even and top.stop < 2 * n.bit_length():
-        v = np.fft.ifft(f.values[top], axis=1)[:, :cols].view(np.float64)  # V_k, re and im
+        v = _row_pass(f, top)[:, :cols].view(np.float64)  # V_k, re and im
         k = np.arange(top.stop)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
         return np.einsum("xk,kc->xc", table / (n * f.grid.cell**2), v).view(np.complex128)
     vals = np.zeros((n, cols), dtype=np.complex128)
     for rows in (top,) if even else (top, bottom):
-        vals[rows] = np.fft.ifft(f.values[rows], axis=1)[:, :cols]
+        vals[rows] = _row_pass(f, rows)[:, :cols]
     if even:
         vals[n - 1:n - top.stop:-1] = vals[1:top.stop]  # row -k is row k
     np.fft.ifft(vals, axis=0, out=vals)
     vals = vals[: h + 1 if even else n]
     vals /= f.grid.cell**2
     return vals
+
+
+def _row_pass(f: Field, rows: slice) -> np.ndarray:
+    """np.fft.ifft along axis 1 of the rows ``rows`` of the frequency field ``f``.
+    Stored on its support, their values are a run of the ascending ``flat``,
+    scattered into a zero block that the transform then overwrites."""
+    if f.data.ndim == 2:
+        return np.fft.ifft(f.data[rows], axis=1)
+    n, flat = f.grid.n, f.support[0]
+    lo, hi = np.searchsorted(flat, (rows.start * n, rows.stop * n))
+    block = np.zeros((rows.stop - rows.start, n), dtype=np.complex128)
+    block.ravel()[flat[lo:hi] - rows.start * n] = f.data[lo:hi]
+    return np.fft.ifft(block, axis=1, out=block)
 
 
 def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:

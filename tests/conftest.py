@@ -1,5 +1,7 @@
 """Checks shared by several test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,19 @@ def _check_honest_support(f, rtol: float = 0.0) -> None:
 @pytest.fixture
 def honest_support():
     return _check_honest_support
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes of the memory it allocated)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

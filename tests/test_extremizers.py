@@ -111,6 +111,16 @@ def test_knapp_coherence(fields):
         assert knapp_coherence(GRID, j) >= 0.99
 
 
+def test_knapp_coherence_bound_is_the_dense_sum(fields):
+    """The bound sums |f_hat| over the support values only; the n x n sum, zeros
+    included, agrees to rounding."""
+    for j in JS:
+        f = fields["knapp", j]
+        dense = np.abs(f.values).sum() / GRID.period**2
+        want = knapp_center_value(f, j) * 2.0 ** (1.5 * j) / dense
+        assert knapp_coherence(GRID, j) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_knapp_phase_error_scales_like_c1_squared():
     for c1 in (0.0625, 0.125, 0.25):
         plat = knapp_phase_error(j=6, c1=c1, region="plateau")

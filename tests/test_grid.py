@@ -6,7 +6,6 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
 import math
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -37,6 +36,8 @@ from fractalwave.grid import (
     to_frequency,
     to_physical,
 )
+
+BUILDERS = (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus)
 
 
 def test_grid_spec_derived_quantities():
@@ -227,7 +228,7 @@ def _band_fields(grid):
         yield half_wave(littlewood_paley(base, j), 1.3)
     for j in range(grid.max_band_j(4.0) + 1):
         yield half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 1.3)
-        for build in (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus):
+        for build in BUILDERS:
             yield build(grid, j)
 
 
@@ -245,6 +246,48 @@ def test_pruned_inverse_transform_is_ifft2(n, honest_support):
     full = to_frequency(random_field(grid, seed=2))
     assert full.support is None
     assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
+
+
+def test_a_frequency_field_is_stored_on_its_support():
+    """A builder's or operator's frequency field stores one value per support
+    point; ``values`` scatters them to n x n, read-only, bit for bit, and is
+    made afresh on each read."""
+    grid = GridSpec(256, 8.0)
+    pf = littlewood_paley(extremizers.annulus(grid, 4), 4)
+    for g in (extremizers.radial_focusing(grid, 4), extremizers.knapp(grid, 4), pf, half_wave(pf, 1.3)):
+        flat = g.support[0]
+        assert g.data.shape == flat.shape and g.data.dtype == np.complex128
+        assert not g.data.flags.writeable
+        want = np.zeros(grid.n * grid.n, dtype=np.complex128)
+        want[flat] = g.data
+        vals = g.values
+        assert vals.shape == (grid.n, grid.n) and vals.dtype == np.complex128
+        assert not vals.flags.writeable
+        assert np.array_equal(vals, want.reshape(grid.n, grid.n))
+        assert g.values is not vals  # scattered on each read, not kept
+
+
+def test_a_callers_frequency_array_is_copied_and_stays_dense():
+    grid = GridSpec(64, 8.0)
+    arr = extremizers.annulus(grid, 2).values.copy()
+    f = Field(grid, arr, "frequency")
+    assert f.support is None and f.data.shape == (64, 64)
+    assert f.values is f.data and not np.shares_memory(arr, f.values)
+    arr[0, 0] = 7.0
+    assert f.values[0, 0] == 0.0 and not f.values.flags.writeable
+    assert to_frequency(to_physical(f)).data.shape == (64, 64)  # a forward transform is dense
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_projection_and_evolution_make_no_dense_array(build, traced_peak):
+    """On a level's own grid, projecting a builder's field and evolving the
+    projection each peak below a quarter of one n x n complex array."""
+    grid = level_grid(6)
+    f = build(grid, 6)
+    pf, peak = traced_peak(littlewood_paley, f, 6)
+    assert peak < 16 * grid.n**2 / 4
+    _, peak = traced_peak(half_wave, pf, 0.7318)
+    assert peak < 16 * grid.n**2 / 4
 
 
 def test_support_survives_to_physical(honest_support):
@@ -319,10 +362,12 @@ def test_meet_keeps_only_the_radii_in_the_band(build, honest_support):
     f = build(grid, 5)
     flat, inv, radii = f.support
     band = (2.0**4, 2.0**6)
-    got = grid_module._meet(grid, f.support, band)
+    got, inside = grid_module._meet(grid, f.support, band)
     honest_support(grid_module._on_support(grid, got, np.ones(got[0].size)))
     assert np.all((got[2] > band[0]) & (got[2] < band[1]))  # with every radius used: none stale
-    assert np.array_equal(got[0], flat[(radii[inv] > band[0]) & (radii[inv] < band[1])])
+    assert np.array_equal(inside, (radii[inv] > band[0]) & (radii[inv] < band[1]))
+    assert np.array_equal(got[0], flat[inside])
+    assert grid_module._meet(grid, None, band) == (_band_points(grid, *band), None)
 
 
 def test_symbols_are_evaluated_once_per_orbit(monkeypatch):
@@ -393,7 +438,6 @@ def test_factored_knapp_norm_is_the_2d_norm(n):
             assert abs(lp_norm(f, p) - want) <= 4 * math.ulp(want), (j, p)
 
 
-BUILDERS = (extremizers.radial_focusing, extremizers.knapp, extremizers.annulus)
 CLAIMED_EVEN = {"radial_focusing": (0, 1), "knapp": (0,), "annulus": (0, 1)}
 
 
@@ -440,7 +484,7 @@ def _ifft_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("j", [4, 5, 6, 7])
-def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j):
+def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j, traced_peak):
     """A Knapp numerator on its level's grid holds a < 2 n.bit_length() rows
     k_1 >= 0, so its norm transforms those a rows and sums the column pass as
     cosines: no axis-0 FFT and no n x n array.  It is the n x n norm of
@@ -456,12 +500,7 @@ def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j):
         assert lp_norm(f, p) == pytest.approx(want, rel=1e-13, abs=0.0), p
     del full
     calls = _ifft_calls(monkeypatch)
-    tracemalloc.start()
-    try:
-        lp_norm(f, Fraction(5, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lp_norm, f, Fraction(5, 2))
     assert calls == [((top.stop, n), 1)]
     assert peak < 16 * n * n  # less than one n x n complex array
 

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,14 +305,9 @@ def test_interval_family_constant_equals_the_full_difference_sweep():
         assert fam.certified_constant == want
 
 
-def test_interval_family_memory_stays_below_the_difference_matrix():
+def test_interval_family_memory_stays_below_the_difference_matrix(traced_peak):
     spec = cantor_spec(1.0, 12, L=2.0)  # 2,048 starts: the n x n differences alone are 32 MiB
-    tracemalloc.start()
-    try:
-        fam = build_interval_family(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fam, peak = traced_peak(build_interval_family, spec)
     assert len(fam.starts) == 2048
     assert peak < 16 * 2**20
 
