@@ -37,9 +37,9 @@ stored on it: ``Field.data`` holds one value per entry of ``flat``, and
 holds up to FFT rounding; physical fields, forward transforms and fields
 whose support is None stay dense.  Multipliers evaluate a symbol of |xi|
 once per radius, gather it to the points and multiply the stored values
-there, and the inverse FFT scatters the values of the rows that hold points
-into one block and transforms only those rows; on a frequency field both
-give the same bits as the full-lattice computation.
+there, and the inverse FFT transforms only the rows that hold points, then
+the columns, a block at a time; on a frequency field both give the same bits
+as the full-lattice computation.
 
 Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
@@ -51,12 +51,12 @@ Mirror-even fields.  A frequency field may also carry ``even``: the axes in
 which its transform is even, F[-k] = F[k], read off its builder's formula and
 kept by the |xi| multipliers; it is (), (0,) or (0, 1).  Its physical field is
 even in the same axes, so ``lp_norm`` asks ``_inverse``, the one inverse
-transform (``to_physical`` is its case even = ()), for x_i in [0, n/2] along
-them only, and ``_sum_norm`` weights them 1 on the mirror lines x_i = 0, n/2
-and 2 elsewhere.  With few rows k_1 >= 0, a < 2 n.bit_length() (a Knapp plate's; a
-radial band has hundreds), the column pass is their even cosine sum, the FFT
-with its zero inputs pruned exactly (Markel, "FFT pruning", 1971).  Every
-other operator drops ``even``.
+transform (``to_physical`` is its case even = ()), for |f| on x_i in [0, n/2]
+along them, one real array filled block by block; ``_sum_norm`` weights them
+1 on the mirror lines x_i = 0, n/2 and 2 elsewhere.  With few rows k_1 >= 0,
+a < 2 n.bit_length() (a Knapp plate's; a radial band has hundreds), the column
+pass is their even cosine sum, the FFT with its zero inputs pruned exactly
+(Markel, "FFT pruning", 1971).  Every other operator drops ``even``.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .sets import TimeSet, discretize
 _SPACES = ("physical", "frequency")
 COEFF_RESOLUTION = 512  # samples per axis of a coefficient-decay table's period cell
 COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
+_BLOCK = 32  # rows or columns per block of the inverse transform; 16..256 timed at n = 2048
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,8 @@ class Field:
     docstring); a field made here has None, None and ().  ``data`` is what is
     stored: a frequency field with a support holds one value per entry of
     support[0], in that order, and ``values`` scatters them on each read;
-    every other field holds its n x n values.
+    every other field holds its n x n values.  ``spectrum``, not compared, is the
+    field stored on its support that ``to_physical`` made a physical field from.
     """
 
     grid: GridSpec
@@ -209,6 +211,7 @@ class Field:
     support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False)
     factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     even: tuple[int, ...] = field(default=(), init=False)
+    spectrum: Field | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -231,11 +234,11 @@ class Field:
         return out.reshape(self.grid.n, self.grid.n)
 
 
-def _own(grid: GridSpec, vals: np.ndarray, space: str, support=None, factors=None, even=()) -> Field:
+def _own(grid: GridSpec, vals: np.ndarray, space: str, **attrs) -> Field:
     """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
     vals.setflags(write=False)
     f = object.__new__(Field)
-    vars(f).update(grid=grid, data=vals, space=space, support=support, factors=factors, even=even)
+    vars(f).update(grid=grid, data=vals, space=space, **attrs)
     return f
 
 
@@ -248,7 +251,7 @@ def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None, even=
         a.setflags(write=False)
     if support is None:
         vals = vals.reshape(grid.n, grid.n)
-    return _own(grid, vals, "frequency", support, factors, even)
+    return _own(grid, vals, "frequency", support=support, factors=factors, even=even)
 
 
 def to_frequency(f: Field) -> Field:
@@ -260,10 +263,11 @@ def to_frequency(f: Field) -> Field:
 
 def to_physical(f: Field) -> Field:
     """Inverse transform as np.fft.ifft2 computes it (see ``_inverse``); the
-    result keeps the input's support."""
+    result keeps the input's support and, if stored on it, the input itself."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
-    return _own(f.grid, _inverse(f), "physical", f.support)
+    spectrum = f if f.data.ndim == 1 else None
+    return _own(f.grid, _inverse(f), "physical", support=f.support, spectrum=spectrum)
 
 
 def _as_physical(f: Field) -> Field:
@@ -276,12 +280,12 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     ``symbol`` is the multiplier as a function of |xi|, evaluated once per
     support radius, or its full-lattice array; ``band``, if given, is where it
     may be nonzero.  Only the points of ``f``'s support in the band are
-    multiplied, in either space: a physical input's transform is read there
-    and the rest, rounding, is dropped.  A frequency input keeps its ``even``
-    axes under a symbol of |xi|.
+    multiplied, in either space: a physical input's transform (its ``spectrum``,
+    if it has one) is read there and the rest, rounding, is dropped.  A
+    frequency input keeps its ``even`` axes under a symbol of |xi|.
     """
     grid = f.grid
-    g = f if f.space == "frequency" else to_frequency(f)
+    g = f if f.space == "frequency" else f.spectrum or to_frequency(f)
     support, inside = (f.support, slice(None)) if band is None else _meet(grid, f.support, band)
     at = slice(None) if support is None else support[0]
     # stored on f.support: the values kept; else the dense transform at the points
@@ -362,55 +366,71 @@ def lp_norm(f: Field, p) -> float:
     cell = f.grid.cell
     if f.factors is not None:
         return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
-    vals = f.values if f.space == "physical" else _inverse(f, f.even)
+    vals = f.values if f.space == "physical" else _inverse(f, f.even, magnitude=True)
     return _sum_norm(vals, pv, cell**2, f.even)
 
 
-def _inverse(f: Field, even: tuple[int, ...] = ()) -> np.ndarray:
-    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them:
-    axis 1 on the rows that hold support points only (the rest are zero in, zero
-    out), then axis 0.  ``even``, (0,) or (0, 1) for an ``f`` even in those axes,
-    keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length() rows
-    k_1 >= 0, the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k
-    / (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops
-    against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
+def _inverse(f: Field, even: tuple[int, ...] = (), magnitude: bool = False) -> np.ndarray:
+    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them,
+    or with ``magnitude`` their moduli, each block written out as it is made: axis 1
+    on the rows holding support points only, then axis 0 on _BLOCK columns at a
+    time in one buffer.  ``even``, (0,) or (0, 1) for an ``f`` even in those axes,
+    keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length() rows k_1 >= 0,
+    the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k / (n cell^2)
+    of the row transforms V_k, w_0 = 1, w_k = 2, on _BLOCK rows x_1 at a time: about
+    2 a n^2 flops against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
     n, h = f.grid.n, f.grid.n // 2
     top, bottom = _row_blocks(f.grid, f.support)
-    cols = h + 1 if 1 in even else n
-    if even and top.stop < 2 * n.bit_length():
-        v = _row_pass(f, top)[:, :cols].view(np.float64)  # V_k, re and im
-        k = np.arange(top.stop)
+    a, rows, cols = top.stop, (h + 1 if even else n), (h + 1 if 1 in even else n)
+    out = np.empty((rows, cols), dtype=np.float64 if magnitude else np.complex128)
+    put = (lambda at, block: np.abs(block, out=out[at])) if magnitude else out.__setitem__
+    v = _row_pass(f, (top,) if even else (top, bottom), cols)
+    if even and a < 2 * n.bit_length():
+        k = np.arange(a)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
-        return np.einsum("xk,kc->xc", table / (n * f.grid.cell**2), v).view(np.complex128)
-    vals = np.zeros((n, cols), dtype=np.complex128)
-    for rows in (top,) if even else (top, bottom):
-        vals[rows] = _row_pass(f, rows)[:, :cols]
-    if even:
-        vals[n - 1:n - top.stop:-1] = vals[1:top.stop]  # row -k is row k
-    np.fft.ifft(vals, axis=0, out=vals)
-    vals = vals[: h + 1 if even else n]
-    vals /= f.grid.cell**2
-    return vals
+        table /= n * f.grid.cell**2
+        for x in range(0, rows, _BLOCK):
+            block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], v.view(np.float64))
+            put(slice(x, x + _BLOCK), block.view(np.complex128))
+        return out
+    b, tail = (n - a + 1, v[a - 1:0:-1]) if even else (bottom.start, v[a:])
+    buf = np.empty((n, _BLOCK), dtype=np.complex128)
+    for c in range(0, cols, _BLOCK):
+        block = buf[:, : min(_BLOCK, cols - c)]
+        block[:a], block[a:b], block[b:] = v[:a, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
+        np.fft.ifft(block, axis=0, out=block)
+        put(np.s_[:, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]))
+    return out
 
 
-def _row_pass(f: Field, rows: slice) -> np.ndarray:
-    """np.fft.ifft along axis 1 of the rows ``rows`` of the frequency field ``f``.
-    Stored on its support, their values are a run of the ascending ``flat``,
-    scattered into a zero block that the transform then overwrites."""
-    if f.data.ndim == 2:
-        return np.fft.ifft(f.data[rows], axis=1)
-    n, flat = f.grid.n, f.support[0]
-    lo, hi = np.searchsorted(flat, (rows.start * n, rows.stop * n))
-    block = np.zeros((rows.stop - rows.start, n), dtype=np.complex128)
-    block.ravel()[flat[lo:hi] - rows.start * n] = f.data[lo:hi]
-    return np.fft.ifft(block, axis=1, out=block)
+def _row_pass(f: Field, rows: tuple[slice, ...], cols: int) -> np.ndarray:
+    """np.fft.ifft along axis 1 of the rows ``rows`` of ``f``, stacked, columns [0, cols)
+    kept, _BLOCK rows at a time through one block: stored on its support, a chunk's
+    values are a run of the ascending ``flat``, scattered into the zeroed block."""
+    n = f.grid.n
+    out = np.empty((sum(s.stop - s.start for s in rows), cols), dtype=np.complex128)
+    block = np.empty((_BLOCK, n), dtype=np.complex128)
+    i = 0
+    for s in rows:
+        for r in range(s.start, s.stop, _BLOCK):
+            chunk = block[: min(_BLOCK, s.stop - r)]
+            if f.data.ndim == 2:
+                np.fft.ifft(f.data[r:r + len(chunk)], axis=1, out=chunk)
+            else:
+                lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(chunk)) * n))
+                chunk.fill(0.0)
+                chunk.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
+                np.fft.ifft(chunk, axis=1, out=chunk)
+            out[i:i + len(chunk)] = chunk[:, :cols]
+            i += len(chunk)
+    return out
 
 
 def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:
-    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity.  With
-    ``even`` axes, ``values`` is ``_inverse``'s half or quarter grid, summed as the
-    whole one: weight 1 on the mirror lines x_i = 0, n/2 and 2 between them."""
-    a = np.abs(values)
+    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity; real
+    ``values`` are |values|, raised in place.  With ``even`` axes, ``_inverse``'s
+    half or quarter grid summed as the whole: weight 1 on x_i = 0, n/2, else 2."""
+    a = np.abs(values) if np.iscomplexobj(values) else values
     if math.isinf(pv):
         return float(a.max())
     a **= pv  # in place: same bits as a**pv, one array fewer
@@ -444,7 +464,7 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
     _check_radius(f.grid, max(E.points))
-    g = littlewood_paley(f if f.space == "frequency" else to_frequency(f), j)
+    g = littlewood_paley(f if f.space == "frequency" else f.spectrum or to_frequency(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in discretize(E, 2.0**-j).points:
         np.maximum(acc, np.abs(to_physical(circular_average(g, t)).values), out=acc)

@@ -133,12 +133,12 @@ def test_derived_grid_equals_every_grid_written_so_far(monkeypatch):
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
-def test_shipped_top_level_peaks_below_two_fields(i, traced_peak):
+def test_shipped_top_level_peaks_below_one_field(i, traced_peak):
     """Memory bounded by design: the top level of each shipped study, on
-    n = 2048, holds less than two n x n complex arrays at its tracemalloc peak."""
+    n = 2048, holds less than one n x n complex array at its tracemalloc peak."""
     config = RunConfig.from_json(json.loads((ROOT / "scripts" / f"run_s{i}.json").read_text()))
     _, peak = traced_peak(measure_level, config, config.j_max)
-    assert peak < 2 * 16 * config.grid.n**2
+    assert peak < 16 * config.grid.n**2
 
 
 def test_config_json_accepts_legacy_keys_only_at_the_values_in_use():

@@ -5,6 +5,7 @@ sum |f|^2 cell^2 = sum |f_hat|^2 / period^2 holds exactly, and a pure lattice
 plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
+import dataclasses
 import math
 import weakref
 from fractions import Fraction
@@ -18,6 +19,7 @@ from fractalwave import extremizers
 from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig, level_grid
+from fractalwave.sets import TimeSet, discretize
 from fractalwave.grid import (
     Field,
     GridSpec,
@@ -29,6 +31,7 @@ from fractalwave.grid import (
     half_wave,
     littlewood_paley,
     lp_norm,
+    maximal_function,
     mixed_norm,
     physical_coords,
     random_field,
@@ -449,9 +452,10 @@ def _mirror(values, axis):
 @pytest.mark.parametrize("n", [256, 1024])
 def test_mirrored_norm_is_the_full_grid_norm(n):
     """The half or quarter grid sum with mirror weights against the n x n sum of
-    to_physical, at every admissible j, for each builder's field (read through
-    ``_inverse(f, f.even)``, as bare Knapp's norm takes its factors) and its
-    projected, evolved field (read through lp_norm) at an off-grid time."""
+    to_physical, at every admissible j, for each builder's field and its
+    projected, evolved field at an off-grid time, both read through
+    ``_inverse(f, f.even)``.  lp_norm is that sum to the bit, at every p, for
+    each of them but bare Knapp, whose norm takes its factors."""
     grid = GridSpec(n, 8.0)
     measure = grid.cell**2
     for build in BUILDERS:
@@ -467,8 +471,8 @@ def test_mirrored_norm_is_the_full_grid_norm(n):
                     want = grid_module._sum_norm(full, float(p), measure)
                     got = grid_module._sum_norm(half, float(p), measure, g.even)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
-                if g is not f:
-                    assert lp_norm(g, 16) == grid_module._sum_norm(half, 16.0, measure, g.even)
+                    if g.factors is None:
+                        assert lp_norm(g, p) == got, (build.__name__, j, p)
 
 
 def _ifft_calls(monkeypatch):
@@ -524,6 +528,45 @@ def test_radial_numerator_norm_keeps_the_fft_column_pass(monkeypatch, build):
             assert lp_norm(f, p) == grid_module._sum_norm(quarter, float(p), measure, f.even), (j, p)
 
 
+@pytest.mark.parametrize("build", BUILDERS)
+def test_norm_at_the_top_level_makes_no_complex_physical_array(build, traced_peak):
+    """At n = 2048, j = 7, the norm of each family's denominator (its built field)
+    and numerator (projected, evolved) peaks below half of one n x n complex
+    array: the inverse transform is reduced block by block."""
+    grid = level_grid(7)
+    f = build(grid, 7)
+    _, peak = traced_peak(lp_norm, f, 4)
+    assert peak < 16 * grid.n**2 / 2
+    f = half_wave(littlewood_paley(f, 7), 0.7318)
+    _, peak = traced_peak(lp_norm, f, 16)
+    assert peak < 16 * grid.n**2 / 2
+
+
+def test_a_multiplier_reads_the_spectrum_to_physical_kept(monkeypatch):
+    """A physical field made by to_physical keeps the frequency field it came
+    from, so a multiplier or the maximal function on it runs no forward
+    transform: each average of its projection is the maximal function's term
+    to the bit, and the fft2 route, on the same values without the spectrum,
+    agrees within 1e-13 relative."""
+    grid = GridSpec(256, 8.0)
+    f = extremizers.annulus(grid, 4)
+    phys = to_physical(f)
+    assert phys.spectrum is f
+    kept = {a.name: a for a in dataclasses.fields(Field)}["spectrum"]
+    assert not (kept.init or kept.compare)
+    monkeypatch.setattr(grid_module, "to_frequency", None)
+    got = circular_average(phys, 1.3)
+    E = TimeSet.from_points([1.1, 1.3, 1.9])
+    top = np.abs(maximal_function(phys, E, 4).values)
+    pj = littlewood_paley(phys, 4)
+    averages = [np.abs(circular_average(pj, t).values) for t in discretize(E, 2.0**-4).points]
+    monkeypatch.undo()
+    assert len(averages) == 3 and np.array_equal(np.max(averages, axis=0), top)
+    assert got.space == "physical" and got.spectrum is not None
+    want = circular_average(Field(grid, phys.values, "physical"), 1.3).values
+    assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypatch):
     grid = GridSpec(256, 8.0)
     for build in BUILDERS:
@@ -548,9 +591,9 @@ def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypa
     # ... and a hand-made one whose values happen to be even takes the full path
     seen, inverse = [], grid_module._inverse
 
-    def spy(g, even=()):
+    def spy(g, even=(), magnitude=False):
         seen.append((g is hand, even))
-        return inverse(g, even)
+        return inverse(g, even, magnitude)
 
     monkeypatch.setattr(grid_module, "_inverse", spy)
     assert lp_norm(hand, 4) == pytest.approx(want, rel=1e-13)
