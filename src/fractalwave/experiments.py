@@ -2,7 +2,7 @@
 
 A scaling run measures, for each dyadic level j,
 
-    R(j) = mixed_norm(E_j, t -> half_wave(littlewood_paley(f, j), t), q)
+    R(j) = mixed_norm([lp_norm(half_wave(littlewood_paley(f, j), t), q) for t in E_j], q)
            / lp_norm(f, p)
 
 for an extremizer family f and a per-level time set E_j, then fits
@@ -186,13 +186,12 @@ def _time_set(config: RunConfig, j: int) -> TimeSet:
 
 @dataclass(frozen=True)
 class ScalingRun:
-    """What a study measured: its config and, per level j, #E_j and log2 R(j), listing
-    the same j in the same order.  The fit, the predicted exponent and the verdict
-    are derived from them here, and stored nowhere else."""
+    """What a study measured: its config and one (j, #E_j, log2 R(j)) per level.
+    The fit, the predicted exponent and the verdict are derived from them here,
+    and stored nowhere else."""
 
     config: RunConfig
-    time_sets: tuple[tuple[int, int], ...]  # (j, #E_j)
-    measured: tuple[tuple[int, float], ...]  # (j, log2 R(j))
+    levels: tuple[tuple[int, int, float], ...]  # (j, #E_j, log2 R(j))
     fitted_slope: float = field(init=False)
     intercept: float = field(init=False)
     residual: float = field(init=False)
@@ -200,12 +199,9 @@ class ScalingRun:
     verdict: str = field(init=False)
 
     def __post_init__(self):
-        listed = [j for j, _ in self.time_sets]
-        if listed != [j for j, _ in self.measured]:
-            raise ValueError(f"time_sets lists the levels {listed}, measured {[j for j, _ in self.measured]}")
         slope, intercept, resid = fit_exponent(self.measured)
         predicted = predicted_exponent(self.config)
-        if resid > 0.25 or slope > float(predicted) + TOLERANCE:
+        if not (resid <= 0.25 and slope <= float(predicted) + TOLERANCE):  # a NaN fit too
             verdict = "inconclusive"
         elif slope < float(predicted) - TOLERANCE:
             verdict = "lower_bound_violated"
@@ -216,16 +212,25 @@ class ScalingRun:
             object.__setattr__(self, name, value)
 
     @property
+    def time_sets(self) -> tuple[tuple[int, int], ...]:
+        return tuple((j, size) for j, size, _ in self.levels)
+
+    @property
+    def measured(self) -> tuple[tuple[int, float], ...]:
+        return tuple((j, y) for j, _, y in self.levels)
+
+    @property
     def monotone(self) -> bool:
         """Whether log2 R(j) never falls from one level to the next."""
         return all(b >= a for (_, a), (_, b) in zip(self.measured, self.measured[1:]))
 
 
-def measure_level(config: RunConfig, j: int) -> tuple[int, float]:
-    """(#E_j, log2 R(j)) of one level: the denominator on ``config.grid``, taken
+def measure_level(config: RunConfig, j: int) -> tuple[int, int, float]:
+    """(j, #E_j, log2 R(j)) of one level: the denominator on ``config.grid``, taken
     first so that its field is gone before the numerator's are made, and the
     numerator on ``level_grid(j)`` (see ``_OWN_GRID_FROM``), where it agrees
-    with its value on ``config.grid`` to rounding."""
+    with its value on ``config.grid`` to rounding.  Each evolved field is reduced
+    to its norm before the next is made, so one is alive at a time."""
     # through the module attribute, so that a patched builder is the one called
     build = getattr(extremizers, config.family)
     f = build(config.grid, j)
@@ -236,17 +241,13 @@ def measure_level(config: RunConfig, j: int) -> tuple[int, float]:
     pf = littlewood_paley(f, j)
     del f  # it may be the denominator's field; the numerator needs only pf
     E = _time_set(config, j)
-    num = mixed_norm(E.points, lambda t: half_wave(pf, t), config.q)
-    return len(E.points), math.log2(num / den)
+    num = mixed_norm([lp_norm(half_wave(pf, t), config.q) for t in E.points], config.q)
+    return j, len(E.points), math.log2(num / den)
 
 
 def run_scaling(config: RunConfig) -> ScalingRun:
-    levels = {j: measure_level(config, j) for j in range(config.j_min, config.j_max + 1)}
-    return ScalingRun(
-        config,
-        tuple((j, size) for j, (size, _) in levels.items()),
-        tuple((j, y) for j, (_, y) in levels.items()),
-    )
+    levels = range(config.j_min, config.j_max + 1)
+    return ScalingRun(config, tuple(measure_level(config, j) for j in levels))
 
 
 # --- verification suites ------------------------------------------------------
@@ -432,24 +433,26 @@ def run_to_json(run: ScalingRun) -> dict:
 
 
 def run_from_json(data: dict) -> ScalingRun:
-    """The run a document records; its stored fit and verdict are derived again, not read."""
+    """The run a document records, whose ``time_sets`` and ``measured`` must list the
+    same j in the same order; its stored fit and verdict are derived again, not read."""
     try:
-        return ScalingRun(
-            RunConfig.from_json(data["config"]),
-            tuple((int(j), int(m)) for j, m in data["time_sets"]),
-            tuple((int(j), float(y)) for j, y in data["measured"]),
-        )
+        config = RunConfig.from_json(data["config"])
+        sizes = [(int(j), int(m)) for j, m in data["time_sets"]]
+        measured = [(int(j), float(y)) for j, y in data["measured"]]
     except KeyError as exc:
         raise ValueError(f"scaling-run document missing field {exc}") from exc
+    listed = [j for j, _ in sizes]
+    if listed != [j for j, _ in measured]:
+        raise ValueError(f"time_sets lists the levels {listed}, measured {[j for j, _ in measured]}")
+    return ScalingRun(config, tuple((j, m, y) for (j, m), (_, y) in zip(sizes, measured)))
 
 
 def measured_csv(run: ScalingRun) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["j", "log2_ratio", "set_size"])
-    sizes = dict(run.time_sets)
-    for j, y in run.measured:
-        writer.writerow([j, f"{y:.12g}", sizes[j]])
+    for j, size, y in run.levels:
+        writer.writerow([j, f"{y:.12g}", size])
     return buf.getvalue()
 
 

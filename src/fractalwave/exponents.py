@@ -29,10 +29,14 @@ _LABELS = ("s1", "s2", "s3")
 
 
 def _frac(x) -> Fraction:
-    """Coerce ints, strings like '2/5', and Fractions; floats are refused."""
+    """Coerce ints, strings like '2/5', and Fractions; floats are refused, and a
+    zero denominator is a ValueError."""
     if isinstance(x, float):
         raise TypeError(f"exact rational expected, got float {x!r} (pass a Fraction or string)")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {x!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -439,18 +439,14 @@ def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ..
     return float((np.sum(a) * measure) ** (1.0 / pv))
 
 
-def mixed_norm(times: Sequence[float], field_at: Callable[[float], Field], q) -> float:
-    """(sum_t ||F_t||_q^q)^(1/q) over t in ``times``, F_t = field_at(t); max over t at q = inf.
-
-    Each F_t is made, reduced and dropped before the next is asked for, so at
-    most one is alive however many times there are.
-    """
-    if not len(times):
-        raise ValueError("mixed_norm needs a nonempty sequence of times")
+def mixed_norm(norms: Sequence[float], q) -> float:
+    """(sum_t n_t^q)^(1/q) of the per-time norms n_t = ||F_t||_q; their max at q = inf."""
+    if not len(norms):
+        raise ValueError("mixed_norm needs a nonempty sequence of norms")
     qv = float(q)
     if qv < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    return _sum_norm(np.array([lp_norm(field_at(t), qv) for t in times]), qv, 1.0)
+    return _sum_norm(np.array(norms, dtype=np.float64), qv, 1.0)
 
 
 def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
@@ -459,7 +455,8 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
 
     E is first thinned to a maximal 2^{-j}-separated subset (finer time
     resolution is invisible to a 2^j-band-limited field).  The field stays in
-    frequency space, so each average evaluates J0 on the band only.
+    frequency space, so each average evaluates J0 on the band only, and
+    ``_inverse`` writes its modulus with no complex physical array.
     """
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
@@ -467,7 +464,7 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     g = littlewood_paley(f if f.space == "frequency" else f.spectrum or to_frequency(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in discretize(E, 2.0**-j).points:
-        np.maximum(acc, np.abs(to_physical(circular_average(g, t)).values), out=acc)
+        np.maximum(acc, _inverse(circular_average(g, t), magnitude=True), out=acc)
     return _own(f.grid, acc.astype(np.complex128), "physical")
 
 

@@ -22,7 +22,6 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -290,13 +289,11 @@ class MarginalSum:
 
     ``ratio`` compares against k * 2**k, the growth forced by the level
     decomposition (each level l contributes ~ 2**(k-l-1) * mu**(-alpha l)
-    = 2**(k-1) terms).  ``exact`` carries the rational value when mu is
-    rational (alpha = 1) and k is small enough to keep Fractions cheap.
+    = 2**(k-1) terms).
     """
 
     value: float
     ratio: float
-    exact: Fraction | None = None
 
 
 def marginal_sum(spec: CantorSpec) -> MarginalSum:
@@ -306,15 +303,7 @@ def marginal_sum(spec: CantorSpec) -> MarginalSum:
         return MarginalSum(value=1.0, ratio=math.inf)
     terms = (mu**k + _cantor_offsets(mu, k)) ** (-alpha)
     value = math.fsum(terms.tolist())
-    ratio = value / (k * 2.0**k)
-    exact: Fraction | None = None
-    if abs(alpha - 1.0) < _TOL and k <= 12:
-        fmu = Fraction(1, 2)
-        offs = [Fraction(0)]
-        for m in range(k):
-            offs = offs + [o + (1 - fmu) * fmu**m for o in offs]
-        exact = sum((fmu**k + o) ** -1 for o in offs)
-    return MarginalSum(value=value, ratio=ratio, exact=exact)
+    return MarginalSum(value=value, ratio=value / (k * 2.0**k))
 
 
 @dataclass(frozen=True)

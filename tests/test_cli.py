@@ -324,6 +324,14 @@ def test_scaling_rejects_grid_beyond_physical_memory(tmp_path, capsys):
     assert out == ""
 
 
+def test_scaling_rejects_a_zero_denominator(tmp_path, capsys):
+    (path,) = _configs(tmp_path, {"family": "knapp", "p": "1/0", "q": "5"})
+    code, out, err = run_cli(capsys, "scaling", "--config", path)
+    assert code == 2
+    assert "bad config" in err and "zero denominator" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("key, value", [("n", 4096), ("period", 6.0), ("tolerance", 0.2)])
 def test_scaling_rejects_a_legacy_key_the_run_would_not_honour(tmp_path, capsys, key, value):
     cfg = {"family": "knapp", "p": "5/2", "q": "5", "j_min": 2, "j_max": 4, "time_L": 2.0, key: value}
@@ -371,7 +379,7 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
         run = real(config)
         if config.label != "b":
             return run
-        return ScalingRun(config, run.time_sets, tuple((j, 3.0 * j) for j, _ in run.measured))  # too steep
+        return ScalingRun(config, tuple((j, size, 3.0 * j) for j, size, _ in run.levels))  # too steep
 
     monkeypatch.setattr(cli, "run_scaling", run_scaling)
     paths = _configs(tmp_path, dict(TINY, label="a"), dict(TINY, label="b"), dict(TINY, label="c"))
@@ -446,6 +454,27 @@ def test_report_derives_the_fit_from_the_stored_levels(tiny_run_dir, capsys):
     code, out, _ = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
     assert code == 0
     assert out.splitlines()[1] == "tiny,knapp,5/2,5,1,3.000000,1/2,0.000000,inconclusive"
+
+
+def test_report_names_a_run_with_a_zero_denominator(tiny_run_dir, capsys):
+    path = tiny_run_dir / "tiny.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["q"] = "16/0"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
+    assert code == 2
+    assert f"{path}: zero denominator" in err and out == ""
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_report_calls_a_non_finite_level_inconclusive(tiny_run_dir, capsys, bad):
+    path = tiny_run_dir / "tiny.json"
+    doc = json.loads(path.read_text())
+    doc["measured"][1][1] = float(bad)
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    code, out, _ = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
+    assert code == 0
+    assert out.splitlines()[1] == "tiny,knapp,5/2,5,1,nan,1/2,nan,inconclusive"
 
 
 def test_report_refuses_a_run_whose_levels_do_not_match(tiny_run_dir, capsys):

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,6 +268,25 @@ def test_negative_predicted_slope_tracked():
     assert run.verdict == "consistent"
 
 
+def test_measure_level_holds_one_evolved_field_at_a_time(monkeypatch):
+    """Each evolved field is reduced to its norm, and dropped, before the next
+    is made, however many times E_j holds."""
+    made = []
+    real = experiments_module.half_wave
+
+    def half_wave(f, t):
+        assert all(ref() is None for ref in made), "an earlier evolved field is still alive"
+        g = real(f, t)
+        made.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(experiments_module, "half_wave", half_wave)
+    level = measure_level(TINY_CONFIG, 4)
+    monkeypatch.undo()
+    assert len(made) == 8 and level[:2] == (4, 8)
+    assert level == measure_level(TINY_CONFIG, 4)
+
+
 def test_run_is_deterministic():
     cfg = _quick(family="knapp", p="1", q="2", set_kind="single_time")
     a = run_scaling(cfg)
@@ -347,7 +367,7 @@ def test_persist_stem_from_exponents(tmp_path):
 def test_persisted_run_bytes(tmp_path):
     # levels on an exact line, so the derived fit is exactly (0.5, -2.0, 0.0)
     config = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0, label="tiny")
-    run = ScalingRun(config, ((2, 2), (3, 4), (4, 8)), ((2, -1.0), (3, -0.5), (4, 0.0)))
+    run = ScalingRun(config, ((2, 2, -1.0), (3, 4, -0.5), (4, 8, 0.0)))
     json_path, csv_path = persist(run, tmp_path)
     doc = {
         "config": {
@@ -368,7 +388,10 @@ def test_persisted_run_bytes(tmp_path):
 
 
 TINY_CONFIG = RunConfig(family="knapp", p="5/2", q="5", j_min=2, j_max=4, time_L=2.0)  # predicts 1/2
-TINY_SIZES = ((2, 2), (3, 4), (4, 8))
+
+
+def _tiny_run(ys) -> ScalingRun:
+    return ScalingRun(TINY_CONFIG, tuple(zip((2, 3, 4), (2, 4, 8), ys)))
 
 
 @pytest.mark.parametrize(
@@ -383,7 +406,8 @@ TINY_SIZES = ((2, 2), (3, 4), (4, 8))
 )
 def test_a_run_derives_its_fit_and_verdict_from_its_levels(ys, verdict, monotone):
     measured = tuple(zip((2, 3, 4), ys))
-    run = ScalingRun(TINY_CONFIG, TINY_SIZES, measured)
+    run = _tiny_run(ys)
+    assert run.measured == measured and run.time_sets == ((2, 2), (3, 4), (4, 8))
     assert (run.fitted_slope, run.intercept, run.residual) == fit_exponent(measured)
     assert run.predicted == predicted_exponent(TINY_CONFIG) == Fraction(1, 2)
     assert run.verdict == verdict
@@ -411,15 +435,20 @@ def test_run_from_json_derives_what_the_document_stores(sample_run):
     ],
 )
 def test_a_run_refuses_levels_that_do_not_match(tmp_path, time_sets):
-    measured = ((2, 0.0), (3, 0.5), (4, 1.0))
-    with pytest.raises(ValueError, match="time_sets lists the levels"):
-        ScalingRun(TINY_CONFIG, time_sets, measured)
-    doc = run_to_json(ScalingRun(TINY_CONFIG, TINY_SIZES, measured))
+    doc = run_to_json(_tiny_run((0.0, 0.5, 1.0)))
     doc["time_sets"] = [list(x) for x in time_sets]
+    with pytest.raises(ValueError, match="time_sets lists the levels"):
+        run_from_json(doc)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: time_sets lists the levels")):
         load(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_level_is_inconclusive(bad):
+    run = _tiny_run((0.0, bad, 1.0))
+    assert math.isnan(run.fitted_slope) and run.verdict == "inconclusive"
 
 
 def test_load_reports_line_and_column(tmp_path):

@@ -7,7 +7,6 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 
 import dataclasses
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -182,44 +181,26 @@ def test_lp_norm_scales_homogeneously(seed, p):
 
 def test_mixed_norm_reduces_to_lp():
     f = random_field(GridSpec(64, 8.0), seed=1)
-    assert mixed_norm([1.0], lambda t: f, 2) == pytest.approx(lp_norm(f, 2))
+    assert mixed_norm([lp_norm(f, 2)], 2) == pytest.approx(lp_norm(f, 2))
     g = random_field(GridSpec(64, 8.0), seed=2)
-    fields = {1.0: f, 1.5: g}
-    both = mixed_norm(list(fields), fields.__getitem__, 4)
+    both = mixed_norm([lp_norm(f, 4), lp_norm(g, 4)], 4)
     assert both == pytest.approx((lp_norm(f, 4) ** 4 + lp_norm(g, 4) ** 4) ** 0.25)
-    assert mixed_norm(list(fields), fields.__getitem__, np.inf) == max(
+    assert mixed_norm([lp_norm(f, np.inf), lp_norm(g, np.inf)], np.inf) == max(
         lp_norm(f, np.inf), lp_norm(g, np.inf)
     )
     # 13 times, past the 8 terms np.sum adds in sequence: its pairwise order may
     # move the last bits, but stays within 4 ulp of the exact power sum
     many = [random_field(GridSpec(64, 8.0), seed=s) for s in range(13)]
     for q in (Fraction(5, 2), 4, 16):
-        want = math.fsum(lp_norm(h, q) ** float(q) for h in many) ** (1.0 / float(q))
-        assert abs(mixed_norm(range(13), many.__getitem__, q) - want) <= 4 * math.ulp(want), q
+        norms = [lp_norm(h, q) for h in many]
+        want = math.fsum(v ** float(q) for v in norms) ** (1.0 / float(q))
+        assert abs(mixed_norm(norms, q) - want) <= 4 * math.ulp(want), q
+        held = np.array(norms)
+        assert mixed_norm(held, q) == mixed_norm(norms, q) and held.tolist() == norms  # not raised in place
     with pytest.raises(ValueError):
-        mixed_norm([], fields.__getitem__, 2)
+        mixed_norm([], 2)
     with pytest.raises(ValueError):
-        mixed_norm([1.0], fields.__getitem__, 0.5)
-
-
-@pytest.mark.parametrize("q", [4, np.inf])
-def test_mixed_norm_holds_one_field_at_a_time(q):
-    f = random_field(GridSpec(64, 8.0), seed=5, band_j=3)
-    times = [1.0, 1.25, 1.5, 1.75]
-    previous = []
-
-    def field_at(t):
-        if previous:
-            assert previous[-1]() is None, "the previous field is still alive"
-        g = half_wave(f, t)
-        previous.append(weakref.ref(g))
-        return g
-
-    got = mixed_norm(times, field_at, q)
-    norms = [lp_norm(half_wave(f, t), q) for t in times]
-    want = max(norms) if np.isinf(q) else sum(v**q for v in norms) ** (1.0 / q)
-    assert got == want
-    assert len(previous) == len(times)
+        mixed_norm([1.0], 0.5)
 
 
 def _band_fields(grid):
