@@ -7,6 +7,7 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 
 import dataclasses
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,28 @@ def test_mixed_norm_reduces_to_lp():
         mixed_norm([], 2)
     with pytest.raises(ValueError):
         mixed_norm([1.0], 0.5)
+
+
+@pytest.mark.parametrize("q", [4, np.inf])
+def test_mixed_norm_holds_one_field_at_a_time(q):
+    """The reduction takes numbers, so a caller that feeds it the norm of each
+    evolved field drops that field before it makes the next one."""
+    f = random_field(GridSpec(64, 8.0), seed=5, band_j=3)
+    times = [1.0, 1.25, 1.5, 1.75]
+    previous = []
+
+    def norm_at(t):
+        if previous:
+            assert previous[-1]() is None, "the previous field is still alive"
+        g = half_wave(f, t)
+        previous.append(weakref.ref(g))
+        return lp_norm(g, q)
+
+    got = mixed_norm([norm_at(t) for t in times], q)
+    norms = [lp_norm(half_wave(f, t), q) for t in times]
+    want = max(norms) if np.isinf(q) else sum(v**q for v in norms) ** (1.0 / q)
+    assert got == want
+    assert len(previous) == len(times)
 
 
 def _band_fields(grid):
