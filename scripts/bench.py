@@ -13,8 +13,9 @@ the tier-1 suite runs on this checkout.  OUT records each run's result line
 with its workload, side, pair, seed, trace and the 1, 5 and 15 minute load
 averages taken as it started; for each workload and end-to-end metric each
 side's median and interquartile range over the pairs both sides ran without a
-failure, and on how many of them the checkout was better; and tier-1's wall
-time and summary line.  About (2N + 2) x 3 runs of S seconds.
+failure, and on how many of them the checkout was better; each tree's line
+count of ``src/fractalwave/*.py`` as ``wc -l`` gives it (``src_lines``); and
+tier-1's wall time and summary line.  About (2N + 2) x 3 runs of S seconds.
 
 Bad arguments exit 2 before anything runs.  The temporary directory is
 removed at the end, also on SIGTERM.  The exit code is 1 if any run fails,
@@ -70,6 +71,11 @@ def _spread(values: list[float]) -> tuple[float, float]:
     return q2, q3 - q1
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of the package's modules under ``tree``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "fractalwave").glob("*.py"))
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric, over the untraced pairs with no failed side:
     each side's median and IQR, the change of the median, and the checkout's wins."""
@@ -120,6 +126,8 @@ def main(argv) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": tmp, "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src lines: parent {lines['parent']}, change {lines['change']}", flush=True)
         schedule = [(k + 1, side, 0) for k in range(int(n))
                     for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))]
         schedule += [(None, "parent", 1), (None, "change", 1)]
@@ -158,6 +166,7 @@ def main(argv) -> int:
         "parent": {"rev": rev, "commit": commit},
         "run_seconds": seconds,
         "env": env,
+        "src_lines": lines,
         "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs],
         "summary": summary,
         "tier1": {"wall_s": round(wall, 2), "returncode": tier1.returncode, "summary": line},

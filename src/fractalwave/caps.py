@@ -10,7 +10,9 @@ Two constructions on the unit annulus 1/2 <= |xi| <= 2 (d = 2):
   {|x1| <= c/delta^2, |x2| <= c/delta, |t| <= c/delta^2}.
 
 Products therefore scale like delta^{d-1} = delta and delta^{d+1} = delta^3.
-The box constant is c = ``BOX_C`` = 1/4.
+The box constant is c = ``BOX_C`` = 1/4.  The product statistic samples the box
+at the times its caller gives (the necessity suite's fractal samples), and
+every formula here, the q-thresholds included, is for d = 2.
 
 Both a continuum route (midpoint quadrature of the extension integral
 R*f(x,t) = A int_cap e^{i(x.xi + t|xi|)} dxi, with A fixing ||fhat||_2 = 1)
@@ -104,20 +106,15 @@ def extension(profile: CapProfile, x1: float, x2: float, t: float) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
-def box_samples(kind: str, delta: float, times=None):
-    """(x1, x2, t) sample tuples spanning the coherence box of the cap pair.
-
-    By default t runs over the box extremes/center; an explicit ``times``
-    sequence (eg fractal time samples) replaces it, clipped to the box.
-    """
+def box_samples(kind: str, delta: float, times) -> list[tuple[float, float, float]]:
+    """(x1, x2, t) sample tuples spanning the coherence box of the cap pair: t over
+    ``times`` (eg fractal time samples) clipped to |t| <= c/delta^2, and (x1, x2)
+    over the box's corners, edge midpoints and center at each t."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if times is None:
-        tvals = [st * BOX_C / delta**2 for st in _BOX_FRACTIONS]
-    else:
-        tvals = [t for t in times if abs(t) <= BOX_C / delta**2]
-        if not tvals:
-            raise ValueError("no time sample lies inside the coherence box")
+    tvals = [t for t in times if abs(t) <= BOX_C / delta**2]
+    if not tvals:
+        raise ValueError("no time sample lies inside the coherence box")
     out = []
     for t in tvals:
         for s2 in _BOX_FRACTIONS:
@@ -131,13 +128,13 @@ def box_samples(kind: str, delta: float, times=None):
     return out
 
 
-def pair_product_statistic(delta: float, kind: str, times=None) -> float:
-    """min over box samples of |R*f . R*g| — the quantity whose delta-scaling
-    realizes the d-1 / d+1 magnitude laws."""
+def pair_product_statistic(delta: float, kind: str, times) -> float:
+    """min over box samples at ``times`` of |R*f . R*g| — the quantity whose
+    delta-scaling realizes the d-1 / d+1 magnitude laws."""
     f = CapProfile(kind, delta, mirrored=False)
     g = CapProfile(kind, delta, mirrored=(kind == "squashed"))
     vals = []
-    for x1, x2, t in box_samples(kind, delta, times=times):
+    for x1, x2, t in box_samples(kind, delta, times):
         vals.append(abs(extension(f, x1, x2, t)) * abs(extension(g, x1, x2, t)))
     return min(vals)
 
@@ -186,15 +183,11 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
     return fields[0], fields[1]
 
 
-def necessary_q_bounds(alpha, d: int = 2):
-    """Exact q-thresholds implied by the two cap families: the angular pair
-    forces q >= 2(d-1+2 alpha)/(d-1), the squashed pair q >= 2(d+1+2 alpha)/(d+1)."""
+def necessary_q_bounds(alpha):
+    """Exact q-thresholds implied by the two cap families in d = 2: the angular
+    pair forces q >= 2(d-1+2 alpha)/(d-1) = 2 + 4 alpha, the squashed pair
+    q >= 2(d+1+2 alpha)/(d+1) = 2 + 4 alpha / 3."""
     a = _frac(alpha)
     if not 0 < a <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return (
-        2 * (d - 1 + 2 * a) / (d - 1),
-        2 * (d + 1 + 2 * a) / (d + 1),
-    )
+    return 2 + 4 * a, 2 + 4 * a / 3

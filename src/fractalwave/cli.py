@@ -235,9 +235,9 @@ def _cmd_verify(args) -> int:
         print("band [1/4, 4] and strict growth:", "certified" if rep.passed else "FAILED")
         return 0 if rep.passed else 1
     if args.suite == "locally-constant":
-        rep = verify_locally_constant(range(args.jmin, args.jmax + 1), args.order)
-        spread = max(c for _, _, c in rep.c_values) / min(c for _, _, c in rep.c_values)
-        print(f"order M={rep.order}  j in [{args.jmin}, {args.jmax}]  dt in {{0, 2^-j-1, 2^-j}}")
+        rep = verify_locally_constant(args.order)
+        spread = max(c for _, c in rep.c_values) / min(c for _, c in rep.c_values)
+        print(f"order M={rep.order}  u = 2^j dt in {{0, 1/2, 1}}, every j")
         print(f"certified C_M = {rep.certified_c:.6g}, spread across u = 2^j dt = {spread:.4f} (must be <= 4)")
         print("factor-4 stability:", "certified" if rep.passed else "FAILED")
         return 0 if rep.passed else 1
@@ -326,9 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=_fraction, required=True)
     v.add_argument("--kmax", type=int, default=12)
     v = vs.add_parser("locally-constant")
-    v.add_argument("--jmin", type=int, default=3)
-    v.add_argument("--jmax", type=int, default=8)
     v.add_argument("--order", type=int, default=8)
+    # retired, as C_M is the same at every j; accepted and ignored while
+    # benchmark/selftest.py still passes them
+    for retired in ("--jmin", "--jmax"):
+        v.add_argument(retired, type=int, help=argparse.SUPPRESS)
     v = vs.add_parser("whitney")
     v.add_argument("--numax", type=int, default=8)
     v.add_argument("--seed", type=int, default=0)

@@ -18,8 +18,9 @@ sits.  The three stock runs:
 * annulus with a Cantor time set                              -> s3.
 
 The verify_* suites certify the non-run properties: marginal-sum divergence,
-multiplier coefficient decay, Whitney coverage/orthogonality, and the
-bilinear cap necessity magnitudes.
+multiplier coefficient decay at u = 2^j dt in {0, 1/2, 1} (the symbol depends
+on u alone, so no level is swept), Whitney coverage/orthogonality on the fixed
+base arc, and the bilinear cap necessity magnitudes over a fixed delta triple.
 """
 
 from __future__ import annotations
@@ -283,34 +284,23 @@ def verify_marginal_divergence(alpha, k_range=range(2, 13)) -> MarginalReport:
 class DecayReport:
     order: int
     certified_c: float
-    c_values: tuple[tuple[int, float, float], ...]  # (j, dt, C_M)
+    c_values: tuple[tuple[float, float], ...]  # (u, C_M)
     passed: bool
 
 
-def verify_locally_constant(j_range=range(3, 9), M: int = 8) -> DecayReport:
-    """Sweep multiplier_coeff_decay over j and dt in {0, 2^{-j-1}, 2^{-j}} and
-    certify a single C_M with factor-4 stability across u = 2^j dt in {0, 1/2, 1}.
+def verify_locally_constant(M: int) -> DecayReport:
+    """Build multiplier_coeff_decay at u = 2^j dt in {0, 1/2, 1} and certify a
+    single C_M with factor-4 stability across them.
 
-    The table depends on (j, dt) only through u, so C_M is constant in j by
-    construction: one table is computed per u and reported on every j's row.
+    The symbol at level j and step dt depends on u alone (see
+    ``CoeffDecayTable``), so these three tables cover every j.
     """
-    if not len(j_range):
-        raise ValueError(f"j_range must be nonempty, got {j_range}")
-    rows = []
-    sums = []
-    tables = {}
-    for j in j_range:
-        for frac in (0.0, 0.5, 1.0):
-            dt = frac * 2.0**-j
-            u = 2.0**j * dt
-            if u not in tables:
-                tables[u] = multiplier_coeff_decay(j, dt, M=M)
-            tab = tables[u]
-            rows.append((j, dt, tab.c_m))
-            sums.append(tab.coeff_sum)
-    cs = [r[2] for r in rows]
+    tables = [(u, multiplier_coeff_decay(u, M)) for u in (0.0, 0.5, 1.0)]
+    cs = [tab.c_m for _, tab in tables]
+    sums = [tab.coeff_sum for _, tab in tables]
     stable = max(cs) <= 4.0 * min(cs) and max(sums) <= 4.0 * min(sums)
-    return DecayReport(order=M, certified_c=max(cs), c_values=tuple(rows), passed=stable)
+    c_values = tuple((u, tab.c_m) for u, tab in tables)
+    return DecayReport(order=M, certified_c=max(cs), c_values=c_values, passed=stable)
 
 
 @dataclass(frozen=True)
@@ -324,7 +314,7 @@ class WhitneyReport:
 
 
 def verify_whitney(nu_max: int = 8, seed: int = 0) -> WhitneyReport:
-    dec = whitney(nu_max, (0.0, 0.25))
+    dec = whitney(nu_max)
     cov = check_coverage(dec)
     band = separation_band(dec)
     expect = (dec.base_length, 2.0 * dec.base_length)
@@ -361,8 +351,10 @@ class NecessityReport:
     squashed_exponent: float
     angular_q: Fraction
     squashed_q: Fraction
-    statistics: tuple[tuple[str, float, float], ...]  # (kind, delta, statistic)
     passed: bool
+
+
+_NECESSITY_DELTAS = (1 / 8, 1 / 16, 1 / 32)  # the cap scales the necessity slopes are fitted over
 
 
 def _fractal_times(alpha: Fraction, delta: float) -> list[float]:
@@ -384,25 +376,16 @@ def _fractal_times(alpha: Fraction, delta: float) -> list[float]:
     return [0.0] + window
 
 
-def verify_bilinear_necessity(delta_range=(1 / 8, 1 / 16, 1 / 32), alpha=Fraction(1, 2)) -> NecessityReport:
+def verify_bilinear_necessity(alpha=Fraction(1, 2)) -> NecessityReport:
     """Fit the delta-scaling of the cap-pair product magnitudes (targets d-1 = 1
-    and d+1 = 3) with the time variable running over fractal samples, and report
-    the exact q-thresholds the two families force."""
+    and d+1 = 3) over ``_NECESSITY_DELTAS``, with the time variable running over
+    fractal samples, and report the exact q-thresholds the two families force."""
     a = _frac(alpha)
-    deltas = sorted(delta_range, reverse=True)
-    if len(deltas) < 3:
-        raise ValueError("need at least three deltas to fit")
-    stats = []
     slopes = {}
     for kind in ("angular", "squashed"):
-        ys = []
-        for d in deltas:
-            s = pair_product_statistic(d, kind, times=_fractal_times(a, d))
-            stats.append((kind, d, s))
-            ys.append(math.log2(s))
-        slope, _, _ = fit_exponent(list(zip(np.log2(deltas), ys)))
-        slopes[kind] = slope
-    q_ang, q_sq = necessary_q_bounds(a, d=2)
+        ys = [math.log2(pair_product_statistic(d, kind, _fractal_times(a, d))) for d in _NECESSITY_DELTAS]
+        slopes[kind], _, _ = fit_exponent(list(zip(np.log2(_NECESSITY_DELTAS), ys)))
+    q_ang, q_sq = necessary_q_bounds(a)
     passed = abs(slopes["angular"] - 1.0) <= 0.2 and abs(slopes["squashed"] - 3.0) <= 0.2
     return NecessityReport(
         alpha=a,
@@ -410,7 +393,6 @@ def verify_bilinear_necessity(delta_range=(1 / 8, 1 / 16, 1 / 32), alpha=Fractio
         squashed_exponent=slopes["squashed"],
         angular_q=q_ang,
         squashed_q=q_sq,
-        statistics=tuple(stats),
         passed=passed,
     )
 

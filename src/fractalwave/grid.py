@@ -382,48 +382,50 @@ def _inverse(f: Field, even: tuple[int, ...] = (), magnitude: bool = False) -> n
     n, h = f.grid.n, f.grid.n // 2
     top, bottom = _row_blocks(f.grid, f.support)
     a, rows, cols = top.stop, (h + 1 if even else n), (h + 1 if 1 in even else n)
+    b = n - a + 1 if even else bottom.start
     out = np.empty((rows, cols), dtype=np.float64 if magnitude else np.complex128)
     put = (lambda at, block: np.abs(block, out=out[at])) if magnitude else out.__setitem__
-    v = _row_pass(f, (top,) if even else (top, bottom), cols)
+    if magnitude or even:  # the row transforms, stacked
+        v = np.empty((a if even else a + n - b, cols), dtype=np.complex128)
+        head, tail = v[:a], (v[a - 1:0:-1] if even else v[a:])
+    else:  # in out's own rows: each column block reads them before it writes there
+        head, tail = out[:a], out[b:]
+    _row_pass(f, top, head)
+    if not even:
+        _row_pass(f, bottom, tail)
     if even and a < 2 * n.bit_length():
         k = np.arange(a)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
         table /= n * f.grid.cell**2
         for x in range(0, rows, _BLOCK):
-            block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], v.view(np.float64))
+            block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], head.view(np.float64))
             put(slice(x, x + _BLOCK), block.view(np.complex128))
         return out
-    b, tail = (n - a + 1, v[a - 1:0:-1]) if even else (bottom.start, v[a:])
     buf = np.empty((n, _BLOCK), dtype=np.complex128)
     for c in range(0, cols, _BLOCK):
         block = buf[:, : min(_BLOCK, cols - c)]
-        block[:a], block[a:b], block[b:] = v[:a, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
+        block[:a], block[a:b], block[b:] = head[:, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
         np.fft.ifft(block, axis=0, out=block)
         put(np.s_[:, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]))
     return out
 
 
-def _row_pass(f: Field, rows: tuple[slice, ...], cols: int) -> np.ndarray:
-    """np.fft.ifft along axis 1 of the rows ``rows`` of ``f``, stacked, columns [0, cols)
-    kept, _BLOCK rows at a time through one block: stored on its support, a chunk's
-    values are a run of the ascending ``flat``, scattered into the zeroed block."""
+def _row_pass(f: Field, rows: slice, out: np.ndarray) -> None:
+    """np.fft.ifft along axis 1 of the rows ``rows`` of ``f`` into ``out``, out.shape[1]
+    columns kept, _BLOCK rows at a time through one block: stored on its support, a
+    chunk's values are a run of the ascending ``flat``, scattered into the zeroed block."""
     n = f.grid.n
-    out = np.empty((sum(s.stop - s.start for s in rows), cols), dtype=np.complex128)
     block = np.empty((_BLOCK, n), dtype=np.complex128)
-    i = 0
-    for s in rows:
-        for r in range(s.start, s.stop, _BLOCK):
-            chunk = block[: min(_BLOCK, s.stop - r)]
-            if f.data.ndim == 2:
-                np.fft.ifft(f.data[r:r + len(chunk)], axis=1, out=chunk)
-            else:
-                lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(chunk)) * n))
-                chunk.fill(0.0)
-                chunk.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
-                np.fft.ifft(chunk, axis=1, out=chunk)
-            out[i:i + len(chunk)] = chunk[:, :cols]
-            i += len(chunk)
-    return out
+    for r in range(rows.start, rows.stop, _BLOCK):
+        chunk = block[: min(_BLOCK, rows.stop - r)]
+        if f.data.ndim == 2:
+            np.fft.ifft(f.data[r:r + len(chunk)], axis=1, out=chunk)
+        else:
+            lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(chunk)) * n))
+            chunk.fill(0.0)
+            chunk.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
+            np.fft.ifft(chunk, axis=1, out=chunk)
+        out[r - rows.start:r - rows.start + len(chunk)] = chunk[:, :out.shape[1]]
 
 
 def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:
@@ -473,9 +475,11 @@ class CoeffDecayTable:
     """Fourier-series coefficient decay of m(xi) = beta(|xi|) e^{i u |xi|} on [-pi,pi]^2.
 
     ``shells[s]`` is (s, max |d_k| over s <= |k| < s+1); ``c_m`` certifies
-    |d_k| <= c_m (1+|k|)^{-M} over the computed range.  The symbol depends on
-    (j, dt) only through u = 2^j dt, which is why the certified constant is
-    stable across j at matched u.
+    |d_k| <= c_m (1+|k|)^{-M} over the computed range.  At level j and time step
+    dt the symbol is beta(|xi| / 2^j) e^{i dt |xi|} = m(2^{-j} xi) with u = 2^j dt:
+    a dilation of m, whose series on the dilated cell has m's coefficients.  So
+    the table, and the constant of the locally constant property, depend on u
+    alone, and |dt| <= 2^{-j} is |u| <= 1 at every j.
     """
 
     shells: tuple[tuple[int, float], ...]
@@ -483,19 +487,18 @@ class CoeffDecayTable:
     coeff_sum: float
 
 
-def multiplier_coeff_decay(j: int, dt: float, M: int = 8) -> CoeffDecayTable:
+def multiplier_coeff_decay(u: float, M: int) -> CoeffDecayTable:
     """Per-shell maxima of the multiplier's Fourier-series coefficients.
 
     Rapid decay here is the quantitative form of the locally constant
     property: a 2^j-band-limited half-wave evolution sampled at times
-    |dt| <= 2^{-j} apart is reproduced by a fixed absolutely-summable
-    translation scheme.
+    |dt| <= 2^{-j} apart, u = 2^j dt, is reproduced by a fixed
+    absolutely-summable translation scheme.
     """
     if not 1 <= M <= 12:
         raise ValueError(f"decay order M must be in [1, 12], got {M}")
-    if abs(dt) > 2.0**-j * (1.0 + 1e-12):
-        raise ValueError(f"|dt| must be <= 2^-j = {2.0**-j}, got {dt}")
-    u = 2.0**j * dt
+    if not abs(u) <= 1.0:
+        raise ValueError(f"|u| = |2^j dt| must be <= 1, got {u}")
     N = COEFF_RESOLUTION
     xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
     r = np.hypot(xi[:, None], xi[None, :])

@@ -12,7 +12,9 @@ indices separate:
 Together these tile the ordered square of finest-level arcs exactly once,
 and every rule pair at level nu is separated by an angular gap of
 (|k - k'| - 1) * 2^{-nu} * |base arc| — i.e. between 1 and 2 base-arc lengths
-scaled by 2^{-nu}.
+scaled by 2^{-nu}.  The base arc is ``BASE_ARC`` = [0, 1/4]: the pair rule and
+the band in base-arc lengths do not depend on it, so the certified band is
+[1/4, 1/2].
 """
 
 from __future__ import annotations
@@ -31,24 +33,17 @@ class ArcPair:
     terminal: bool
 
 
+BASE_ARC = (0.0, 0.25)  # the arc every decomposition splits, of length <= pi/4
+
+
 @dataclass(frozen=True)
 class ArcDecomposition:
-    base_arc: tuple[float, float]
     nu_max: int
     pairs: tuple[ArcPair, ...]
 
     @property
     def base_length(self) -> float:
-        return self.base_arc[1] - self.base_arc[0]
-
-    def arc(self, nu: int, k: int) -> tuple[float, float]:
-        if not 0 <= nu <= self.nu_max:
-            raise ValueError(f"level {nu} outside [0, {self.nu_max}]")
-        if not 0 <= k < 2**nu:
-            raise ValueError(f"arc index {k} outside [0, 2^{nu})")
-        a = self.base_arc[0]
-        h = self.base_length / 2**nu
-        return (a + k * h, a + (k + 1) * h)
+        return BASE_ARC[1] - BASE_ARC[0]
 
     def pair_separation(self, pair: ArcPair) -> float:
         """Angular gap between the two arcs (0 for adjacent/equal pairs)."""
@@ -56,14 +51,9 @@ class ArcDecomposition:
         return max(abs(pair.k - pair.k_prime) - 1, 0) * h
 
 
-def whitney(nu_max: int, base_arc: tuple[float, float] = (0.0, 0.25)) -> ArcDecomposition:
+def whitney(nu_max: int) -> ArcDecomposition:
     if not 1 <= nu_max <= 12:
         raise ValueError(f"nu_max must be in [1, 12], got {nu_max}")
-    ta, tb = base_arc
-    if not tb > ta:
-        raise ValueError(f"base arc must be ordered, got {base_arc}")
-    if tb - ta > math.pi / 4 + 1e-12:
-        raise ValueError(f"base arc length must be <= pi/4, got {tb - ta}")
     pairs: list[ArcPair] = []
     for nu in range(nu_max + 1):
         m = 2**nu
@@ -74,7 +64,7 @@ def whitney(nu_max: int, base_arc: tuple[float, float] = (0.0, 0.25)) -> ArcDeco
                     pairs.append(ArcPair(nu, k, kp, terminal=False))
                 elif nu == nu_max and d <= 1:
                     pairs.append(ArcPair(nu, k, kp, terminal=True))
-    return ArcDecomposition(base_arc=(ta, tb), nu_max=nu_max, pairs=tuple(pairs))
+    return ArcDecomposition(nu_max=nu_max, pairs=tuple(pairs))
 
 
 def coverage_counts(dec: ArcDecomposition) -> np.ndarray:

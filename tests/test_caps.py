@@ -64,10 +64,10 @@ def test_extension_mesh_convergence():
 
 
 def test_box_samples_shape_and_time_clipping():
-    pts = box_samples("angular", 0.125)
-    assert len(pts) == 27  # 3 times x 3 x 3 spatial corners
     tmax = 0.25 / 0.125**2
-    assert all(abs(t) <= tmax for _, _, t in pts)
+    pts = box_samples("angular", 0.125, [-tmax, 0.0, tmax])
+    assert len(pts) == 27  # 3 times x 3 x 3 spatial corners
+    assert {t for _, _, t in pts} == {-tmax, 0.0, tmax}
     custom = box_samples("squashed", 0.125, times=[0.0, 3.0, 10**6])
     assert {t for _, _, t in custom} == {0.0, 3.0}
     with pytest.raises(ValueError):
@@ -75,11 +75,12 @@ def test_box_samples_shape_and_time_clipping():
 
 
 def test_product_statistic_delta_scaling():
-    # |R*f . R*g| on the coherence box scales like delta^(d-1) for transverse
-    # (angular) caps and delta^(d+1) for the squashed pair; d = 2
+    # |R*f . R*g| on the coherence box, t at its extremes and center, scales like
+    # delta^(d-1) for transverse (angular) caps and delta^(d+1) for the squashed
+    # pair; d = 2
     deltas = [1 / 8, 1 / 16, 1 / 32]
     for kind, target in (("angular", 1.0), ("squashed", 3.0)):
-        stats = [pair_product_statistic(d, kind) for d in deltas]
+        stats = [pair_product_statistic(d, kind, [s * 0.25 / d**2 for s in (-1, 0, 1)]) for d in deltas]
         slope = np.polyfit(np.log2(deltas), np.log2(stats), 1)[0]
         assert slope == pytest.approx(target, abs=0.2)
 
@@ -156,5 +157,3 @@ def test_necessary_q_bounds_exact():
         necessary_q_bounds(0)
     with pytest.raises(TypeError):  # a float is not an exact rational
         necessary_q_bounds(0.1)
-    with pytest.raises(ValueError):
-        necessary_q_bounds(Fraction(1, 2), d=1)

@@ -497,16 +497,21 @@ def test_verify_marginal(capsys):
 
 
 def test_verify_locally_constant(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "locally-constant", "--jmin", "3", "--jmax", "5", "--order", "4"
-    )
+    code, out, _ = run_cli(capsys, "verify", "locally-constant", "--order", "4")
     assert code == 0
+    assert "order M=4  u = 2^j dt in {0, 1/2, 1}, every j" in out and "certified" in out
 
 
-def test_verify_locally_constant_refuses_an_empty_range(capsys):
-    code, out, err = run_cli(capsys, "verify", "locally-constant", "--jmin", "9", "--jmax", "8")
-    assert code == 2
-    assert "j_range must be nonempty, got range(9, 9)" in err and out == ""
+def test_verify_locally_constant_ignores_the_retired_level_options(capsys):
+    # C_M is the same at every j, so --jmin and --jmax change nothing, even
+    # as an empty range; they stay accepted and out of --help
+    want = run_cli(capsys, "verify", "locally-constant", "--order", "4")
+    got = run_cli(capsys, "verify", "locally-constant", "--order", "4", "--jmin", "9", "--jmax", "8")
+    assert got == want
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "locally-constant", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--order" in out and "--jmin" not in out and "--jmax" not in out
 
 
 def test_verify_whitney(capsys):

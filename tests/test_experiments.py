@@ -484,33 +484,46 @@ def test_marginal_divergence_suite():
 
 
 def test_locally_constant_suite():
-    rep = verify_locally_constant(range(3, 6), M=4)
+    rep = verify_locally_constant(M=4)
     assert rep.passed
     assert rep.order == 4
-    assert len(rep.c_values) == 9  # 3 levels x 3 offsets
-    assert rep.certified_c == max(c for _, _, c in rep.c_values)
-    # the symbol depends on j and dt only through u = 2^j dt, so the dt = 0
-    # rows are bitwise identical across levels
-    at_zero = [c for _, dt, c in rep.c_values if dt == 0.0]
-    assert len(set(at_zero)) == 1
+    assert [u for u, _ in rep.c_values] == [0.0, 0.5, 1.0]
+    assert rep.certified_c == max(c for _, c in rep.c_values)
 
 
 def test_locally_constant_suite_builds_one_table_per_u(monkeypatch):
-    # u = 2^j dt is 0, 1/2 or 1 at every j, so j = 3..8 needs three tables,
-    # and each row reports exactly the direct table's constant
+    # the symbol depends on u = 2^j dt alone, so u in {0, 1/2, 1} is three
+    # tables, and each row reports exactly the direct table's constant
     calls = []
     direct = experiments_module.multiplier_coeff_decay
 
-    def spy(j, dt, M):
-        calls.append((j, dt))
-        return direct(j, dt, M=M)
+    def spy(u, M):
+        calls.append(u)
+        return direct(u, M)
 
     monkeypatch.setattr(experiments_module, "multiplier_coeff_decay", spy)
-    rep = verify_locally_constant(range(3, 9), M=8)
-    assert len(calls) == 3
-    assert len(rep.c_values) == 18
-    for j, dt, c in rep.c_values:
-        assert c == direct(j, dt, M=8).c_m
+    rep = verify_locally_constant(M=8)
+    assert calls == [0.0, 0.5, 1.0]
+    for u, c in rep.c_values:
+        assert c == direct(u, 8).c_m
+
+
+def test_certified_numbers_equal_the_pinned_values():
+    # the values the suites certified before their level sweep, base-arc and
+    # delta-range parameters were retired; each suite must reproduce them
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    rep = verify_locally_constant(8)
+    assert close(rep.certified_c, 188642735.84081185)
+    want = [(0.0, 188642735.84081185), (0.5, 187897711.70661458), (1.0, 185530132.92005116)]
+    assert [u for u, _ in rep.c_values] == [u for u, _ in want]
+    assert all(close(c, w) for (_, c), (_, w) in zip(rep.c_values, want))
+    nec = verify_bilinear_necessity()
+    assert close(nec.angular_exponent, 1.0040342792199746)
+    assert close(nec.squashed_exponent, 3.0135347196224465)
+    assert (nec.angular_q, nec.squashed_q) == (Fraction(4), Fraction(8, 3))
+    assert verify_whitney().band == (0.25, 0.5)
 
 
 def test_whitney_suite():
@@ -529,6 +542,3 @@ def test_bilinear_necessity_suite():
     assert rep.squashed_exponent == pytest.approx(3.0, abs=0.2)
     assert rep.angular_q == Fraction(4)
     assert rep.squashed_q == Fraction(8, 3)
-    assert len(rep.statistics) == 6
-    with pytest.raises(ValueError):
-        verify_bilinear_necessity(delta_range=(1 / 8, 1 / 16))

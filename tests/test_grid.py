@@ -255,6 +255,16 @@ def test_pruned_inverse_transform_is_ifft2(n, honest_support):
     assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
 
 
+def test_to_physical_holds_one_complex_array(traced_peak):
+    """to_physical of a dense field (a forward transform's) and of a projection
+    stored on its support each peak below 1.15 n x n complex arrays: the row
+    transforms go straight into the output's rows, not into a second array."""
+    grid = GridSpec(512, 8.0)
+    for f in (to_frequency(random_field(grid, seed=1)), littlewood_paley(extremizers.annulus(grid, 5), 5)):
+        _, peak = traced_peak(to_physical, f)
+        assert peak < 1.15 * 16 * grid.n**2
+
+
 def test_a_frequency_field_is_stored_on_its_support():
     """A builder's or operator's frequency field stores one value per support
     point; ``values`` scatters them to n x n, read-only, bit for bit, and is

@@ -202,46 +202,56 @@ def test_circular_average_of_a_physical_band_field_stays_on_the_band(monkeypatch
 
 
 def test_coeff_decay_table_certifies_its_bound():
-    tab = multiplier_coeff_decay(4, 2.0**-5, M=8)
+    tab = multiplier_coeff_decay(0.5, 8)
     assert len(tab.shells) == COEFF_SHELL_MAX + 1
     for s, peak in tab.shells:
         assert peak <= tab.c_m / (1.0 + s) ** 8 * (1.0 + 1e-12)
     assert tab.coeff_sum >= tab.shells[0][1]
 
 
+def _shell_masks():
+    """One mask s <= |k| < s+1 per shell of the coefficient table."""
+    kk = np.fft.fftfreq(COEFF_RESOLUTION, d=1.0 / COEFF_RESOLUTION)
+    kabs = np.hypot(kk[:, None], kk[None, :])
+    return [(kabs >= s) & (kabs < s + 1) for s in range(COEFF_SHELL_MAX + 1)]
+
+
 def test_coeff_decay_shells_equal_the_per_shell_masks():
-    # reference: one mask s <= |k| < s+1 per shell; the sum runs in another
-    # order, so it is held to a few ulp
-    N, shells, u = COEFF_RESOLUTION, COEFF_SHELL_MAX, 0.5
-    tab = multiplier_coeff_decay(5, u * 2.0**-5, M=6)
+    # reference: one mask per shell; the sum runs in another order, so it is
+    # held to a few ulp
+    N, u = COEFF_RESOLUTION, 0.5
+    tab = multiplier_coeff_decay(u, 6)
     xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
     r = np.hypot(xi[:, None], xi[None, :])
     mag = np.abs(np.fft.fft2(beta(r) * np.exp(1j * u * r)) / N**2)
-    kk = np.fft.fftfreq(N, d=1.0 / N)
-    kabs = np.hypot(kk[:, None], kk[None, :])
-    masks = [(kabs >= s) & (kabs < s + 1) for s in range(shells + 1)]
+    masks = _shell_masks()
     assert tab.shells == tuple((s, float(mag[m].max())) for s, m in enumerate(masks))
     want = sum(float(mag[m].sum()) for m in masks)
     assert abs(tab.coeff_sum - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_coeff_decay_depends_only_on_scaled_offset():
-    # the symbol depends on (j, dt) only through u = 2^j dt: tables at equal u
-    # are identical to the last bit
-    a = multiplier_coeff_decay(4, 0.5 * 2.0**-4, M=6)
-    b = multiplier_coeff_decay(9, 0.5 * 2.0**-9, M=6)
-    assert a.c_m == b.c_m
-    assert a.coeff_sum == b.coeff_sum
-    assert a.shells == b.shells
+    # the level-j symbol beta(|xi| / 2^j) e^{i dt |xi|} on the dilated cell
+    # 2^j [-pi, pi]^2 has, to the last bit, the shells of the table at u = 2^j dt
+    N, u = COEFF_RESOLUTION, 0.5
+    tab = multiplier_coeff_decay(u, 6)
+    for j in (4, 9):
+        dt = u * 2.0**-j
+        xi = 2.0**j * (-np.pi + 2.0 * np.pi * np.arange(N) / N)
+        r = np.hypot(xi[:, None], xi[None, :])
+        mag = np.abs(np.fft.fft2(beta(r / 2.0**j) * np.exp(1j * dt * r)) / N**2)
+        assert tab.shells == tuple((s, float(mag[m].max())) for s, m in enumerate(_shell_masks()))
 
 
 def test_coeff_decay_validation():
     with pytest.raises(ValueError):
-        multiplier_coeff_decay(4, 0.1, M=0)
+        multiplier_coeff_decay(0.1, 0)
     with pytest.raises(ValueError):
-        multiplier_coeff_decay(4, 0.1, M=13)
+        multiplier_coeff_decay(0.1, 13)
     with pytest.raises(ValueError):
-        multiplier_coeff_decay(4, 2.0**-3)  # |dt| > 2^-j
+        multiplier_coeff_decay(2.0, 8)  # |dt| = 2^{1-j} > 2^-j
+    with pytest.raises(ValueError):
+        multiplier_coeff_decay(float("nan"), 8)
 
 
 # --- littlewood-paley and sectors -------------------------------------------

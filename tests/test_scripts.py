@@ -75,10 +75,28 @@ def _run(workload, side, pair, trace=0, **values):
             "boundaries_not_found": [], "result": result}
 
 
-def test_bench_summary_pairs_medians_and_wins():
+def _bench_module():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_src_lines_counts_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "fractalwave"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    assert _bench_module().src_lines(tmp_path) == 3
+    wc = subprocess.run(["wc", "-l", *sorted(map(str, (ROOT / "src" / "fractalwave").glob("*.py")))],
+                        capture_output=True, text=True, check=True).stdout
+    assert _bench_module().src_lines(ROOT) == int(wc.split()[-2])  # the "total" line
+
+
+def test_bench_summary_pairs_medians_and_wins():
+    bench = _bench_module()
     metrics = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
     parent = [1.0, 2.0, 3.0, 4.0, 9.0]
     change = [0.5, 2.5, 2.0, 3.0, 0.1]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave.whitney import (
+    BASE_ARC,
     ArcPair,
     check_coverage,
     coverage_counts,
@@ -55,35 +56,24 @@ def test_pair_counts_closed_form():
 
 
 def test_separation_band_is_exact():
-    dec = whitney(6, base_arc=(0.0, 0.25))
+    assert BASE_ARC == (0.0, 0.25)
+    dec = whitney(6)
+    assert dec.base_length == 0.25
     assert separation_band(dec) == (0.25, 0.5)
-    dec = whitney(3, base_arc=(0.1, 0.1 + 0.125))
-    lo, hi = separation_band(dec)
-    assert lo == pytest.approx(0.125)
-    assert hi == pytest.approx(0.25)
 
 
 def test_separation_matches_arc_geometry():
+    # the gap between the two sub-arcs, each at BASE_ARC[0] + k h with
+    # h = |base arc| 2^-nu, read off their endpoints
     dec = whitney(5)
     for p in dec.pairs:
         if p.terminal:
             continue
-        a = dec.arc(p.nu, p.k)
-        b = dec.arc(p.nu, p.k_prime)
+        h = dec.base_length / 2**p.nu
+        a = (BASE_ARC[0] + p.k * h, BASE_ARC[0] + (p.k + 1) * h)
+        b = (BASE_ARC[0] + p.k_prime * h, BASE_ARC[0] + (p.k_prime + 1) * h)
         gap = max(b[0] - a[1], a[0] - b[1])
         assert dec.pair_separation(p) == pytest.approx(gap, abs=1e-15)
-
-
-def test_arc_indexing():
-    dec = whitney(3, base_arc=(0.0, 0.2))
-    assert dec.arc(0, 0) == (0.0, 0.2)
-    lo, hi = dec.arc(3, 7)
-    assert lo == pytest.approx(0.175)
-    assert hi == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        dec.arc(4, 0)
-    with pytest.raises(ValueError):
-        dec.arc(2, 4)
 
 
 def test_validation():
@@ -91,7 +81,3 @@ def test_validation():
         whitney(0)
     with pytest.raises(ValueError):
         whitney(13)
-    with pytest.raises(ValueError):
-        whitney(3, base_arc=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        whitney(3, base_arc=(0.0, 1.0))  # longer than pi/4
