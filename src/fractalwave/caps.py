@@ -179,7 +179,7 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
                 "refine the grid or use the continuum profile"
             )
         amp = grid.period / math.sqrt(count)
-        fields.append(_own(grid, mask.astype(np.complex128) * amp, "frequency"))
+        fields.append(_own(grid, mask * amp, "frequency"))
     return fields[0], fields[1]
 
 

@@ -147,9 +147,9 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_operators(args) -> int:
-    grid = GridSpec(args.n, 8.0)
+    grid = GridSpec(args.n)
     # every argument is checked before the field is drawn
-    grid.check_band(args.j, BETA_SUPPORT[1])
+    grid.band(args.j, BETA_SUPPORT)
     _check_radius(grid, args.t)
     times = TimeSet.from_points([1.1, args.t, 1.9])
     if args.m < 64:
@@ -181,7 +181,7 @@ def _cmd_operators(args) -> int:
     )
     checks.append(("maximal function dominates averages", max(defect, 0.0), 1e-12))
 
-    print(f"grid n={args.n} period=8  seed={args.seed}  t={args.t}  j={args.j}  m={args.m}")
+    print(f"grid n={args.n} period={grid.period:g}  seed={args.seed}  t={args.t}  j={args.j}  m={args.m}")
     failed = 0
     for name, value, budget in checks:
         ok = value <= budget
@@ -227,7 +227,7 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "marginal":
-        rep = verify_marginal_divergence(args.alpha, range(2, args.kmax + 1))
+        rep = verify_marginal_divergence(args.alpha, args.kmax)
         print(f"alpha={rep.alpha}  k in [2, {args.kmax}]")
         print("k, sum/(k 2^k), sum/2^k")
         for k, ratio, per in rep.entries:

@@ -8,23 +8,25 @@ Three single-field families at dyadic scale 2^j (d = 2 throughout):
   a curvature-free plate (c1 = ``DEFAULT_C1``), ||f||_p ~ 2^{j(3/2)(1 - 1/p)};
 * annulus          --  fhat(xi) = beta1(|xi|/2^j); ||f||_p ~ 2^{2j(1 - 1/p)}.
 
-The radial supports lie in 2^{j-2} < |xi| < 2^{j+2} and the Knapp window in
-|xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}, so constructors demand
+The radial supports lie in the band 2^{j-2} < |xi| < 2^{j+2} and the Knapp
+window in |xi_1| < 4 c1 2^{j/2}, 2^{j-2} < xi_2 < 2^{j+2}; each builder takes
+that band from ``GridSpec.band(j, BETA1_SUPPORT)``, whose alias guard demands
 2^{j+2} <= nyquist.  The lattice points of that support, the ones a builder
-fills, are the field's ``Field.support`` ``(flat, inv, radii)``; no support is
-derived by hand.  The radial builders take their band's points from
-``grid._band_points`` and evaluate beta1 and e^{-i|xi|} once per lattice
-orbit, on its ``radii``, then gather to the points with ``inv``; Knapp's
-radii are one per point, as its symbol is not radial.  The Knapp symbol is an
-outer product, and ``knapp`` records its two 1-D factors as ``Field.factors``,
-so ``grid.lp_norm`` takes its norm from two 1-D transforms.  ``Field.even``
-records the axes a symbol is even in: (0, 1) for the radial families, (0,) for
-Knapp (``beta0`` is even), so a projected, evolved member's norm transforms
-half or a quarter of the grid.  Physical-space concentration facts
-(focusing shell, Knapp box lower bound after half-wave propagation to the
-probe time ``PROBE_T`` = 1.5) are exposed as helpers so the same
-measurements drive tests and calibration scripts.  A scaling study names its
-family by the builder's name (``experiments.RunConfig.family``).
+fills, are the field's ``Field.support`` ``(flat, inv, radii)``, and
+``grid._own`` makes the field on them; no support is derived by hand.  The
+radial builders take their band's points from ``grid._band_points`` and
+evaluate beta1 and e^{-i|xi|} once per lattice orbit, on its ``radii``, then
+gather to the points with ``inv``; Knapp's radii are one per point, as its
+symbol is not radial.  The Knapp symbol is an outer product, and ``knapp``
+records its two 1-D factors as ``Field.factors``, so ``grid.lp_norm`` takes
+its norm from two 1-D transforms.  ``Field.even`` records the axes a symbol is
+even in: (0, 1) for the radial families, (0,) for Knapp (``beta0`` is even),
+so a projected, evolved member's norm transforms half or a quarter of the
+grid.  Physical-space concentration facts (focusing shell, Knapp box lower
+bound after half-wave propagation to the probe time ``PROBE_T`` = 1.5) are
+exposed as helpers so the same measurements drive tests and calibration
+scripts.  A scaling study names its family by the builder's name
+(``experiments.RunConfig.family``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .grid import (
     _as_physical,
     _axis_freq,
     _band_points,
-    _on_support,
+    _own,
     half_wave,
     physical_coords,
 )
@@ -47,34 +49,28 @@ DEFAULT_C1 = 0.125
 PROBE_T = 1.5  # the time at which the helpers below measure a propagated field
 
 
-def _beta1_band(j: int) -> tuple[float, float]:
-    return BETA1_SUPPORT[0] * 2.0**j, BETA1_SUPPORT[1] * 2.0**j
-
-
 def radial_focusing(grid: GridSpec, j: int) -> Field:
-    grid.check_band(j, BETA1_SUPPORT[1])
-    support = _, inv, radii = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, np.take(np.exp(-1j * radii) * beta1(radii / 2.0**j), inv), even=(0, 1))
+    support = _, inv, radii = _band_points(grid, *grid.band(j, BETA1_SUPPORT))
+    vals = np.take(np.exp(-1j * radii) * beta1(radii / 2.0**j), inv)
+    return _own(grid, vals, "frequency", support=support, even=(0, 1))
 
 
 def knapp(grid: GridSpec, j: int) -> Field:
-    grid.check_band(j, BETA1_SUPPORT[1])
+    lo, hi = grid.band(j, BETA1_SUPPORT)
     xi = _axis_freq(grid)
     s1 = xi / (DEFAULT_C1 * 2.0 ** (j / 2.0))
-    s2 = xi / 2.0**j
     rows = np.flatnonzero((s1 > BETA0_SUPPORT[0]) & (s1 < BETA0_SUPPORT[1]))
-    cols = np.flatnonzero((s2 > BETA1_SUPPORT[0]) & (s2 < BETA1_SUPPORT[1]))
+    cols = np.flatnonzero((xi > lo) & (xi < hi))  # xi / 2^j in BETA1_SUPPORT, exactly
     a, b = np.zeros(grid.n), np.zeros(grid.n)
-    a[rows], b[cols] = beta0(s1[rows]), beta1(s2[cols])
+    a[rows], b[cols] = beta0(s1[rows]), beta1(xi[cols] / 2.0**j)
     flat = (rows[:, None] * grid.n + cols).ravel()
     support = flat, np.arange(flat.size, dtype=np.int32), np.hypot(xi[rows, None], xi[cols]).ravel()
-    return _on_support(grid, support, (a[rows, None] * b[cols]).ravel(), factors=(a, b), even=(0,))
+    return _own(grid, (a[rows, None] * b[cols]).ravel(), "frequency", support=support, factors=(a, b), even=(0,))
 
 
 def annulus(grid: GridSpec, j: int) -> Field:
-    grid.check_band(j, BETA1_SUPPORT[1])
-    support = _, inv, radii = _band_points(grid, *_beta1_band(j))
-    return _on_support(grid, support, np.take(beta1(radii / 2.0**j), inv), even=(0, 1))
+    support = _, inv, radii = _band_points(grid, *grid.band(j, BETA1_SUPPORT))
+    return _own(grid, np.take(beta1(radii / 2.0**j), inv), "frequency", support=support, even=(0, 1))
 
 
 # --- measurement helpers ------------------------------------------------------

@@ -106,14 +106,15 @@ class GridSpec:
             j += 1
         return j
 
-    def check_band(self, j: int, support_factor: float) -> None:
-        """The alias guard: raise unless support_factor * 2^j <= nyquist, the factor
-        read from ``cutoffs``.  Closed, as profiles vanish on their support's edge."""
-        if j > self.max_band_j(support_factor):
-            raise ValueError(
-                f"alias guard: {support_factor:g} * 2^{j} exceeds nyquist = {self.nyquist:.6g} "
-                f"on n={self.n}; max admissible j is {self.max_band_j(support_factor)}"
-            )
+    def band(self, j: int, support: tuple[float, float]) -> tuple[float, float]:
+        """The band support * 2^j of level j, for a profile's ``support`` read from
+        ``cutoffs``, behind the one alias guard: raise unless support[1] * 2^j <=
+        nyquist.  Closed, as profiles vanish on their support's edge."""
+        top = self.max_band_j(support[1])
+        if j > top:
+            raise ValueError(f"alias guard: {support[1]:g} * 2^{j} exceeds nyquist = {self.nyquist:.6g} "
+                             f"on n={self.n}; max admissible j is {top}")
+        return support[0] * 2.0**j, support[1] * 2.0**j
 
 
 def _axis_freq(spec: GridSpec) -> np.ndarray:
@@ -235,23 +236,15 @@ class Field:
 
 
 def _own(grid: GridSpec, vals: np.ndarray, space: str, **attrs) -> Field:
-    """Field over a fresh C-contiguous complex128 array made here: frozen, not copied."""
-    vals.setflags(write=False)
+    """Every field this package makes, over ``vals``, a fresh C-contiguous array made
+    here (n x n, or a frequency field's values at its ``support`` points): as complex128,
+    not copied if it is one, and frozen with the ``support`` and ``factors`` in ``attrs``."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    for a in (vals, *(attrs.get("support") or ()), *(attrs.get("factors") or ())):
+        a.setflags(write=False)
     f = object.__new__(Field)
     vars(f).update(grid=grid, data=vals, space=space, **attrs)
     return f
-
-
-def _on_support(grid: GridSpec, support, values: np.ndarray, factors=None, even=()) -> Field:
-    """The frequency field with ``values`` at the support points and exact zeros
-    elsewhere, stored as ``values``; for None, ``values`` covers the whole
-    lattice.  Freezes the support and the factors."""
-    vals = np.asarray(values, dtype=np.complex128)
-    for a in (*(support or ()), *(factors or ())):
-        a.setflags(write=False)
-    if support is None:
-        vals = vals.reshape(grid.n, grid.n)
-    return _own(grid, vals, "frequency", support=support, factors=factors, even=even)
 
 
 def to_frequency(f: Field) -> Field:
@@ -297,20 +290,19 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     else:
         mult = np.take(symbol(support[2]), support[1])  # once per radius, then to the points
     vals = np.multiply(vals, mult, out=vals if vals.flags.writeable else None)  # in place on a gathered copy
-    out = _on_support(grid, support, vals, even=f.even if callable(symbol) else ())
+    if support is None:
+        vals = vals.reshape(grid.n, grid.n)
+    out = _own(grid, vals, "frequency", support=support, even=f.even if callable(symbol) else ())
     return out if f.space == "frequency" else to_physical(out)
 
 
 def littlewood_paley(f: Field, j: int) -> Field:
     """Dyadic frequency projection: multiply by beta(|xi| / 2^j).
 
-    The bump is supported in (2^{j-1}, 2^{j+1}), so the alias guard demands
-    2^{j+1} <= nyquist.
+    The bump is supported in the band (2^{j-1}, 2^{j+1}) that
+    ``GridSpec.band`` makes, which demands 2^{j+1} <= nyquist.
     """
-    f.grid.check_band(j, BETA_SUPPORT[1])
-    scale = 2.0**j
-    band = (BETA_SUPPORT[0] * scale, BETA_SUPPORT[1] * scale)
-    return _apply_multiplier(f, lambda r: beta(r / scale), band)
+    return _apply_multiplier(f, lambda r: beta(r / 2.0**j), f.grid.band(j, BETA_SUPPORT))
 
 
 def half_wave(f: Field, t: float) -> Field:
@@ -467,7 +459,7 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in discretize(E, 2.0**-j).points:
         np.maximum(acc, _inverse(circular_average(g, t), magnitude=True), out=acc)
-    return _own(f.grid, acc.astype(np.complex128), "physical")
+    return _own(f.grid, acc, "physical")
 
 
 @dataclass(frozen=True)

@@ -547,6 +547,13 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_a_rational_with_a_zero_denominator_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--alpha", "1/0"])
+    assert exc.value.code == 2
+    assert "not a rational number: '1/0'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["dance"])

@@ -473,14 +473,15 @@ def test_csv_matches_measurements(sample_run):
 
 def test_marginal_divergence_suite():
     for alpha in (Fraction(1), Fraction(5, 6)):
-        rep = verify_marginal_divergence(alpha, range(2, 9))
+        rep = verify_marginal_divergence(alpha, 8)
         assert rep.passed
         assert len(rep.entries) == 7
         assert all(0.25 <= ratio <= 4.0 for _, ratio, _ in rep.entries)
         per2k = [x for _, _, x in rep.entries]
         assert per2k == sorted(per2k)  # the logarithmic factor keeps growing
-    with pytest.raises(ValueError):
-        verify_marginal_divergence(1, range(0, 5))
+    for kmax in (1, 17):  # k runs from 2, and 2^16 points is the most summed
+        with pytest.raises(ValueError, match="kmax"):
+            verify_marginal_divergence(1, kmax)
 
 
 def test_locally_constant_suite():
@@ -524,6 +525,22 @@ def test_certified_numbers_equal_the_pinned_values():
     assert close(nec.squashed_exponent, 3.0135347196224465)
     assert (nec.angular_q, nec.squashed_q) == (Fraction(4), Fraction(8, 3))
     assert verify_whitney().band == (0.25, 0.5)
+
+
+@pytest.mark.parametrize("alpha, angular, squashed, qs", [
+    (Fraction(1), 1.0011747239416824, 3.002782031805724, (Fraction(6), Fraction(10, 3))),
+    (Fraction(3, 4), 1.002642950963479, 3.0091423224755367, (Fraction(5), Fraction(3))),
+])
+def test_necessity_on_thinned_time_samples_equals_the_pinned_values(alpha, angular, squashed, qs):
+    # at these alpha the window holds more than 12 samples at the finest delta,
+    # so _fractal_times thins it to 12 plus t = 0 (alpha = 1/2 keeps every one)
+    delta = experiments_module._NECESSITY_DELTAS[-1]
+    assert len(experiments_module._fractal_times(alpha, delta)) == 13
+    rep = verify_bilinear_necessity(alpha)
+    assert rep.passed
+    assert abs(rep.angular_exponent - angular) <= 1e-12 * angular
+    assert abs(rep.squashed_exponent - squashed) <= 1e-12 * squashed
+    assert (rep.angular_q, rep.squashed_q) == qs
 
 
 def test_whitney_suite():

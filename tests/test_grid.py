@@ -49,6 +49,9 @@ def test_grid_spec_derived_quantities():
     assert g.nyquist == pytest.approx(np.pi * 256 / 8.0)
     assert g.max_band_j(2.0) == 5  # largest j with 2 * 2^j <= nyquist = 100.5
     assert g.max_band_j(4.0) == 4
+    assert g.band(5, BETA_SUPPORT) == (16.0, 64.0)  # the support scaled by 2^j, exactly
+    with pytest.raises(ValueError, match="alias guard: 2 \\* 2\\^6 exceeds nyquist"):
+        g.band(6, BETA_SUPPORT)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
@@ -366,7 +369,7 @@ def test_band_points_hold_one_radius_per_orbit(n, honest_support):
     for lo, hi in bands:
         flat, inv, radii = support = _band_points(grid, lo, hi)
         assert np.array_equal(flat, np.flatnonzero((r > lo) & (r < hi)))
-        honest_support(grid_module._on_support(grid, support, np.ones(flat.size)))
+        honest_support(grid_module._own(grid, np.ones(flat.size), "frequency", support=support))
         orbit = _orbit_key(grid, flat)
         assert np.unique(orbit).size == radii.size  # one radius per orbit ...
         assert np.unique(orbit * radii.size + inv).size == radii.size  # ... shared by its points
@@ -380,7 +383,7 @@ def test_meet_keeps_only_the_radii_in_the_band(build, honest_support):
     flat, inv, radii = f.support
     band = (2.0**4, 2.0**6)
     got, inside = grid_module._meet(grid, f.support, band)
-    honest_support(grid_module._on_support(grid, got, np.ones(got[0].size)))
+    honest_support(grid_module._own(grid, np.ones(got[0].size), "frequency", support=got))
     assert np.all((got[2] > band[0]) & (got[2] < band[1]))  # with every radius used: none stale
     assert np.array_equal(inside, (radii[inv] > band[0]) & (radii[inv] < band[1]))
     assert np.array_equal(got[0], flat[inside])

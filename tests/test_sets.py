@@ -225,6 +225,12 @@ def test_a_delta_below_an_ulp_of_the_points_still_advances():
     assert proc.stdout.split() == ["4", "4", "1.0"]
 
 
+def test_assouad_of_the_empty_set_is_zero():
+    empty = TimeSet.from_points([])
+    assert assouad_characteristic(empty, 0.25, 0.5) == 0.0
+    assert assouad_characteristic_sup(empty, 0.25, 0.5) == 0.0
+
+
 def test_assouad_bounded_for_calibrated_sets():
     # the construction is designed so the characteristic stays O(1) in j
     for alpha in (0.5, 1.0):
@@ -252,6 +258,15 @@ def test_marginal_sum_exact_value():
     ms = marginal_sum(spec)
     assert ms.value == pytest.approx(25 / 3)
     assert ms.ratio == pytest.approx(25 / 24)
+
+
+def test_marginal_sum_of_the_single_point_set():
+    # k = 0 leaves E = {2}: the sum is 1, and the k 2^k normalization is 0
+    spec = cantor_spec_from_stages(1.0, 0)
+    assert cantor_points(spec).points == (2.0,)
+    ms = marginal_sum(spec)
+    assert ms.value == 1.0
+    assert math.isinf(ms.ratio)
 
 
 def test_marginal_sum_growth_normalization():
