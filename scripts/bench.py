@@ -13,7 +13,9 @@ the tier-1 suite runs on this checkout.  OUT records each run's result line
 with its workload, side, pair, seed, trace and the 1, 5 and 15 minute load
 averages taken as it started; for each workload and end-to-end metric each
 side's median and interquartile range over the pairs both sides ran without a
-failure, and on how many of them the checkout was better; each tree's line
+failure, on how many of them the checkout was better, whether that claims a
+gain (better on at least 0.9 of the pairs, and in the median by more than the
+parent's IQR), and each side's median 1-minute load average; each tree's line
 count of ``src/fractalwave/*.py`` as ``wc -l`` gives it (``src_lines``); and
 tier-1's wall time and summary line.  About (2N + 2) x 3 runs of S seconds.
 
@@ -78,25 +80,32 @@ def src_lines(tree: Path) -> int:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric, over the untraced pairs with no failed side:
-    each side's median and IQR, the change of the median, and the checkout's wins."""
+    each side's median and IQR, the change of the median, the checkout's wins, whether
+    a gain may be claimed (wins on at least 0.9 of the pairs and a median better by
+    more than the parent's IQR), and each side's median 1-minute load average as its
+    runs started."""
     by_pair = {}
     for r in runs:
         if r["trace"] == 0:
             by_pair.setdefault(r["workload"], {}).setdefault(r["pair"], {})[r["side"]] = r
     summary = {}
     for workload, sides in by_pair.items():
-        pairs = [(s["parent"]["result"], s["change"]["result"]) for s in sides.values()
+        pairs = [(s["parent"], s["change"]) for s in sides.values()
                  if len(s) == 2 and not any(map(_failed, s.values()))]
         summary[workload] = {}
         for m in metrics if pairs else ():
             name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
-            old = [p["metrics"][name]["value"] for p, _ in pairs]
-            new = [c["metrics"][name]["value"] for _, c in pairs]
+            old = [p["result"]["metrics"][name]["value"] for p, _ in pairs]
+            new = [c["result"]["metrics"][name]["value"] for _, c in pairs]
             (om, oi), (nm, ni) = _spread(old), _spread(new)
+            wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
             summary[workload][name] = {
                 "parent_median": om, "parent_iqr": oi, "change_median": nm, "change_iqr": ni,
                 "change_pct": 100.0 * (nm - om) / om if om else None,
-                "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)), "pairs": len(pairs)}
+                "wins": wins, "pairs": len(pairs),
+                "claim_holds": wins >= 0.9 * len(pairs) and sign * (om - nm) > oi,
+                **{f"{side}_load1": statistics.median(run["loadavg"][0] for run in side_runs)
+                   for side, side_runs in zip(("parent", "change"), zip(*pairs))}}
     return summary
 
 
@@ -158,7 +167,8 @@ def main(argv) -> int:
             change = f"{s['change_pct']:+.1f}%" if s["change_pct"] is not None else "n/a"
             print(f"{workload} {name}: parent {s['parent_median']:.4g} (IQR {s['parent_iqr']:.3g}), "
                   f"change {s['change_median']:.4g} (IQR {s['change_iqr']:.3g}), median {change}, "
-                  f"better on {s['wins']}/{s['pairs']} pairs")
+                  f"better on {s['wins']}/{s['pairs']} pairs, claim {'holds' if s['claim_holds'] else 'fails'}, "
+                  f"load {s['parent_load1']:.2f}/{s['change_load1']:.2f}")
     env = next((r["env"] for r in runs if r["side"] == "change" and r["env"]), None)
     doc = {
         "git_describe": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,

@@ -23,6 +23,8 @@ import numpy as np
 BETA_SUPPORT = (0.5, 2.0)
 BETA0_SUPPORT = (-4.0, 4.0)
 BETA1_SUPPORT = (0.25, 4.0)
+BETA0_PLATEAU = (-2.0, 2.0)  # where beta0 = 1
+BETA1_PLATEAU = (0.5, 2.0)  # where beta1 = 1
 
 
 def eta(s):

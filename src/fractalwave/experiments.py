@@ -64,10 +64,10 @@ _RUN_FAMILIES = {
 # Peak memory of one level, in n x n complex128 fields (16 n^2 bytes each) on
 # the grid of j_max.  A level holds a few fields whatever #E_j is: a frequency
 # field is stored on its support and a norm reduces its inverse transform block
-# by block, so the top level of a shipped study peaks at 0.62 fields of 64 MiB
-# in tracemalloc at n = 2048 (s1 and s3; s2 0.29).  The shipped studies peak at
-# 124 MB RSS, interpreter included (``benchmark/run.py``).  The preflight keeps
-# 5 as margin.
+# by block, so the top level of a shipped study peaks at 0.64 fields of 64 MiB in
+# tracemalloc at n = 2048, band points cached and two runs' buffers per pass (s1
+# and s3; 0.62 with one CPU, 0.91 cold; s2 0.29).  The shipped studies peak at
+# 124 MB RSS, interpreter included (``benchmark/run.py``).  The preflight keeps 5.
 _FIELDS_PER_LEVEL = 5
 
 # The lowest level whose numerator runs on its own grid.  Near its focus a

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, beta0, beta1
+from .cutoffs import BETA0_PLATEAU, BETA0_SUPPORT, BETA1_PLATEAU, BETA1_SUPPORT, beta0, beta1
 from .grid import (
     Field,
     GridSpec,
@@ -140,22 +140,23 @@ def annulus_shell_minimum(grid: GridSpec, j: int) -> float:
     return float(np.abs(g.values[mask]).min() / 2.0 ** (1.5 * j))
 
 
+def _knapp_window(j: int, c1: float, region: str) -> tuple[float, float, float]:
+    """(a1, lo2, hi2) of the Knapp window |xi_1| <= a1, lo2 <= xi_2 <= hi2, from ``cutoffs``:
+    plateau a1 = 2 c1 2^{j/2}, [2^{j-1}, 2^{j+1}]; support a1 = 4 c1 2^{j/2}, [2^{j-2}, 2^{j+2}]."""
+    if region not in ("plateau", "support"):
+        raise ValueError(f"region must be 'plateau' or 'support', got {region!r}")
+    w0, w1 = (BETA0_PLATEAU, BETA1_PLATEAU) if region == "plateau" else (BETA0_SUPPORT, BETA1_SUPPORT)
+    return w0[1] * c1 * 2.0 ** (j / 2.0), w1[0] * 2.0**j, w1[1] * 2.0**j
+
+
 def knapp_phase_error(j: int, c1: float, region: str = "plateau") -> float:
     """max |e^{i t (|xi| - xi_2)} - 1|, t = PROBE_T, over the Knapp window's plateau or support.
 
     The exponent t(|xi| - xi_2) = t xi_2 (sqrt(1 + s^2) - 1), s = xi_1/xi_2,
     is what separates the plate from a true plane wave; it is O(c1^2)
-    uniformly in j.  Maximized on a 257 x 257 corner mesh of the stated region:
-    plateau |xi_1| <= 2 c1 2^{j/2}, xi_2 in [2^{j-1}, 2^{j+1}];
-    support |xi_1| <= 4 c1 2^{j/2}, xi_2 in [2^{j-2}, 2^{j+2}].
+    uniformly in j.  Maximized on a 257 x 257 corner mesh of ``_knapp_window``.
     """
-    if region == "plateau":
-        a1, lo2, hi2 = 2.0 * c1 * 2.0 ** (j / 2.0), 2.0 ** (j - 1), 2.0 ** (j + 1)
-    elif region == "support":
-        a1, lo2, hi2 = 4.0 * c1 * 2.0 ** (j / 2.0), 2.0 ** (j - 2), 2.0 ** (j + 2)
-    else:
-        raise ValueError(f"region must be 'plateau' or 'support', got {region!r}")
-    xi1 = np.linspace(-a1, a1, 257)
-    xi2 = np.linspace(lo2, hi2, 257)
+    a1, lo2, hi2 = _knapp_window(j, c1, region)
+    xi1, xi2 = np.linspace(-a1, a1, 257), np.linspace(lo2, hi2, 257)
     phase = PROBE_T * (np.hypot(xi1[:, None], xi2[None, :]) - xi2[None, :])
     return float(np.abs(np.exp(1j * phase) - 1.0).max())

@@ -51,17 +51,25 @@ Mirror-even fields.  A frequency field may also carry ``even``: the axes in
 which its transform is even, F[-k] = F[k], read off its builder's formula and
 kept by the |xi| multipliers; it is (), (0,) or (0, 1).  Its physical field is
 even in the same axes, so ``lp_norm`` asks ``_inverse``, the one inverse
-transform (``to_physical`` is its case even = ()), for |f| on x_i in [0, n/2]
+transform (``to_physical`` is its case even = ()), for |f|^p on x_i in [0, n/2]
 along them, one real array filled block by block; ``_sum_norm`` weights them
 1 on the mirror lines x_i = 0, n/2 and 2 elsewhere.  With few rows k_1 >= 0,
 a < 2 n.bit_length() (a Knapp plate's; a radial band has hundreds), the column
 pass is their even cosine sum, the FFT with its zero inputs pruned exactly
 (Markel, "FFT pruning", 1971).  Every other operator drops ``even``.
+
+Blocks across CPUs.  Each pass of ``_inverse`` (row FFTs, column FFTs or the
+cosine sum) loops over blocks that write disjoint parts of its output; from n =
+1024 on, ``_split`` gives each CPU one contiguous run of them, the last to the
+calling thread and the rest to a module thread pool made on first use.  Each block
+is computed as in the serial loop, so the bits are the same; the caller makes every
+run's buffer, so no worker grows a malloc arena; no public function runs on the pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -76,6 +84,9 @@ _SPACES = ("physical", "frequency")
 COEFF_RESOLUTION = 512  # samples per axis of a coefficient-decay table's period cell
 COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
 _BLOCK = 32  # rows or columns per block of the inverse transform; 16..256 timed at n = 2048
+_WORKERS = len(os.sched_getaffinity(0))  # runs per pass of the inverse transform
+_SPLIT_BYTES = 2**19  # smallest block split across threads, 32 x 1024 complex: they lost at n = 512
+_pool = None  # the threads of all runs but the calling thread's, made on first use
 
 
 @dataclass(frozen=True)
@@ -347,7 +358,7 @@ def lp_norm(f: Field, p) -> float:
     """Discrete L^p norm (sum |f|^p cell^2)^(1/p); max |f| at p = infinity.
 
     Norms are taken on the physical-space representation (frequency input is
-    transformed first).  A field with ``factors`` (a, b) is ifft(a) ifft(b) /
+    transformed to |f|^p first).  A field with ``factors`` (a, b) is ifft(a) ifft(b) /
     cell^2 as an outer product, so its norm is the product of the two 1-D norms,
     from two length-n inverse FFTs.  Else a field with ``even`` axes is
     transformed and summed on x_i in [0, n/2] along each, with mirror weights.
@@ -358,76 +369,92 @@ def lp_norm(f: Field, p) -> float:
     cell = f.grid.cell
     if f.factors is not None:
         return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
-    vals = f.values if f.space == "physical" else _inverse(f, f.even, magnitude=True)
+    vals = f.values if f.space == "physical" else _inverse(f, f.even, power=pv)
     return _sum_norm(vals, pv, cell**2, f.even)
 
 
-def _inverse(f: Field, even: tuple[int, ...] = (), magnitude: bool = False) -> np.ndarray:
-    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them,
-    or with ``magnitude`` their moduli, each block written out as it is made: axis 1
-    on the rows holding support points only, then axis 0 on _BLOCK columns at a
-    time in one buffer.  ``even``, (0,) or (0, 1) for an ``f`` even in those axes,
-    keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length() rows k_1 >= 0,
-    the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k / (n cell^2)
-    of the row transforms V_k, w_0 = 1, w_k = 2, on _BLOCK rows x_1 at a time: about
-    2 a n^2 flops against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
+def _split(starts: Sequence[int], shape: tuple[int, int], dtype, work) -> None:
+    """work(run, buffer) on one contiguous run of ``starts`` per CPU, or one run for blocks under
+    _SPLIT_BYTES, each with a ``shape`` buffer made here: the last on this thread, the rest on the pool."""
+    global _pool
+    w = max(1, min(_WORKERS, len(starts))) if np.dtype(dtype).itemsize * math.prod(shape) >= _SPLIT_BYTES else 1
+    runs = [(starts[k * len(starts) // w:(k + 1) * len(starts) // w], np.empty(shape, dtype)) for k in range(w)]
+    if w > 1 and _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: 8 ms of set-up
+        _pool = ThreadPoolExecutor(_WORKERS - 1)
+    others = _pool.map(work, *zip(*runs[:-1])) if w > 1 else ()
+    work(*runs[-1])
+    list(others)  # waits for the other runs, raising what one raised
+
+
+def _inverse(f: Field, even: tuple[int, ...] = (), power: float | None = None) -> np.ndarray:
+    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them, or with
+    ``power`` their ``_power``, written _BLOCK rows or columns at a time, each pass ``_split``:
+    axis 1 on the rows holding support points (stored on its support, a block's values are
+    a run of the ascending ``flat``), then axis 0.  ``even``, (0,) or (0, 1) for an ``f``
+    even in those axes, keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length()
+    rows k_1 >= 0, the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k /
+    (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops against
+    5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
     n, h = f.grid.n, f.grid.n // 2
     top, bottom = _row_blocks(f.grid, f.support)
     a, rows, cols = top.stop, (h + 1 if even else n), (h + 1 if 1 in even else n)
     b = n - a + 1 if even else bottom.start
-    out = np.empty((rows, cols), dtype=np.float64 if magnitude else np.complex128)
-    put = (lambda at, block: np.abs(block, out=out[at])) if magnitude else out.__setitem__
-    if magnitude or even:  # the row transforms, stacked
+    out = np.empty((rows, cols), dtype=np.complex128 if power is None else np.float64)
+    put = out.__setitem__ if power is None else (lambda at, block: _power(block, power, out=out[at]))
+    if power is not None or even:  # the row transforms, stacked
         v = np.empty((a if even else a + n - b, cols), dtype=np.complex128)
         head, tail = v[:a], (v[a - 1:0:-1] if even else v[a:])
     else:  # in out's own rows: each column block reads them before it writes there
         head, tail = out[:a], out[b:]
-    _row_pass(f, top, head)
-    if not even:
-        _row_pass(f, bottom, tail)
+    def row_pass(run, buf):
+        for r in run:
+            part, into = (top, head) if r < a else (bottom, tail)
+            block = buf[: min(_BLOCK, part.stop - r)]
+            if f.data.ndim == 2:
+                np.fft.ifft(f.data[r:r + len(block)], axis=1, out=block)
+            else:
+                lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(block)) * n))
+                block.fill(0.0)
+                block.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
+                np.fft.ifft(block, axis=1, out=block)
+            into[r - part.start:r - part.start + len(block)] = block[:, :cols]
+    _split([*range(0, a, _BLOCK), *(() if even else range(b, n, _BLOCK))], (_BLOCK, n), np.complex128, row_pass)
     if even and a < 2 * n.bit_length():
         k = np.arange(a)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
         table /= n * f.grid.cell**2
-        for x in range(0, rows, _BLOCK):
-            block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], head.view(np.float64))
-            put(slice(x, x + _BLOCK), block.view(np.complex128))
+        def cosines(run, buf):
+            for x in run:
+                block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], head.view(np.float64), out=buf[: rows - x])
+                put(slice(x, x + _BLOCK), block.view(np.complex128))
+        _split(range(0, rows, _BLOCK), (_BLOCK, 2 * cols), np.float64, cosines)
         return out
-    buf = np.empty((n, _BLOCK), dtype=np.complex128)
-    for c in range(0, cols, _BLOCK):
-        block = buf[:, : min(_BLOCK, cols - c)]
-        block[:a], block[a:b], block[b:] = head[:, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
-        np.fft.ifft(block, axis=0, out=block)
-        put(np.s_[:, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]))
+    def columns(run, buf):
+        for c in run:
+            block = buf[:, : min(_BLOCK, cols - c)]
+            block[:a], block[a:b], block[b:] = head[:, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
+            np.fft.ifft(block, axis=0, out=block)
+            put(np.s_[:, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]))
+    _split(range(0, cols, _BLOCK), (n, _BLOCK), np.complex128, columns)
     return out
 
 
-def _row_pass(f: Field, rows: slice, out: np.ndarray) -> None:
-    """np.fft.ifft along axis 1 of the rows ``rows`` of ``f`` into ``out``, out.shape[1]
-    columns kept, _BLOCK rows at a time through one block: stored on its support, a
-    chunk's values are a run of the ascending ``flat``, scattered into the zeroed block."""
-    n = f.grid.n
-    block = np.empty((_BLOCK, n), dtype=np.complex128)
-    for r in range(rows.start, rows.stop, _BLOCK):
-        chunk = block[: min(_BLOCK, rows.stop - r)]
-        if f.data.ndim == 2:
-            np.fft.ifft(f.data[r:r + len(chunk)], axis=1, out=chunk)
-        else:
-            lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(chunk)) * n))
-            chunk.fill(0.0)
-            chunk.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
-            np.fft.ifft(chunk, axis=1, out=chunk)
-        out[r - rows.start:r - rows.start + len(chunk)] = chunk[:, :out.shape[1]]
+def _power(values: np.ndarray, pv: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|values|^pv, into ``out`` if given; |values| at pv = 1 or infinity."""
+    a = np.abs(values, out=out)
+    if pv not in (1.0, math.inf):
+        a **= pv  # in place: same bits as a**pv, for a whole array or a block of it
+    return a
 
 
 def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:
     """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity; real
-    ``values`` are |values|, raised in place.  With ``even`` axes, ``_inverse``'s
+    ``values`` are ``_power``'s, summed in place.  With ``even`` axes, ``_inverse``'s
     half or quarter grid summed as the whole: weight 1 on x_i = 0, n/2, else 2."""
-    a = np.abs(values) if np.iscomplexobj(values) else values
+    a = _power(values, pv) if np.iscomplexobj(values) else values
     if math.isinf(pv):
         return float(a.max())
-    a **= pv  # in place: same bits as a**pv, one array fewer
     for axis in even:
         np.moveaxis(a, axis, 0)[1:-1] *= 2.0
     return float((np.sum(a) * measure) ** (1.0 / pv))
@@ -440,7 +467,7 @@ def mixed_norm(norms: Sequence[float], q) -> float:
     qv = float(q)
     if qv < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    return _sum_norm(np.array(norms, dtype=np.float64), qv, 1.0)
+    return _sum_norm(_power(np.array(norms, dtype=np.float64), qv), qv, 1.0)
 
 
 def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
@@ -458,7 +485,7 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     g = littlewood_paley(f if f.space == "frequency" else f.spectrum or to_frequency(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
     for t in discretize(E, 2.0**-j).points:
-        np.maximum(acc, _inverse(circular_average(g, t), magnitude=True), out=acc)
+        np.maximum(acc, _inverse(circular_average(g, t), power=1.0), out=acc)
     return _own(f.grid, acc, "physical")
 
 

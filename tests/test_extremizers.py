@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fractalwave import extremizers
-from fractalwave.cutoffs import beta0, beta1
+from fractalwave.cutoffs import BETA1_SUPPORT, beta0, beta1
+from fractalwave.experiments import level_grid
 from fractalwave.extremizers import (
     DEFAULT_C1,
     annulus_shell_minimum,
@@ -21,7 +22,7 @@ from fractalwave.extremizers import (
     radial_focusing,
     shell_mass_fraction,
 )
-from fractalwave.grid import GridSpec, frequency_lattice, lp_norm, to_physical
+from fractalwave.grid import GridSpec, _axis_freq, frequency_lattice, lp_norm, to_physical
 
 GRID = GridSpec(1024, 8.0)
 JS = (4, 5, 6)
@@ -134,6 +135,20 @@ def test_knapp_phase_error_scales_like_c1_squared():
 def test_knapp_phase_error_is_j_stable():
     vals = [knapp_phase_error(j=j, c1=0.125) for j in (4, 6, 8)]
     assert max(vals) / min(vals) <= 1.1
+
+
+@pytest.mark.parametrize("j", range(4, 9))
+def test_knapp_phase_error_support_is_the_rectangle_knapp_fills(j):
+    """The "support" window knapp_phase_error maximizes over holds exactly the
+    lattice points knapp fills on its level's grid, open as the profiles vanish
+    on their support's edge."""
+    grid = level_grid(j)
+    a1, lo2, hi2 = extremizers._knapp_window(j, DEFAULT_C1, "support")
+    assert (lo2, hi2) == grid.band(j, BETA1_SUPPORT)
+    xi = _axis_freq(grid)
+    rows, cols = np.flatnonzero(np.abs(xi) < a1), np.flatnonzero((xi > lo2) & (xi < hi2))
+    want = (rows[:, None] * grid.n + cols).ravel()
+    assert want.size and np.array_equal(np.sort(want), extremizers.knapp(grid, j).support[0])
 
 
 # --- annulus family ----------------------------------------------------------

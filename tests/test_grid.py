@@ -7,6 +7,8 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 
 import dataclasses
 import math
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalwave import extremizers
+from fractalwave import experiments, extremizers
 from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig, level_grid
@@ -608,13 +610,125 @@ def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypa
     # ... and a hand-made one whose values happen to be even takes the full path
     seen, inverse = [], grid_module._inverse
 
-    def spy(g, even=(), magnitude=False):
+    def spy(g, even=(), *args, **kwargs):
         seen.append((g is hand, even))
-        return inverse(g, even, magnitude)
+        return inverse(g, even, *args, **kwargs)
 
     monkeypatch.setattr(grid_module, "_inverse", spy)
     assert lp_norm(hand, 4) == pytest.approx(want, rel=1e-13)
     assert seen == [(True, ())]
+
+
+def _inverse_paths(grid):
+    """(label, field, even) of every path of ``_inverse``: a dense transform, a field
+    stored on its support, a radial one (even in both axes, so also in axis 0) on
+    the mirrored FFT path and a Knapp numerator on the cosine sum."""
+    j = grid.max_band_j(BETA1_SUPPORT[1])
+    base = to_frequency(random_field(grid, seed=4))
+    radial = half_wave(littlewood_paley(extremizers.annulus(grid, j), j), 0.7318)
+    knapp = half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 0.7318)
+    assert _row_blocks(grid, knapp.support)[0].stop < 2 * grid.n.bit_length()  # the cosine sum
+    return (("dense", base, ()), ("stored", half_wave(littlewood_paley(base, j), 1.3), ()),
+            ("even (0,)", radial, (0,)), ("even (0, 1)", radial, (0, 1)), ("cosine sum", knapp, (0,)))
+
+
+def _run_at(monkeypatch, workers, fn):
+    """fn() with each pass of the inverse transform split into ``workers`` runs, at any n."""
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+    monkeypatch.setattr(grid_module, "_SPLIT_BYTES", 0)
+    try:
+        return fn()
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_pooled_inverse_transform_is_the_serial_one(monkeypatch, n):
+    """Every path of ``_inverse``, complex and as |f|^p, every builder's norm and a
+    tiny study's levels are the same bits with the passes split across threads,
+    on more runs than CPUs and with a short switch interval, as with one run."""
+    grid = GridSpec(n, 8.0)
+    paths = _inverse_paths(grid)
+    builders = [build(grid, 4) for build in BUILDERS]
+    fields = builders + [half_wave(littlewood_paley(f, 4), 0.7318) for f in builders]
+    configs = [RunConfig(family="knapp", p="5/2", q="5", set_kind="cantor", j_min=2, j_max=4, time_L=2.0),
+               RunConfig(family="radial_focusing", p="4", q="4", set_kind="single_time", j_min=2, j_max=4,
+                         time_L=4.0)]
+
+    def everything():
+        inverses = [grid_module._inverse(f, even, power) for _, f, even in paths
+                    for power in (None, 1.0, 2.5, math.inf)]
+        norms = [lp_norm(f, p) for f in fields for p in (1, Fraction(5, 2), math.inf)]
+        return inverses, norms, [experiments.run_scaling(c).levels for c in configs] if n == 256 else []
+
+    serial = _run_at(monkeypatch, 1, everything)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 5):
+            inverses, norms, levels = _run_at(monkeypatch, workers, everything)
+            for got, want in zip(inverses, serial[0], strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want), workers
+            assert norms == serial[1] and levels == serial[2], workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+TRACED_BOUNDARIES = ("littlewood_paley", "half_wave", "circular_average", "to_physical",
+                     "to_frequency", "lp_norm", "mixed_norm", "maximal_function")
+
+
+def test_traced_boundaries_run_on_the_calling_thread(monkeypatch):
+    """Every ``grid`` function an outside tracer wraps runs on the thread that
+    called into the package, while the inverse transforms' blocks run on the
+    pool too: a tracer's one span stack sees every span.  Each binding is
+    patched in every module, as a tracer does."""
+    caller, seen, ffts = threading.get_ident(), [], set()
+    modules = [m for name, m in sys.modules.items() if name.startswith("fractalwave") and m is not None]
+    for name in TRACED_BOUNDARIES:
+        original = getattr(grid_module, name)
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
+            seen.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, wrapper)
+    ifft = np.fft.ifft
+
+    def spy(*args, **kwargs):
+        ffts.add(threading.get_ident())
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    monkeypatch.setattr(grid_module, "_WORKERS", max(2, grid_module._WORKERS))
+    monkeypatch.setattr(grid_module, "_SPLIT_BYTES", 0)
+    grid = GridSpec(256, 8.0)
+    f = random_field(grid, seed=5)
+    grid_module.lp_norm(grid_module.to_physical(grid_module.to_frequency(f)), 4)
+    grid_module.maximal_function(f, TimeSet.from_points([1.1, 1.3]), 4)
+    experiments.run_scaling(RunConfig(family="annulus", p="4", q="4", set_kind="cantor",
+                                      j_min=2, j_max=4, time_L=2.0))
+    assert {name for name, _ in seen} == set(TRACED_BOUNDARIES)
+    assert {ident for _, ident in seen} == {caller}
+    assert ffts - {caller}, "no block ran on the pool"
+
+
+@pytest.mark.parametrize("n, split", [(512, False), (1024, True)])
+def test_blocks_from_n_1024_on_are_split(monkeypatch, n, split):
+    """Below 32 x 1024 points a block's pass runs on the calling thread alone, as
+    threads lost at n = 512; from n = 1024 on every pass of a norm is split."""
+    threads, ifft, einsum = [], np.fft.ifft, np.einsum
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: threads.append(("fft", threading.get_ident())) or ifft(*a, **k))
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: threads.append(("sum", threading.get_ident())) or einsum(*a, **k))
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    grid = GridSpec(n, 8.0)
+    j = grid.max_band_j(BETA1_SUPPORT[1])
+    for f in (extremizers.annulus(grid, j), half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 0.7318)):
+        lp_norm(f, 4)
+    kinds = {kind for kind, ident in threads if ident != threading.get_ident()}
+    assert kinds == ({"fft", "sum"} if split else set())
 
 
 def test_full_lattice_caches_are_bounded():

@@ -68,11 +68,11 @@ def test_bench_refuses_bad_arguments_before_running(tmp_path, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"]  # no OUT was written
 
 
-def _run(workload, side, pair, trace=0, **values):
+def _run(workload, side, pair, trace=0, load=1.0, **values):
     result = {"correct": True, "attempted": 1, "failed": 0,
               "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
     return {"workload": workload, "side": side, "pair": pair, "seed": pair or 1, "trace": trace,
-            "boundaries_not_found": [], "result": result}
+            "loadavg": [load, 0.5, 0.25], "boundaries_not_found": [], "result": result}
 
 
 def _bench_module():
@@ -100,7 +100,7 @@ def test_bench_summary_pairs_medians_and_wins():
     metrics = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
     parent = [1.0, 2.0, 3.0, 4.0, 9.0]
     change = [0.5, 2.5, 2.0, 3.0, 0.1]
-    runs = [_run("w", side, k + 1, wall_s=v, rate=v)
+    runs = [_run("w", side, k + 1, load=k + (side == "change") * 10.0, wall_s=v, rate=v)
             for k, (p, c) in enumerate(zip(parent, change)) for side, v in (("parent", p), ("change", c))]
     runs[-1]["result"] = None  # pair 5's change run failed: the pair is left out
     runs.append(_run("w", "change", 6, wall_s=0.0, rate=0.0))  # a pair with one side is left out
@@ -117,6 +117,23 @@ def test_bench_summary_pairs_medians_and_wins():
     assert wall["change_median"] == 2.25 and wall["change_iqr"] == 1.0  # quartiles 1.625, 2.625
     assert wall["change_pct"] == -10.0
     assert wall["wins"] == 3  # lower is better: pairs 1, 3, 4
+    assert wall["parent_load1"] == 1.5 and wall["change_load1"] == 11.5  # pairs 1-4 start at 0..3, +10
+    assert not wall["claim_holds"]  # 3 wins of 4 < 0.9, and 0.25 is inside the IQR
     assert summary["w"]["rate"]["wins"] == 1  # higher is better: pair 2
     assert summary["v"]["wall_s"] == {"parent_median": 1.0, "parent_iqr": 0.0, "change_median": 1.0,
-                                      "change_iqr": 0.0, "change_pct": 0.0, "wins": 0, "pairs": 1}
+                                      "change_iqr": 0.0, "change_pct": 0.0, "wins": 0, "pairs": 1,
+                                      "claim_holds": False, "parent_load1": 1.0, "change_load1": 1.0}
+
+
+@pytest.mark.parametrize("parent, change, better, holds", [
+    pytest.param([10.0, 11.0, 12.0, 13.0] * 5, [9.0, 9.5, 10.0, 10.5] * 5, "lower", True, id="lower-20-of-20"),
+    pytest.param([10.0, 11.0, 12.0, 13.0] * 5, [9.0, 9.5, 10.0, 10.5] * 5, "higher", False, id="wrong-direction"),
+    pytest.param([10.0, 11.0, 12.0, 13.0] * 5, [9.9, 10.9, 11.9, 12.9] * 5, "lower", False, id="inside-the-iqr"),
+    pytest.param([10.0] * 9 + [20.0], [9.0] * 8 + [25.0, 25.0], "lower", False, id="8-of-10"),
+    pytest.param([10.0] * 9 + [20.0], [9.0] * 9 + [25.0], "lower", True, id="9-of-10"),
+])
+def test_bench_claim_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_iqr(parent, change, better, holds):
+    runs = [_run("w", side, k + 1, m=v) for k, (p, c) in enumerate(zip(parent, change))
+            for side, v in (("parent", p), ("change", c))]
+    got = _bench_module().summarize(runs, [{"name": "m", "better": better}])["w"]["m"]
+    assert got["claim_holds"] is holds, got
