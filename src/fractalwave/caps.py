@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exponents import _frac
-from .grid import Field, GridSpec, _own, frequency_lattice
+from .grid import Field, GridSpec, frequency_lattice
 
 _KINDS = ("angular", "squashed")
 BOX_C = 0.25  # the box constant c of the module docstring
@@ -179,7 +179,7 @@ def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, F
                 "refine the grid or use the continuum profile"
             )
         amp = grid.period / math.sqrt(count)
-        fields.append(_own(grid, mask * amp, "frequency"))
+        fields.append(Field(grid, mask * amp, "frequency"))
     return fields[0], fields[1]
 
 

@@ -100,7 +100,10 @@ def _cmd_sets(args) -> int:
         if not isinstance(points, list) or not points or not all(type(t) in (int, float) for t in points):
             got = json.dumps(points)[:60]
             raise ValueError(f"{args.load}: a time set is a nonempty JSON list of numbers, got {got}")
-        ts = TimeSet.from_points(points)
+        try:
+            ts = TimeSet.from_points(points)
+        except ValueError as exc:
+            raise ValueError(f"{args.load}: {exc}") from None
         origin = f"loaded from {args.load}"
     else:
         if args.alpha is None or args.j is None:

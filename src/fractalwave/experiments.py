@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +111,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not math.isfinite(self.time_L):
             raise ValueError(f"time_L must be finite, got {self.time_L}")
+        if self.label in (".", "..") or "/" in self.label or os.sep in self.label:
+            raise ValueError(f"label must be a file name, with no path separator and not . or .., got {self.label!r}")
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
         self.grid  # derived here, so a grid beyond physical memory fails on load

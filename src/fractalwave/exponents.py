@@ -96,8 +96,12 @@ def q_points(spec: RegionSpec) -> tuple[PQPoint, PQPoint, PQPoint, PQPoint]:
     q1 = PQPoint(Fraction(0), Fraction(0))
     q2 = PQPoint((d - 1) / (d - 1 + mu), (d - 1) / (d - 1 + mu))
     q3 = PQPoint((d - mu) / (d - mu + 1), 1 / (d - mu + 1))
-    q4 = PQPoint(d * (d - 1) / (d * d + 2 * a - 1), (d - 1) / (d * d + 2 * a - 1))
-    return (q1, q2, q3, q4)
+    return (q1, q2, q3, _q4(d, a))
+
+
+def _q4(d: Fraction, a: Fraction) -> PQPoint:
+    """The marginal vertex Q4 = (d(d-1), d-1) / (d^2 + 2 alpha - 1), which is (1/p_alpha, 1/q_alpha)."""
+    return PQPoint(d * (d - 1) / (d * d + 2 * a - 1), (d - 1) / (d * d + 2 * a - 1))
 
 
 def _cross(o, a, b) -> Fraction:
@@ -252,8 +256,8 @@ def thresholds(d: int, alpha, r=None) -> ThresholdTable:
     p_star = 2 * q_star / q_circ
     q_tilde_circ = 2 * (dd - 1 + 4 * a) / (dd - 1 + 2 * a)
     q_tilde_star = (2 * (dd - 1 + 2 * a) ** 2 - 4 * a * a) / ((dd - 1) * (dd - 1 + 2 * a))
-    q_alpha = (dd * dd + 2 * a - 1) / (dd - 1)
-    p_alpha = (dd * dd + 2 * a - 1) / (dd * (dd - 1))
+    q4 = _q4(dd, a)
+    q_alpha, p_alpha = 1 / q4.inv_q, 1 / q4.inv_p
     q_star_r = None
     rr = None
     if r is not None:

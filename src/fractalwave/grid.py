@@ -21,25 +21,22 @@ The half-wave propagator is the multiplier e^{i t |xi|}; the circular
 average over the radius-t circle is J0(t |xi|) (normalized measure: the
 multiplier is 1 at xi = 0, so means are preserved).
 
-Spectral supports.  Every field carries ``support``: the read-only triple
-``(flat, inv, radii)`` of the lattice points where its transform may be
-nonzero.  ``flat`` holds their ascending flat indices and ``inv`` (int32)
-each point's entry in ``radii``, so radii[inv] is |xi| at ``flat``.  The
-lattice's 8 symmetries (k1 <-> k2 and the signs) keep |xi|, so a radial
-band stores one radius per orbit of them: 166,749 radii for 1,329,820
-points at n = 2048, j = 7.  The support is the set its builder filled (see
-``extremizers``), met with each band applied since, which keeps only the
-radii in the band; it is never found by scanning values, and ``None``
-claims nothing.  A frequency field is exactly zero off its support and is
-stored on it: ``Field.data`` holds one value per entry of ``flat``, and
-``Field.values`` scatters them to n x n on each read, keeping nothing.
-``to_physical`` passes the support on, and for the physical field the claim
-holds up to FFT rounding; physical fields, forward transforms and fields
-whose support is None stay dense.  Multipliers evaluate a symbol of |xi|
-once per radius, gather it to the points and multiply the stored values
-there, and the inverse FFT transforms only the rows that hold points, then
-the columns, a block at a time; on a frequency field both give the same bits
-as the full-lattice computation.
+Spectral supports.  Storage follows space.  A frequency field is stored on
+its ``support``, the read-only triple ``(flat, inv, radii)`` of the lattice
+points where its transform may be nonzero: ``Field.data`` holds one value per
+point, and ``Field.values`` scatters them to n x n on each read, keeping
+nothing.  ``flat`` holds the ascending flat indices and ``inv`` (int32) each
+point's entry in ``radii``, so radii[inv] is |xi| at ``flat``.  The lattice's
+8 symmetries (k1 <-> k2 and the signs) keep |xi|, so a radial band stores one
+radius per orbit of them: 166,749 radii for 1,329,820 points at n = 2048, j =
+7.  The support is the set a builder filled (see ``extremizers``), or the
+whole lattice (``Field``, ``to_frequency``, the cap pairs), met with each band
+applied since; it is never found by scanning values.  A physical field holds
+n x n values and no support; ``to_physical`` sets its ``spectrum``, the field
+it came from.  Multipliers evaluate a symbol of |xi| once per radius and
+multiply the stored values, and the inverse FFT transforms only the rows that
+hold points, then the columns, a block at a time; both give the same bits as
+the full-lattice computation.
 
 Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
@@ -133,15 +130,14 @@ def _axis_freq(spec: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * k / spec.period
 
 
-@lru_cache(maxsize=8)
-def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support ``(flat, inv, radii)`` of the lattice points with lo < |xi| < hi.
+def _lattice_points(spec: GridSpec, lo: float = -1.0, hi: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support ``(flat, inv, radii)`` of the lattice points with lo < |xi| < hi,
+    made per call; by default the whole lattice, whose ``flat`` is 0, 1, ..., n^2 - 1.
 
-    ``radii`` holds one |xi| per lattice orbit, the up to 8 points (±k1, ±k2),
-    (±k2, ±k1), taken by np.hypot on the quadrant 0 <= k2 <= k1 of |xi_k| < hi;
-    np.hypot reads |xi1| and |xi2| and is symmetric in them, so radii[inv] is
-    bit-identical to np.hypot over the full lattice at ``flat``.  No per-point
-    radius is made, and nothing is sorted.
+    ``radii`` holds one |xi| per lattice orbit, the up to 8 points (±k1, ±k2), (±k2, ±k1),
+    taken by np.hypot on the quadrant 0 <= k2 <= k1 of |xi_k| < hi; np.hypot reads |xi1| and
+    |xi2| and is symmetric in them, so radii[inv] is bit-identical to np.hypot over the full
+    lattice at ``flat``.  No per-point radius is made, and nothing is sorted.
     """
     n = spec.n
     xa = np.abs(_axis_freq(spec))
@@ -163,11 +159,12 @@ def _band_points(spec: GridSpec, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return support
 
 
+_band_points = lru_cache(maxsize=8)(_lattice_points)  # a band's points, shared by builders and projections
+
+
 def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
-    """Rows [0, a) and [b, n) that hold every support point; all rows for None."""
+    """Rows [0, a) and [b, n) that hold every support point."""
     n = spec.n
-    if support is None:
-        return slice(0, n // 2), slice(n // 2, n)
     flat = support[0]
     m = int(np.searchsorted(flat, n * n // 2))  # the points in rows [0, n/2)
     a = int(flat[m - 1]) // n + 1 if m else 0
@@ -175,12 +172,10 @@ def _row_blocks(spec: GridSpec, support) -> tuple[slice, slice]:
     return slice(0, a), slice(b, n)
 
 
-def _meet(grid: GridSpec, support, band: tuple[float, float]):
+def _meet(support, band: tuple[float, float]):
     """(the support points with lo < |xi| < hi, the mask of them among
-    ``support``'s points): the band's own points and None for None.  Only the
-    radii in the band are kept, and ``inv`` is renumbered to them."""
-    if support is None:
-        return _band_points(grid, *band), None
+    ``support``'s points).  Only the radii in the band are kept, and ``inv`` is
+    renumbered to them."""
     flat, inv, radii = support
     keep = (radii > band[0]) & (radii < band[1])
     inside = np.take(keep, inv)
@@ -206,15 +201,12 @@ class Field:
     """Immutable n x n complex field tagged with its space.
 
     The values are a read-only copy of the array passed in: the caller's array
-    stays writeable and changing it leaves the field alone.  ``support``, the
-    points ``(flat, inv, radii)`` its builder filled, ``factors``, the 1-D
-    symbols of a separable transform, and ``even``, the axes of a mirror-even
-    transform, are set by this package's operators only (see the module
-    docstring); a field made here has None, None and ().  ``data`` is what is
-    stored: a frequency field with a support holds one value per entry of
-    support[0], in that order, and ``values`` scatters them on each read;
-    every other field holds its n x n values.  ``spectrum``, not compared, is the
-    field stored on its support that ``to_physical`` made a physical field from.
+    stays writeable and changing it leaves the field alone.  ``data`` is what is
+    stored: a physical field's n x n values, or a frequency field's, one per
+    entry of ``support[0]`` in that order (the whole lattice for one made here).
+    ``factors``, ``even`` and a physical field's ``spectrum`` (not compared) are
+    set by this package's operators only (see the module docstring); a field
+    made here has None, () and None.
     """
 
     grid: GridSpec
@@ -231,14 +223,17 @@ class Field:
         vals = np.array(self.data, dtype=np.complex128, order="C")
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values must be {self.grid.n} x {self.grid.n}, got {vals.shape}")
+        if self.space == "frequency":  # on the whole lattice, whose flat order is vals' own
+            object.__setattr__(self, "support", _lattice_points(self.grid))
+            vals = vals.ravel()
         vals.setflags(write=False)
         object.__setattr__(self, "data", vals)
 
     @property
     def values(self) -> np.ndarray:
         """The read-only n x n complex128 values, scattered afresh (and not kept)
-        for a field stored on its support."""
-        if self.data.ndim == 2:
+        from a frequency field's support."""
+        if self.support is None:
             return self.data
         out = np.zeros(self.grid.n**2, dtype=np.complex128)
         out[self.support[0]] = self.data
@@ -248,8 +243,8 @@ class Field:
 
 def _own(grid: GridSpec, vals: np.ndarray, space: str, **attrs) -> Field:
     """Every field this package makes, over ``vals``, a fresh C-contiguous array made
-    here (n x n, or a frequency field's values at its ``support`` points): as complex128,
-    not copied if it is one, and frozen with the ``support`` and ``factors`` in ``attrs``."""
+    here (its ``data``): as complex128, not copied if it is one, and frozen with the
+    ``support`` and ``factors`` in ``attrs``."""
     vals = np.asarray(vals, dtype=np.complex128)
     for a in (vals, *(attrs.get("support") or ()), *(attrs.get("factors") or ())):
         a.setflags(write=False)
@@ -261,17 +256,17 @@ def _own(grid: GridSpec, vals: np.ndarray, space: str, **attrs) -> Field:
 def to_frequency(f: Field) -> Field:
     if f.space != "physical":
         raise ValueError("to_frequency expects a physical-space field")
-    vals = np.fft.fft2(f.values) * f.grid.cell**2
-    return _own(f.grid, vals, "frequency")
+    support = _lattice_points(f.grid)  # first: its scratch arrays are freed before the transform
+    vals = np.fft.fft2(f.values, out=np.empty_like(f.values))  # in one n x n array, bit for bit
+    vals *= f.grid.cell**2
+    return _own(f.grid, vals.ravel(), "frequency", support=support)
 
 
 def to_physical(f: Field) -> Field:
-    """Inverse transform as np.fft.ifft2 computes it (see ``_inverse``); the
-    result keeps the input's support and, if stored on it, the input itself."""
+    """Inverse transform as np.fft.ifft2 computes it (see ``_inverse``), with the input as its ``spectrum``."""
     if f.space != "frequency":
         raise ValueError("to_physical expects a frequency-space field")
-    spectrum = f if f.data.ndim == 1 else None
-    return _own(f.grid, _inverse(f), "physical", support=f.support, spectrum=spectrum)
+    return _own(f.grid, _inverse(f), "physical", spectrum=f)
 
 
 def _as_physical(f: Field) -> Field:
@@ -282,27 +277,23 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     """Multiply in frequency space, preserving the caller's space tag.
 
     ``symbol`` is the multiplier as a function of |xi|, evaluated once per
-    support radius, or its full-lattice array; ``band``, if given, is where it
-    may be nonzero.  Only the points of ``f``'s support in the band are
-    multiplied, in either space: a physical input's transform (its ``spectrum``,
-    if it has one) is read there and the rest, rounding, is dropped.  A
-    frequency input keeps its ``even`` axes under a symbol of |xi|.
+    support radius and gathered to the points, or its full-lattice array;
+    ``band``, if given, is where it may be nonzero.  The result is stored on the
+    points of the spectrum's support in the band: ``f``'s own, or a physical
+    ``f``'s ``spectrum``'s; a caller's physical array has its transform read at
+    the band's points, or the whole lattice's.  A frequency input keeps its
+    ``even`` axes under a symbol of |xi|.
     """
     grid = f.grid
-    g = f if f.space == "frequency" else f.spectrum or to_frequency(f)
-    support, inside = (f.support, slice(None)) if band is None else _meet(grid, f.support, band)
-    at = slice(None) if support is None else support[0]
-    # stored on f.support: the values kept; else the dense transform at the points
-    vals = g.data[inside] if g.data.ndim == 1 else g.data.ravel()[at]
-    if not callable(symbol):
-        mult = symbol.ravel()[at]
-    elif support is None:
-        mult = symbol(np.hypot(*frequency_lattice(grid)).ravel())
+    g = f if f.space == "frequency" else f.spectrum
+    if g is None:
+        support = _lattice_points(grid) if band is None else _band_points(grid, *band)
+        vals = np.fft.fft2(f.values).ravel()[support[0]] * grid.cell**2
     else:
-        mult = np.take(symbol(support[2]), support[1])  # once per radius, then to the points
+        support, inside = (g.support, slice(None)) if band is None else _meet(g.support, band)
+        vals = g.data[inside]
+    mult = np.take(symbol(support[2]), support[1]) if callable(symbol) else symbol.ravel()[support[0]]
     vals = np.multiply(vals, mult, out=vals if vals.flags.writeable else None)  # in place on a gathered copy
-    if support is None:
-        vals = vals.reshape(grid.n, grid.n)
     out = _own(grid, vals, "frequency", support=support, even=f.even if callable(symbol) else ())
     return out if f.space == "frequency" else to_physical(out)
 
@@ -390,8 +381,8 @@ def _split(starts: Sequence[int], shape: tuple[int, int], dtype, work) -> None:
 def _inverse(f: Field, even: tuple[int, ...] = (), power: float | None = None) -> np.ndarray:
     """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them, or with
     ``power`` their ``_power``, written _BLOCK rows or columns at a time, each pass ``_split``:
-    axis 1 on the rows holding support points (stored on its support, a block's values are
-    a run of the ascending ``flat``), then axis 0.  ``even``, (0,) or (0, 1) for an ``f``
+    axis 1 on the rows holding support points (a block's values are a run of the ascending
+    ``flat``), then axis 0.  ``even``, (0,) or (0, 1) for an ``f``
     even in those axes, keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length()
     rows k_1 >= 0, the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k /
     (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops against
@@ -411,13 +402,10 @@ def _inverse(f: Field, even: tuple[int, ...] = (), power: float | None = None) -
         for r in run:
             part, into = (top, head) if r < a else (bottom, tail)
             block = buf[: min(_BLOCK, part.stop - r)]
-            if f.data.ndim == 2:
-                np.fft.ifft(f.data[r:r + len(block)], axis=1, out=block)
-            else:
-                lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(block)) * n))
-                block.fill(0.0)
-                block.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
-                np.fft.ifft(block, axis=1, out=block)
+            lo, hi = np.searchsorted(f.support[0], (r * n, (r + len(block)) * n))
+            block.fill(0.0)
+            block.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
+            np.fft.ifft(block, axis=1, out=block)
             into[r - part.start:r - part.start + len(block)] = block[:, :cols]
     _split([*range(0, a, _BLOCK), *(() if even else range(b, n, _BLOCK))], (_BLOCK, n), np.complex128, row_pass)
     if even and a < 2 * n.bit_length():

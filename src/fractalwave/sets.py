@@ -48,6 +48,8 @@ class TimeSet:
     @classmethod
     def from_points(cls, points: Iterable[float]) -> "TimeSet":
         pts = tuple(sorted(float(p) for p in points))
+        if not all(map(math.isfinite, pts)):
+            raise ValueError(f"time set points must be finite, got {next(p for p in pts if not math.isfinite(p))}")
         if pts and (pts[0] < 1.0 - _TOL or pts[-1] > 2.0 + _TOL):
             raise ValueError(f"time set must lie in [1, 2], got range [{pts[0]}, {pts[-1]}]")
         gaps = [b - a for a, b in zip(pts, pts[1:])]
@@ -188,7 +190,7 @@ def covering_number(ts: TimeSet, interval: tuple[float, float], delta: float) ->
     Points at distance exactly ``delta`` start a new interval.
     """
     a, b = interval
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -202,7 +204,7 @@ def discretize(ts: TimeSet, delta: float) -> TimeSet:
     Every discarded point lies within ``delta`` of a kept one, and kept points
     at distance exactly ``delta`` are retained (separation is >= delta).
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return TimeSet.from_points(_cover_starts(ts.points, delta))
 
@@ -217,7 +219,7 @@ def assouad_characteristic(ts: TimeSet, delta: float, alpha: float) -> float:
     greedy covering chain: for a fixed left endpoint the value can only peak
     when the covering count increments.
     """
-    if delta <= 0.0 or delta > 1.0 + _TOL:
+    if not 0.0 < delta <= 1.0 + _TOL:  # NaN fails too
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -250,10 +252,9 @@ def assouad_characteristic_sup(ts: TimeSet, delta: float, alpha: float) -> float
     only jumps at gap thresholds, and the probes catch the open-interval jump
     from below.
     """
-    if not ts.points:
-        return 0.0
+    at_delta = assouad_characteristic(ts, delta, alpha)  # which checks delta and alpha before the sweep
     grid: set[float] = set()
-    d = delta
+    d = 2.0 * delta
     while d < 1.0:
         grid.add(d)
         d *= 2.0
@@ -262,7 +263,7 @@ def assouad_characteristic_sup(ts: TimeSet, delta: float, alpha: float) -> float
         for cand in (g, g * (1.0 - 1e-9)):
             if delta - _TOL <= cand < 1.0:
                 grid.add(max(cand, delta))
-    return max(assouad_characteristic(ts, dp, alpha) for dp in sorted(grid))
+    return max([at_delta, *(assouad_characteristic(ts, dp, alpha) for dp in sorted(grid - {delta}))])
 
 
 @dataclass(frozen=True)

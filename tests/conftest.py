@@ -5,15 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fractalwave.grid import frequency_lattice, to_frequency
+from fractalwave.grid import frequency_lattice
 
 
-def _check_honest_support(f, rtol: float = 0.0) -> None:
+def _check_honest_support(f) -> None:
     """``f.support`` is honest: read-only arrays, strictly ascending flat
     indices, int32 ``inv`` in range and using every radius, radii[inv] = |xi|
-    at the indices bit for bit, and a transform that is zero off them (within
-    rtol of its peak for a physical field, whose claim holds up to FFT
-    rounding)."""
+    at the indices bit for bit, and a frequency field that is zero off them."""
     flat, inv, radii = f.support
     assert not any(a.flags.writeable for a in (flat, inv, radii))
     assert np.all(np.diff(flat) > 0)
@@ -21,10 +19,9 @@ def _check_honest_support(f, rtol: float = 0.0) -> None:
     assert inv.size == 0 or (inv.min() >= 0 and inv.max() < radii.size)
     assert np.bincount(inv, minlength=radii.size).all()
     assert np.array_equal(radii[inv], np.hypot(*frequency_lattice(f.grid)).ravel()[flat])
-    vals = (f if f.space == "frequency" else to_frequency(f)).values.ravel()
-    off = np.ones(vals.size, dtype=bool)
+    off = np.ones(f.grid.n**2, dtype=bool)
     off[flat] = False
-    assert np.abs(vals[off]).max(initial=0.0) <= rtol * np.abs(vals).max()
+    assert not f.values.ravel()[off].any()
 
 
 @pytest.fixture

@@ -104,6 +104,9 @@ def test_sets_save_and_load(tmp_path, capsys):
         (b'[1.25, "1.5"]', ": a time set is a nonempty JSON list of numbers"),
         (b"1.25", ": a time set is a nonempty JSON list of numbers"),
         (b"[]", ": a time set is a nonempty JSON list of numbers"),
+        (b"[NaN]", ": time set points must be finite, got nan"),  # Python's json reads NaN
+        (b"[1.0, NaN, 1.5]", ": time set points must be finite, got nan"),
+        (b"[Infinity]", ": time set points must be finite, got inf"),
     ],
 )
 def test_sets_load_names_a_broken_file(tmp_path, capsys, content, where):
@@ -397,6 +400,8 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
         (dict(TINY, j_min=2.0), "bad config: {path}: j_min must be an integer"),
         (dict(TINY, time_L=float("inf")), "bad config: {path}: time_L must be finite"),
         (dict(TINY, time_L=float("nan")), "bad config: {path}: time_L must be finite"),
+        (dict(TINY, label="sub/run"), "bad config: {path}: label must be a file name"),
+        (dict(TINY, label=".."), "bad config: {path}: label must be a file name"),
         ("{not json", ":1:2:"),
         ("[]", "JSON object"),
         (None, "No such file"),

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave import experiments, extremizers
+from fractalwave.caps import bilinear_cap_pair
 from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig, level_grid
@@ -26,6 +27,7 @@ from fractalwave.grid import (
     Field,
     GridSpec,
     _band_points,
+    _lattice_points,
     _row_blocks,
     circular_average,
     circular_average_quadrature,
@@ -254,15 +256,16 @@ def test_pruned_inverse_transform_is_ifft2(n, honest_support):
         assert np.array_equal(to_physical(f).values, want)
         seen += 1
     assert seen >= 3
-    # a field that claims nothing goes through the same path
+    # a forward transform, stored on the whole lattice, goes through the same path
     full = to_frequency(random_field(grid, seed=2))
-    assert full.support is None
+    honest_support(full)
+    assert np.array_equal(full.support[0], np.arange(n * n))
     assert np.array_equal(to_physical(full).values, np.fft.ifft2(full.values) / grid.cell**2)
 
 
 def test_to_physical_holds_one_complex_array(traced_peak):
-    """to_physical of a dense field (a forward transform's) and of a projection
-    stored on its support each peak below 1.15 n x n complex arrays: the row
+    """to_physical of a forward transform (stored on the whole lattice) and of a
+    projection stored on its band each peak below 1.15 n x n complex arrays: the row
     transforms go straight into the output's rows, not into a second array."""
     grid = GridSpec(512, 8.0)
     for f in (to_frequency(random_field(grid, seed=1)), littlewood_paley(extremizers.annulus(grid, 5), 5)):
@@ -289,15 +292,55 @@ def test_a_frequency_field_is_stored_on_its_support():
         assert g.values is not vals  # scattered on each read, not kept
 
 
-def test_a_callers_frequency_array_is_copied_and_stays_dense():
+def test_a_callers_frequency_array_is_copied_onto_the_whole_lattice(honest_support):
     grid = GridSpec(64, 8.0)
     arr = extremizers.annulus(grid, 2).values.copy()
     f = Field(grid, arr, "frequency")
-    assert f.support is None and f.data.shape == (64, 64)
-    assert f.values is f.data and not np.shares_memory(arr, f.values)
+    honest_support(f)
+    assert np.array_equal(f.support[0], np.arange(64 * 64)) and f.data.shape == (64 * 64,)
+    assert not np.shares_memory(arr, f.data) and np.array_equal(f.values, arr)
     arr[0, 0] = 7.0
-    assert f.values[0, 0] == 0.0 and not f.values.flags.writeable
-    assert to_frequency(to_physical(f)).data.shape == (64, 64)  # a forward transform is dense
+    assert f.values[0, 0] == 0.0 and not f.data.flags.writeable
+    assert np.array_equal(to_frequency(to_physical(f)).support[0], f.support[0])  # so is a forward transform
+
+
+def test_whole_lattice_fields_leave_the_band_cache_alone():
+    """``Field``, ``to_frequency`` and the cap pairs build the whole lattice per
+    call: the band cache is neither read nor filled."""
+    grid = GridSpec(256, 8.0)
+    arr, phys = extremizers.annulus(grid, 4).values, random_field(grid, seed=5)
+    before = _band_points.cache_info()
+    f = Field(grid, arr, "frequency")
+    g = to_frequency(phys)
+    caps = bilinear_cap_pair(grid, 0.25, "angular")
+    assert _band_points.cache_info() == before
+    for h in (f, g, *caps):
+        assert np.array_equal(h.support[0], np.arange(grid.n**2))
+
+
+def test_half_wave_of_a_callers_frequency_array_is_the_lattice_product():
+    """The multiplier of a caller's frequency array is arr e^{i t |xi|} at every
+    lattice point, bit for bit, stored on the whole lattice."""
+    grid = GridSpec(128, 8.0)
+    rng = np.random.default_rng(11)
+    arr = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    got = half_wave(Field(grid, arr, "frequency"), 1.3)
+    assert got.space == "frequency" and got.data.shape == got.support[0].shape
+    assert np.array_equal(got.values, arr * np.exp(1j * 1.3 * np.hypot(*frequency_lattice(grid))))
+
+
+def test_a_multiplier_on_a_to_physical_output_makes_no_forward_transform(monkeypatch):
+    """A physical field reaches its transform through its ``spectrum``, whether
+    that is stored on a band or on the whole lattice: no np.fft.fft2 runs."""
+    grid = GridSpec(256, 8.0)
+    fields = (to_physical(extremizers.annulus(grid, 4)), to_physical(to_frequency(random_field(grid, seed=6))))
+    calls, fft2 = [], np.fft.fft2
+    monkeypatch.setattr(np.fft, "fft2", lambda *a, **k: calls.append(1) or fft2(*a, **k))
+    for f in fields:
+        for g in (littlewood_paley(f, 4), half_wave(f, 1.3), circular_average(f, 1.3),
+                  sector_project(f, (0.0, 1.0), 0.2)):
+            assert g.space == "physical" and g.support is None and g.spectrum.support is not None
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", BUILDERS)
@@ -312,18 +355,19 @@ def test_projection_and_evolution_make_no_dense_array(build, traced_peak):
     assert peak < 16 * grid.n**2 / 4
 
 
-def test_support_survives_to_physical(honest_support):
+def test_a_physical_field_carries_its_spectrum_not_a_support(honest_support):
     grid = GridSpec(256, 8.0)
     f = extremizers.annulus(grid, 4)
     phys = to_physical(f)
-    assert phys.space == "physical" and phys.support is f.support
+    assert phys.space == "physical" and phys.support is None and phys.spectrum is f
     pj = littlewood_paley(random_field(grid, seed=3), 4)
-    assert pj.space == "physical"
-    honest_support(pj, rtol=1e-12)
-    assert np.array_equal(pj.support[0], _band_points(grid, 8.0, 32.0)[0])  # the band's points
-    # a caller's array and a forward transform claim nothing
-    assert Field(grid, phys.values, "physical").support is None
-    assert to_frequency(phys).support is None
+    assert pj.space == "physical" and pj.support is None
+    honest_support(pj.spectrum)
+    assert np.array_equal(pj.spectrum.support[0], _band_points(grid, 8.0, 32.0)[0])  # the band's points
+    # a caller's array carries neither; its forward transform is on the whole lattice
+    raw = Field(grid, phys.values, "physical")
+    assert raw.support is None and raw.spectrum is None
+    assert np.array_equal(to_frequency(raw).support[0], np.arange(grid.n**2))
 
 
 def test_knapp_support_is_the_plate_and_its_rows():
@@ -384,12 +428,13 @@ def test_meet_keeps_only_the_radii_in_the_band(build, honest_support):
     f = build(grid, 5)
     flat, inv, radii = f.support
     band = (2.0**4, 2.0**6)
-    got, inside = grid_module._meet(grid, f.support, band)
+    got, inside = grid_module._meet(f.support, band)
     honest_support(grid_module._own(grid, np.ones(got[0].size), "frequency", support=got))
     assert np.all((got[2] > band[0]) & (got[2] < band[1]))  # with every radius used: none stale
     assert np.array_equal(inside, (radii[inv] > band[0]) & (radii[inv] < band[1]))
     assert np.array_equal(got[0], flat[inside])
-    assert grid_module._meet(grid, None, band) == (_band_points(grid, *band), None)
+    whole, _ = grid_module._meet(_lattice_points(grid), band)  # the whole lattice met: the band's points
+    assert all(np.array_equal(a, b) for a, b in zip(whole, _band_points(grid, *band), strict=True))
 
 
 def test_symbols_are_evaluated_once_per_orbit(monkeypatch):
@@ -620,7 +665,7 @@ def test_evenness_is_kept_by_radial_multipliers_and_dropped_by_the_rest(monkeypa
 
 
 def _inverse_paths(grid):
-    """(label, field, even) of every path of ``_inverse``: a dense transform, a field
+    """(label, field, even) of every path of ``_inverse``: a forward transform, a field
     stored on its support, a radial one (even in both axes, so also in axis 0) on
     the mirrored FFT path and a Knapp numerator on the cosine sum."""
     j = grid.max_band_j(BETA1_SUPPORT[1])
@@ -628,7 +673,7 @@ def _inverse_paths(grid):
     radial = half_wave(littlewood_paley(extremizers.annulus(grid, j), j), 0.7318)
     knapp = half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 0.7318)
     assert _row_blocks(grid, knapp.support)[0].stop < 2 * grid.n.bit_length()  # the cosine sum
-    return (("dense", base, ()), ("stored", half_wave(littlewood_paley(base, j), 1.3), ()),
+    return (("whole lattice", base, ()), ("stored", half_wave(littlewood_paley(base, j), 1.3), ()),
             ("even (0,)", radial, (0,)), ("even (0, 1)", radial, (0, 1)), ("cosine sum", knapp, (0,)))
 
 

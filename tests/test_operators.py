@@ -192,7 +192,7 @@ def test_circular_average_of_a_physical_band_field_stays_on_the_band(monkeypatch
     assert pj.space == "physical"
     sizes = _counting_j0(monkeypatch)
     got = circular_average(pj, 1.45)
-    assert got.space == "physical" and got.support is pj.support
+    assert got.space == "physical" and got.spectrum.support is pj.spectrum.support
     assert sizes and max(sizes) < spec.n**2 / 10
     want = _full_lattice_average(pj, 1.45)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()

@@ -352,6 +352,35 @@ def test_timeset_validation():
         assouad_characteristic(build_cantor(1.0, 4, L=4.0), 2.0, 1.0)
 
 
+@pytest.mark.parametrize("points", [[math.nan], [1.0, math.nan, 1.5], [math.inf], [1.5, -math.inf]])
+def test_timeset_refuses_a_non_finite_point(points):
+    bad = next(p for p in points if not math.isfinite(p))
+    with pytest.raises(ValueError, match=f"must be finite, got {bad}"):
+        TimeSet.from_points(points)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.25, math.nan])
+def test_the_set_calculus_refuses_a_delta_that_is_not_positive(delta):
+    ts = build_cantor(1.0, 4, L=4.0)
+    for fn in (lambda: covering_number(ts, (1.0, 2.0), delta), lambda: discretize(ts, delta)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            fn()
+    for fn in (assouad_characteristic, assouad_characteristic_sup):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+            fn(ts, delta, 0.5)
+
+
+def test_the_assouad_sup_checks_its_range_before_it_sweeps():
+    """delta = 0 would sweep d *= 2 from 0 forever, and delta > 1 leaves the sweep
+    empty: both are refused first, as are a NaN or out-of-range alpha; delta = 1
+    is the value at 1."""
+    ts = TimeSet.from_points([1.0, 1.5])
+    for delta, alpha in ((0.0, 0.5), (1.5, 0.5), (0.25, math.nan), (0.25, 1.5)):
+        with pytest.raises(ValueError, match="must be in"):
+            assouad_characteristic_sup(ts, delta, alpha)
+    assert assouad_characteristic_sup(ts, 1.0, 0.5) == assouad_characteristic(ts, 1.0, 0.5)
+
+
 def test_timeset_roundtrip(tmp_path):
     # a set stored with `sets --out` loads back as the same TimeSet
     from fractalwave.cli import main
