@@ -57,7 +57,7 @@ from .sets import (
     TimeSet,
     assouad_characteristic,
     assouad_characteristic_sup,
-    build_cantor,
+    cantor_points,
     cantor_spec,
     check_memory,
     covering_number,
@@ -110,8 +110,8 @@ def _cmd_sets(args) -> int:
         if args.alpha is None or args.j is None:
             print("sets: need --alpha and --j (or --load)", file=sys.stderr)
             return 2
-        ts = build_cantor(alpha, args.j, L=args.L)
         spec = cantor_spec(alpha, args.j, L=args.L)
+        ts = cantor_points(spec)
         origin = f"cantor alpha={args.alpha} j={args.j} L={args.L:g} (k={spec.k})"
     print(f"time set: {origin}")
     print(f"cardinality: {len(ts.points)}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import extremizers
 from .caps import BOX_C, necessary_q_bounds, pair_product_statistic
-from .cutoffs import BETA1_SUPPORT
+from .cutoffs import BETA1_SUPPORT, BETA_SUPPORT
 from .exponents import PQPoint, _frac, s_exponents
 from .grid import (
     Field,
@@ -51,7 +51,7 @@ from .grid import (
     random_field,
     sector_project,
 )
-from .sets import TimeSet, build_cantor, cantor_spec_from_stages, check_memory, marginal_sum
+from .sets import TimeSet, build_cantor, check_memory, marginal_sum
 from .whitney import check_coverage, separation_band, whitney
 
 # family -> the exponent it measures; each family is a builder in ``extremizers``
@@ -116,6 +116,7 @@ class RunConfig:
         if self.j_max - self.j_min + 1 < 3:
             raise ValueError("need at least three levels to fit a slope")
         self.grid  # derived here, so a grid beyond physical memory fails on load
+        self.grid.band(self.j_min, BETA_SUPPORT)  # and a j_min whose projection band is empty
         if self.set_kind == "single_time" and not 0.0 < self.time_L * 2.0**-self.j_min <= 1.0:
             raise ValueError("single-time offset L 2^{-j_min} must land in (1, 2]")
         if self.set_kind == "cantor" and self.time_L < 1.0:
@@ -274,7 +275,7 @@ def verify_marginal_divergence(alpha, kmax: int) -> MarginalReport:
     ok = True
     prev = -math.inf
     for k in range(2, kmax + 1):
-        ms = marginal_sum(cantor_spec_from_stages(a, k))
+        ms = marginal_sum(a, k)
         per2k = ms.value / 2.0**k
         entries.append((k, ms.ratio, per2k))
         ok = ok and (0.25 <= ms.ratio <= 4.0) and (per2k > prev)
@@ -370,7 +371,7 @@ def _fractal_times(alpha: Fraction, delta: float) -> list[float]:
     """
     j = math.ceil(math.log2(delta**-2))
     ts = build_cantor(alpha, j, L=2.0)
-    starts = sorted(2.0**j * (t - 1.0) for t in ts.points)
+    starts = [2.0**j * (t - 1.0) for t in ts.points]  # ascending, as the points are
     window = [s + 0.5 for s in starts if s + 0.5 <= BOX_C / delta**2]
     if len(window) > 12:
         idx = np.linspace(0, len(window) - 1, 12).round().astype(int)

@@ -117,11 +117,18 @@ class GridSpec:
     def band(self, j: int, support: tuple[float, float]) -> tuple[float, float]:
         """The band support * 2^j of level j, for a profile's ``support`` read from
         ``cutoffs``, behind the one alias guard: raise unless support[1] * 2^j <=
-        nyquist.  Closed, as profiles vanish on their support's edge."""
+        nyquist.  Closed, as profiles vanish on their support's edge.  A band whose
+        upper edge is at or below the lowest lattice frequency 2 pi / period holds
+        no lattice point, and is refused too."""
         top = self.max_band_j(support[1])
         if j > top:
             raise ValueError(f"alias guard: {support[1]:g} * 2^{j} exceeds nyquist = {self.nyquist:.6g} "
                              f"on n={self.n}; max admissible j is {top}")
+        first = 2.0 * math.pi / self.period
+        if support[1] * 2.0**j <= first:
+            low = math.floor(math.log2(first / support[1])) + 1
+            raise ValueError(f"empty band: {support[1]:g} * 2^{j} is at or below the lowest lattice frequency "
+                             f"2 pi / period = {first:.6g}; min admissible j is {low}")
         return support[0] * 2.0**j, support[1] * 2.0**j
 
 

@@ -68,51 +68,38 @@ class TimeSet:
 class CantorSpec:
     """Parameters of one Cantor construction.
 
-    ``mu = 2**(-1/alpha)`` is the similarity ratio, ``k`` the number of
-    stages, and ``(j, L)`` the calibration: ``k`` is the largest integer with
-    ``mu**k >= L * 2**-j``, i.e. ``k = floor(alpha * (j - log2 L))``.  This
-    keeps the minimal gap at least ``2**-j`` for every ``L >= 1``.
+    ``mu = 2**(-1/alpha)`` is the similarity ratio and ``k`` the number of
+    stages, calibrated to resolution ``2**-j`` by ``cantor_spec``'s ``L``: ``k`` is
+    the largest integer with ``mu**k >= L * 2**-j``, i.e. ``k = floor(alpha * (j -
+    log2 L))``.  This keeps the minimal gap at least ``2**-j`` for every ``L >= 1``.
     """
 
     alpha: float
     mu: float
     k: int
     j: int
-    L: float
+
+
+def _similarity_ratio(alpha: float) -> float:
+    """mu = 2**(-1/alpha), for a dimension ``alpha`` in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    return 2.0 ** (-1.0 / alpha)
 
 
 def cantor_spec(alpha: float, j: int, L: float = 16.0) -> CantorSpec:
     """Calibrate a Cantor construction to resolution ``2**-j``."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    mu = _similarity_ratio(alpha)
     if not 1.0 <= L < math.inf:
         raise ValueError(f"calibration constant L must be finite and >= 1, got {L}")
-    mu = 2.0 ** (-1.0 / alpha)
     k = max(0, math.floor(alpha * (j - math.log2(L)) + _TOL))
-    return CantorSpec(alpha=alpha, mu=mu, k=k, j=j, L=L)
+    return CantorSpec(alpha=alpha, mu=mu, k=k, j=j)
 
 
-def cantor_spec_from_stages(alpha: float, k: int) -> CantorSpec:
-    """Spec with a prescribed stage count ``k`` (calibration chosen to match).
-
-    With L = 2 the stage formula reads k = floor(alpha * (j - 1)), inverted by
-    j = ceil(k / alpha) + 1 (alpha <= 1 makes the floor land exactly on k).
-    """
-    if k < 0:
-        raise ValueError(f"stage count must be >= 0, got {k}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    j = math.ceil(k / alpha - _TOL) + 1
-    spec = cantor_spec(alpha, j, L=2.0)
-    if spec.k != k:  # pragma: no cover - guard against calibration drift
-        raise RuntimeError(f"stage calibration failed: wanted k={k}, got {spec.k}")
-    return spec
-
-
-def _cantor_offsets(mu: float, k: int, stage: int = 0, origin: float = 0.0) -> np.ndarray:
-    """origin + (1 - mu) * sum_{stage <= m < k} mu**m * P_m over all bits P_m, unsorted."""
-    offsets = np.array([origin])
-    for m in range(stage, k):
+def _cantor_offsets(mu: float, k: int) -> np.ndarray:
+    """(1 - mu) * sum_{m < k} mu**m * P_m over all bits P_m, unsorted."""
+    offsets = np.array([0.0])
+    for m in range(k):
         offsets = np.concatenate([offsets, offsets + (1.0 - mu) * mu**m])
     return offsets
 
@@ -150,16 +137,14 @@ def decompose_cantor_levels(spec: CantorSpec) -> list[TimeSet]:
     Level ``l < k`` fixes ``P_l = 1`` and ``P_m = 0`` for ``m < l`` (the
     remaining ``k - l - 1`` bits run free), so it has ``2**(k-l-1)`` points,
     all with ``t - 1`` in ``((1-mu) mu**l, mu**l]``.  Level ``k`` is the
-    singleton {1 + mu**k}.  The levels partition the set.
+    singleton {1 + mu**k}.  As mu <= 1/2, every point of level ``l + 1`` lies
+    below every point of level ``l``, so the levels are position blocks of the
+    sorted set: level ``k`` is its first point and level ``l < k`` its
+    positions ``[2**(k-l-1), 2**(k-l))``.  Returned in the order 0, ..., k.
     """
-    k, mu = spec.k, spec.mu
-    base = 1.0 + mu**k
-    levels: list[TimeSet] = []
-    for l in range(k):
-        offsets = _cantor_offsets(mu, k, stage=l + 1, origin=(1.0 - mu) * mu**l)
-        levels.append(TimeSet.from_points(np.sort(base + offsets).tolist()))
-    levels.append(TimeSet.from_points([base]))
-    return levels
+    pts, k = cantor_points(spec).points, spec.k
+    levels = [TimeSet.from_points(pts[2 ** (k - l - 1):2 ** (k - l)]) for l in range(k)]
+    return levels + [TimeSet.from_points(pts[:1])]
 
 
 def _subset_in(ts: TimeSet, lo: float, hi: float) -> list[float]:
@@ -301,11 +286,15 @@ class MarginalSum:
     ratio: float
 
 
-def marginal_sum(spec: CantorSpec) -> MarginalSum:
-    """Sum of (t-1)**-alpha over the set, with its k * 2**k normalization."""
-    k, mu, alpha = spec.k, spec.mu, spec.alpha
+def marginal_sum(alpha: float, k: int) -> MarginalSum:
+    """Sum of (t-1)**-alpha over the stage-``k`` Cantor set of dimension
+    ``alpha``, with its k * 2**k normalization."""
+    if k < 0:
+        raise ValueError(f"stage count must be >= 0, got {k}")
+    mu = _similarity_ratio(alpha)
     if k == 0:
         return MarginalSum(value=1.0, ratio=math.inf)
+    check_memory(_BYTES_PER_POINT << k, f"a Cantor set of 2^{k} points")
     terms = (mu**k + _cantor_offsets(mu, k)) ** (-alpha)
     value = math.fsum(terms.tolist())
     return MarginalSum(value=value, ratio=value / (k * 2.0**k))

@@ -58,7 +58,7 @@ def whitney(nu_max: int) -> ArcDecomposition:
     for nu in range(nu_max + 1):
         m = 2**nu
         for k in range(m):
-            for kp in range(m):
+            for kp in range(max(0, k - 3), min(m, k + 4)):  # the rule and terminal pairs have |k - k'| <= 3
                 d = abs(k - kp)
                 if d >= 2 and abs(k // 2 - kp // 2) <= 1:
                     pairs.append(ArcPair(nu, k, kp, terminal=False))

@@ -247,6 +247,9 @@ def test_operators_refuses_a_grid_beyond_physical_memory(capsys, monkeypatch):
     (("--t", "3"), "outside (0, period/4]"),
     (("--t", "0.5"), "time set must lie in [1, 2]"),
     (("--j", "6"), "alias guard"),
+    # 2 * 2^-2 = 0.5 is below the first lattice frequency 2 pi / 8: the projected field would be zero
+    (("--j", "-2"), "empty band: 2 * 2^-2 is at or below the lowest lattice frequency 2 pi / period = 0.785398; "
+                    "min admissible j is -1"),
 ])
 def test_operators_refuses_bad_arguments_before_drawing_the_field(capsys, monkeypatch, argv, message):
     # the builder is gone: a missed guard fails on None, not on the argument
@@ -421,6 +424,10 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
         ("{not json", ":1:2:"),
         ("[]", "JSON object"),
         (None, "No such file"),
+        # 2 * 2^j_min at or below 2 pi / 8: the projected field would be zero
+        (dict(TINY, j_min=-3), "bad config: {path}: empty band: 2 * 2^-3"),
+        (dict(TINY, j_min=-2), "bad config: {path}: empty band: 2 * 2^-2 is at or below the lowest lattice frequency "
+                               "2 pi / period = 0.785398; min admissible j is -1"),
     ],
 )
 def test_scaling_checks_every_config_before_the_first_level(tmp_path, capsys, second, message):
@@ -429,6 +436,13 @@ def test_scaling_checks_every_config_before_the_first_level(tmp_path, capsys, se
     assert code == 2
     assert message.format(path=paths[1]) in err and paths[1] in err
     assert out == ""  # no level ran
+
+
+def test_scaling_runs_from_the_lowest_admissible_j_min(tmp_path, capsys):
+    (path,) = _configs(tmp_path, dict(TINY, j_min=-1, j_max=1))
+    code, out, _ = run_cli(capsys, "scaling", "--config", path)
+    assert code in (0, 1)  # a verdict, not a refusal
+    assert "j=-1: log2 ratio" in out and "j=1: log2 ratio" in out
 
 
 @pytest.mark.parametrize(
@@ -515,6 +529,13 @@ def test_verify_marginal(capsys):
     code, out, _ = run_cli(capsys, "verify", "marginal", "--alpha", "1", "--kmax", "8")
     assert code == 0
     assert "certified" in out
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1/2", "3/2"])
+def test_verify_marginal_refuses_alpha_outside_the_unit_interval(capsys, alpha):
+    code, out, err = run_cli(capsys, "verify", "marginal", f"--alpha={alpha}")
+    assert code == 2
+    assert "alpha must be in (0, 1]" in err and out == ""
 
 
 def test_verify_locally_constant(capsys):

@@ -484,6 +484,26 @@ def test_marginal_divergence_suite():
             verify_marginal_divergence(1, kmax)
 
 
+def test_marginal_divergence_entries_are_frozen_bit_for_bit():
+    # (k, ratio to k 2^k, sum / 2^k) at alpha = 1/2, as float.hex
+    want = [
+        (2, "0x1.0380354077d13p+0", "0x1.0380354077d13p+1"),
+        (3, "0x1.b53bf4dbfabe7p-1", "0x1.47ecf7a4fc0edp+1"),
+        (4, "0x1.8c9588dd02cc3p-1", "0x1.8c9588dd02cc3p+1"),
+        (5, "0x1.743dacbf986eep-1", "0x1.d14d17ef7e8aap+1"),
+        (6, "0x1.64059a105c063p-1", "0x1.0b04338c4504ap+2"),
+        (7, "0x1.58705f09d1ac3p-1", "0x1.2d6253289776bp+2"),
+        (8, "0x1.4fc090c72cadap-1", "0x1.4fc090c72cadap+2"),
+        (9, "0x1.48fef705a329cp-1", "0x1.721ed5e6578efp+2"),
+        (10, "0x1.43974a5153553p-1", "0x1.947d1ce5a82a8p+2"),
+        (11, "0x1.3f2b31b8019e4p-1", "0x1.b6db645d02399p+2"),
+        (12, "0x1.3b7bc7f6e9c3dp-1", "0x1.d939abf25ea5cp+2"),
+    ]
+    rep = verify_marginal_divergence(Fraction(1, 2), 12)
+    assert rep.passed
+    assert [(k, ratio.hex(), per2k.hex()) for k, ratio, per2k in rep.entries] == want
+
+
 def test_locally_constant_suite():
     rep = verify_locally_constant(M=4)
     assert rep.passed

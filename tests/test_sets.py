@@ -26,7 +26,6 @@ from fractalwave.sets import (
     build_interval_family,
     cantor_points,
     cantor_spec,
-    cantor_spec_from_stages,
     covering_number,
     decompose_cantor_levels,
     discretize,
@@ -177,12 +176,6 @@ def test_cardinality_tracks_resolution():
             assert spec.k == math.floor(alpha * (j - 1) + 1e-9)
 
 
-def test_stage_inversion():
-    for alpha in (0.25, 0.5, 2 / 3, 5 / 6, 1.0):
-        for k in range(0, 11):
-            assert cantor_spec_from_stages(alpha, k).k == k
-
-
 def test_covering_numbers_on_four_point_set():
     ts = build_cantor(1.0, 4, L=4.0)
     span = (1.0, 2.0)
@@ -241,30 +234,44 @@ def test_assouad_bounded_for_calibrated_sets():
 
 
 def test_level_decomposition_partitions():
-    spec = cantor_spec(1.0, 9, L=2.0)  # k = 8
-    levels = decompose_cantor_levels(spec)
-    assert [len(lv) for lv in levels] == [2 ** (spec.k - l - 1) for l in range(spec.k)] + [1]
-    merged = sorted(p for lv in levels for p in lv.points)
-    assert merged == pytest.approx(list(cantor_points(spec).points))
-    for l, lv in enumerate(levels[: spec.k]):
-        lo = (1 - spec.mu) * spec.mu**l
-        hi = spec.mu**l
-        for t in lv.points:
-            assert lo - 1e-12 <= t - 1.0 <= hi + 1e-12
+    for spec in (cantor_spec(1.0, 9, L=2.0), cantor_spec(0.5, 17, L=2.0)):  # k = 8 at mu = 1/2 and 1/4
+        levels = decompose_cantor_levels(spec)
+        assert [len(lv) for lv in levels] == [2 ** (spec.k - l - 1) for l in range(spec.k)] + [1]
+        merged = sorted(p for lv in levels for p in lv.points)
+        assert merged == list(cantor_points(spec).points)
+        for l, lv in enumerate(levels[: spec.k]):
+            lo = (1 - spec.mu) * spec.mu**l
+            hi = spec.mu**l
+            for t in lv.points:
+                assert lo - 1e-12 <= t - 1.0 <= hi + 1e-12
+
+
+def test_level_decomposition_keeps_the_gap_guard():
+    # k = 19 at mu = 1/4: the least gap 3/4 * 4^-18 is under the time-set tolerance
+    with pytest.raises(ValueError, match=r"minimal gap \(1 - mu\) mu\^\(k-1\) = .* is below the time-set tolerance"):
+        decompose_cantor_levels(cantor_spec(0.5, 40, 4.0))
+
+
+def test_level_split_and_marginal_sum_beyond_physical_memory_are_refused_before_any_offset(monkeypatch):
+    # k = 58: 2^58 points; the builder is gone, so only the guard can answer
+    monkeypatch.setattr(sets_module, "_cantor_offsets", None)
+    with pytest.raises(ValueError, match=r"2\^58 points .* physical memory"):
+        decompose_cantor_levels(cantor_spec(1.0, 60, L=4.0))
+    with pytest.raises(ValueError, match=r"2\^58 points .* physical memory"):
+        marginal_sum(1.0, 58)
 
 
 def test_marginal_sum_exact_value():
-    spec = cantor_spec_from_stages(1.0, 2)
-    ms = marginal_sum(spec)
+    ms = marginal_sum(1.0, 2)
     assert ms.value == pytest.approx(25 / 3)
     assert ms.ratio == pytest.approx(25 / 24)
 
 
 def test_marginal_sum_of_the_single_point_set():
     # k = 0 leaves E = {2}: the sum is 1, and the k 2^k normalization is 0
-    spec = cantor_spec_from_stages(1.0, 0)
-    assert cantor_points(spec).points == (2.0,)
-    ms = marginal_sum(spec)
+    spec = cantor_spec(1.0, 1, L=2.0)
+    assert spec.k == 0 and cantor_points(spec).points == (2.0,)
+    ms = marginal_sum(1.0, 0)
     assert ms.value == 1.0
     assert math.isinf(ms.ratio)
 
@@ -273,11 +280,19 @@ def test_marginal_sum_growth_normalization():
     # value / (k 2^k) stays in a fixed band while value / 2^k grows
     ratios, per_cards = [], []
     for k in range(2, 11):
-        ms = marginal_sum(cantor_spec_from_stages(1.0, k))
+        ms = marginal_sum(1.0, k)
         ratios.append(ms.ratio)
         per_cards.append(ms.value / 2.0**k)
     assert all(0.25 <= r <= 4.0 for r in ratios)
     assert all(b > a for a, b in zip(per_cards, per_cards[1:]))
+
+
+def test_marginal_sum_refuses_bad_input():
+    with pytest.raises(ValueError, match="stage count must be >= 0, got -1"):
+        marginal_sum(1.0, -1)
+    for alpha in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            marginal_sum(alpha, 4)
 
 
 def test_minkowski_estimate_exact_scales():

@@ -81,3 +81,20 @@ def test_validation():
         whitney(0)
     with pytest.raises(ValueError):
         whitney(13)
+
+
+def test_pairs_match_the_full_square_sweep():
+    # the pair rule read over every ordered pair (k, k') of each level, in
+    # whitney's order: the band |k - k'| <= 3 it loops over loses none
+    for nu_max in range(1, 11):
+        full = []
+        for nu in range(nu_max + 1):
+            m = 2**nu
+            for k in range(m):
+                for kp in range(m):
+                    d = abs(k - kp)
+                    if d >= 2 and abs(k // 2 - kp // 2) <= 1:
+                        full.append(ArcPair(nu, k, kp, terminal=False))
+                    elif nu == nu_max and d <= 1:
+                        full.append(ArcPair(nu, k, kp, terminal=True))
+        assert whitney(nu_max).pairs == tuple(full)
