@@ -10,12 +10,15 @@ K the pair's number from 1): one run of the parent's tree and one of this
 checkout's working tree, the side that goes first switching from pair to pair.
 Then one ``--seed 1 --trace 1`` run of each side gives both layer splits, and
 the tier-1 suite runs on this checkout.  OUT records each run's result line
-with its workload, side, pair, seed, trace and the 1, 5 and 15 minute load
-averages taken as it started; for each workload and end-to-end metric each
-side's median and interquartile range over the pairs both sides ran without a
-failure, on how many of them the checkout was better, whether that claims a
-gain (better on at least 0.9 of the pairs, and in the median by more than the
-parent's IQR), and each side's median 1-minute load average; each tree's line
+with its workload, side, pair, seed, trace, the 1, 5 and 15 minute load
+averages taken as it started and its CPU steal share (the ``steal`` jiffies of
+``/proc/stat``'s ``cpu`` line over all its elapsed jiffies, from the run's start
+to its end: time the hypervisor gave this machine's vCPUs to someone else); for
+each workload and end-to-end metric each side's median and interquartile range
+over the pairs both sides ran without a failure, on how many of them the
+checkout was better, whether that claims a gain (better on at least 0.9 of the
+pairs, and in the median by more than the parent's IQR), and each side's median
+1-minute load average and steal share; each tree's line
 counts of ``src/fractalwave/*.py``, ``scripts/*.py`` and ``tests/*.py`` as
 ``wc -l`` gives them (``src_lines``); and tier-1's wall time and summary line.
 About (2N + 2) x 3 runs of S seconds.
@@ -49,14 +52,38 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _run(tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
+def _read_stat() -> str:
+    return Path("/proc/stat").read_text()
+
+
+def cpu_jiffies(read_stat=_read_stat) -> tuple[int, int] | None:
+    """(steal, elapsed) jiffies of the ``cpu`` line of the /proc/stat text ``read_stat()``
+    returns: its steal field, and the sum of user through steal (guest time is counted
+    inside user and nice); None where it cannot be read."""
+    try:
+        line = next(line for line in read_stat().splitlines() if line.startswith("cpu "))
+    except (OSError, StopIteration):
+        return None
+    fields = [int(x) for x in line.split()[1:9]]
+    return fields[-1], sum(fields)
+
+
+def steal_share(before, after) -> float | None:
+    """The steal jiffies between two ``cpu_jiffies`` readings over the elapsed ones."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return round((after[0] - before[0]) / (after[1] - before[1]), 4)
+
+
+def _run(tree: Path, workload: str, seed: int, seconds, trace: int, read_stat=_read_stat) -> dict:
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    load = os.getloadavg()
+    load, before = os.getloadavg(), cpu_jiffies(read_stat)
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    steal = steal_share(before, cpu_jiffies(read_stat))
     lines = proc.stdout.splitlines()
     ok = proc.returncode == 0 and len(lines) >= 2
-    return {"loadavg": [round(x, 2) for x in load], "returncode": proc.returncode,
+    return {"loadavg": [round(x, 2) for x in load], "steal": steal, "returncode": proc.returncode,
             "boundaries_not_found": [line.split(": ", 1)[1] for line in lines
                                      if line.startswith("boundaries not found:")],
             "env": json.loads(lines[-2])["env"] if ok else None,
@@ -80,12 +107,18 @@ def src_lines(tree: Path) -> dict[str, int]:
     return {pattern: sum(path.read_bytes().count(b"\n") for path in tree.glob(pattern)) for pattern in COUNTED}
 
 
+def _side_medians(side: str, runs) -> dict:
+    steals = [run["steal"] for run in runs if run["steal"] is not None]
+    return {f"{side}_load1": statistics.median(run["loadavg"][0] for run in runs),
+            f"{side}_steal": round(statistics.median(steals), 4) if steals else None}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric, over the untraced pairs with no failed side:
     each side's median and IQR, the change of the median, the checkout's wins, whether
     a gain may be claimed (wins on at least 0.9 of the pairs and a median better by
     more than the parent's IQR), and each side's median 1-minute load average as its
-    runs started."""
+    runs started and median steal share (None if no run read one)."""
     by_pair = {}
     for r in runs:
         if r["trace"] == 0:
@@ -106,8 +139,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_pct": 100.0 * (nm - om) / om if om else None,
                 "wins": wins, "pairs": len(pairs),
                 "claim_holds": wins >= 0.9 * len(pairs) and sign * (om - nm) > oi,
-                **{f"{side}_load1": statistics.median(run["loadavg"][0] for run in side_runs)
-                   for side, side_runs in zip(("parent", "change"), zip(*pairs))}}
+                **_side_medians("parent", [p for p, _ in pairs]), **_side_medians("change", [c for _, c in pairs])}
     return summary
 
 
@@ -170,7 +202,8 @@ def main(argv) -> int:
             print(f"{workload} {name}: parent {s['parent_median']:.4g} (IQR {s['parent_iqr']:.3g}), "
                   f"change {s['change_median']:.4g} (IQR {s['change_iqr']:.3g}), median {change}, "
                   f"better on {s['wins']}/{s['pairs']} pairs, claim {'holds' if s['claim_holds'] else 'fails'}, "
-                  f"load {s['parent_load1']:.2f}/{s['change_load1']:.2f}")
+                  f"load {s['parent_load1']:.2f}/{s['change_load1']:.2f}, "
+                  f"steal {s['parent_steal']}/{s['change_steal']}")
     env = next((r["env"] for r in runs if r["side"] == "change" and r["env"]), None)
     doc = {
         "git_describe": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,

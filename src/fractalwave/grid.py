@@ -47,20 +47,21 @@ operator that makes a new field drops them.
 Mirror-even fields.  A frequency field may also carry ``even``: the axes in
 which its transform is even, F[-k] = F[k], read off its builder's formula and
 kept by the |xi| multipliers; it is (), (0,) or (0, 1).  Its physical field is
-even in the same axes, so ``lp_norm`` asks ``_inverse``, the one inverse
-transform (``to_physical`` is its case even = ()), for |f|^p on x_i in [0, n/2]
-along them, one real array filled block by block; ``_sum_norm`` weights them
-1 on the mirror lines x_i = 0, n/2 and 2 elsewhere.  With few rows k_1 >= 0,
-a < 2 n.bit_length() (a Knapp plate's; a radial band has hundreds), the column
-pass is their even cosine sum, the FFT with its zero inputs pruned exactly
-(Markel, "FFT pruning", 1971).  Every other operator drops ``even``.
+even in the same axes, so ``_inverse``, the one inverse transform (``to_physical``
+is its case even = ()), makes x_i in [0, n/2] along them only.  ``lp_norm`` makes
+no physical array: each block of the last pass is raised to p in cache, weighted 1
+on the mirror lines x_i = 0, n/2 and 2 elsewhere and summed into its own slot.  With
+few rows k_1 >= 0, a < 2 n.bit_length() (a Knapp plate's; a radial band has
+hundreds), the column pass is their even cosine sum, the FFT with its zero inputs
+pruned exactly (Markel, "FFT pruning", 1971).  Every other operator drops ``even``.
 
 Blocks across CPUs.  Each pass of ``_inverse`` (row FFTs, column FFTs or the
-cosine sum) loops over blocks that write disjoint parts of its output; from n =
-1024 on, ``_split`` gives each CPU one contiguous run of them, the last to the
-calling thread and the rest to a module thread pool made on first use.  Each block
-is computed as in the serial loop, so the bits are the same; the caller makes every
-run's buffer, so no worker grows a malloc arena; no public function runs on the pool.
+cosine sum) loops over blocks that write disjoint parts of its output (or slots);
+from n = 1024 on, ``_split`` gives each CPU one contiguous run of them, the last to
+the calling thread and the rest to a module thread pool made on first use.  Each
+block is computed as in the serial loop, so the bits are the same; the caller makes
+every run's buffers, |f|^p's scratch included, so no worker allocates a block or
+grows a malloc arena; no public function runs on the pool.
 """
 
 from __future__ import annotations
@@ -344,11 +345,11 @@ def circular_average_quadrature(f: Field, t: float, m: int = 256) -> Field:
 def lp_norm(f: Field, p) -> float:
     """Discrete L^p norm (sum |f|^p cell^2)^(1/p); max |f| at p = infinity.
 
-    Norms are taken on the physical-space representation (frequency input is
-    transformed to |f|^p first).  A field with ``factors`` (a, b) is ifft(a) ifft(b) /
-    cell^2 as an outer product, so its norm is the product of the two 1-D norms,
-    from two length-n inverse FFTs.  Else a field with ``even`` axes is
-    transformed and summed on x_i in [0, n/2] along each, with mirror weights.
+    Norms are taken on the physical-space representation.  A field with ``factors`` (a, b)
+    is ifft(a) ifft(b) / cell^2 as an outer product, so its norm is the product of the two
+    1-D norms, from two length-n inverse FFTs.  Else a frequency field's |f|^p is summed
+    inside ``_inverse``, one block at a time, on x_i in [0, n/2] along its ``even`` axes
+    with mirror weights, and ``_sum_norm`` adds the block sums, held in block order.
     """
     pv = float(p)
     if not pv >= 1.0:  # NaN fails too
@@ -356,16 +357,27 @@ def lp_norm(f: Field, p) -> float:
     cell = f.grid.cell
     if f.factors is not None:
         return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
-    vals = f.values if f.space == "physical" else _inverse(f, f.even, power=pv)
-    return _sum_norm(vals, pv, cell**2, f.even)
+    if f.space == "physical":
+        return _sum_norm(f.values, pv, cell**2)
+
+    def block_sum(at, block, scratch):
+        a = _power(block, pv, *scratch)
+        for axis in () if math.isinf(pv) else f.even:  # weight 2 off the mirror lines x_i = 0, n/2
+            inner = slice(int(at[axis].start == 0), a.shape[axis] - int(at[axis].stop > f.grid.n // 2))
+            a[(slice(None),) * axis + (inner,)] *= 2.0
+        return a.max() if math.isinf(pv) else np.sum(a)
+    return _sum_norm(np.array(_inverse(f, f.even, block_sum)), pv, cell**2)
 
 
-def _split(starts: Sequence[int], shape: tuple[int, int], dtype, work) -> None:
-    """work(run, buffer) on one contiguous run of ``starts`` per CPU, or one run for blocks under
-    _SPLIT_BYTES, each with a ``shape`` buffer made here: the last on this thread, the rest on the pool."""
+def _split(starts: Sequence[int], work, *buffers) -> None:
+    """work(run, *made) on one contiguous run of ``starts`` per CPU, or one run for blocks under
+    _SPLIT_BYTES (the first buffer's), each with the (shape, dtype) ``buffers`` made here: the
+    last run on this thread, the rest on the pool."""
     global _pool
+    shape, dtype = buffers[0]
     w = max(1, min(_WORKERS, len(starts))) if np.dtype(dtype).itemsize * math.prod(shape) >= _SPLIT_BYTES else 1
-    runs = [(starts[k * len(starts) // w:(k + 1) * len(starts) // w], np.empty(shape, dtype)) for k in range(w)]
+    runs = [(starts[k * len(starts) // w:(k + 1) * len(starts) // w], *(np.empty(*b) for b in buffers))
+            for k in range(w)]
     if w > 1 and _pool is None:
         from concurrent.futures import ThreadPoolExecutor  # not at import: 8 ms of set-up
         _pool = ThreadPoolExecutor(_WORKERS - 1)
@@ -374,22 +386,34 @@ def _split(starts: Sequence[int], shape: tuple[int, int], dtype, work) -> None:
     list(others)  # waits for the other runs, raising what one raised
 
 
-def _inverse(f: Field, even: tuple[int, ...] = (), power: float | None = None) -> np.ndarray:
-    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them, or with
-    ``power`` their ``_power``, written _BLOCK rows or columns at a time, each pass ``_split``:
-    axis 1 on the rows holding support points (a block's values are a run of the ascending
-    ``flat``), then axis 0.  ``even``, (0,) or (0, 1) for an ``f``
-    even in those axes, keeps x_i in [0, n/2] along them.  Even with a < 2 n.bit_length()
-    rows k_1 >= 0, the column pass is the cosine sum sum_k w_k cos(2 pi k x_1 / n) V_k /
-    (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2: about 2 a n^2 flops against
-    5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS stalls here."""
+def _inverse(f: Field, even: tuple[int, ...] = (), fold=None):
+    """Physical values of the frequency field ``f`` as np.fft.ifft2 computes them, written
+    _BLOCK rows or columns at a time, each pass ``_split``: axis 1 on the rows holding support
+    points (a block's values are a run of the ascending ``flat``), then axis 0.  With ``fold``
+    no array is made: each block of the last pass goes to fold(at, block, scratch), ``at`` its
+    row and column slices (_BLOCK long) and ``scratch`` two real arrays of its shape, and the
+    list of what fold returned, one slot per block in block order, is returned.  ``even``,
+    (0,) or (0, 1) for an ``f`` even in those axes, keeps x_i in [0, n/2] along them.  Even
+    with a < 2 n.bit_length() rows k_1 >= 0, the last pass is the cosine sum sum_k w_k cos(2
+    pi k x_1 / n) V_k / (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2, on row
+    blocks: about 2 a n^2 flops against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS
+    stalls here."""
     n, h = f.grid.n, f.grid.n // 2
     top, bottom = _row_blocks(f.grid, f.support)
     a, rows, cols = top.stop, (h + 1 if even else n), (h + 1 if 1 in even else n)
     b = n - a + 1 if even else bottom.start
-    out = np.empty((rows, cols), dtype=np.complex128 if power is None else np.float64)
-    put = out.__setitem__ if power is None else (lambda at, block: _power(block, power, out=out[at]))
-    if power is not None or even:  # the row transforms, stacked
+    cosine = bool(even) and a < 2 * n.bit_length()
+    last = range(0, rows if cosine else cols, _BLOCK)  # the last pass's blocks
+    out = np.empty((rows, cols), dtype=np.complex128) if fold is None else [None] * len(last)
+    reals = () if fold is None else (((2, n * _BLOCK), np.float64),)  # per run, for fold's scratch
+
+    def put(at, block, scratch):
+        if fold is None:
+            out[at] = block
+        else:  # the block's slot, by its first row (cosine sum) or column
+            out[at[0 if cosine else 1].start // _BLOCK] = fold(
+                at, block, [s[:block.size].reshape(block.shape) for s in scratch])
+    if fold is not None or even:  # the row transforms, stacked
         v = np.empty((a if even else a + n - b, cols), dtype=np.complex128)
         head, tail = v[:a], (v[a - 1:0:-1] if even else v[a:])
     else:  # in out's own rows: each column block reads them before it writes there
@@ -403,44 +427,50 @@ def _inverse(f: Field, even: tuple[int, ...] = (), power: float | None = None) -
             block.ravel()[f.support[0][lo:hi] - r * n] = f.data[lo:hi]
             np.fft.ifft(block, axis=1, out=block)
             into[r - part.start:r - part.start + len(block)] = block[:, :cols]
-    _split([*range(0, a, _BLOCK), *(() if even else range(b, n, _BLOCK))], (_BLOCK, n), np.complex128, row_pass)
-    if even and a < 2 * n.bit_length():
+    _split([*range(0, a, _BLOCK), *(() if even else range(b, n, _BLOCK))], row_pass, ((_BLOCK, n), np.complex128))
+    if cosine:
         k = np.arange(a)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
         table /= n * f.grid.cell**2
-        def cosines(run, buf):
+        def cosines(run, buf, scratch=None):
             for x in run:
                 block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], head.view(np.float64), out=buf[: rows - x])
-                put(slice(x, x + _BLOCK), block.view(np.complex128))
-        _split(range(0, rows, _BLOCK), (_BLOCK, 2 * cols), np.float64, cosines)
+                put(np.s_[x:x + _BLOCK, 0:cols], block.view(np.complex128), scratch)
+        _split(last, cosines, ((_BLOCK, 2 * cols), np.float64), *reals)
         return out
-    def columns(run, buf):
+    def columns(run, buf, scratch=None):
         for c in run:
             block = buf[:, : min(_BLOCK, cols - c)]
             block[:a], block[a:b], block[b:] = head[:, c:c + _BLOCK], 0.0, tail[:, c:c + _BLOCK]
             np.fft.ifft(block, axis=0, out=block)
-            put(np.s_[:, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]))
-    _split(range(0, cols, _BLOCK), (n, _BLOCK), np.complex128, columns)
+            put(np.s_[0:rows, c:c + _BLOCK], np.divide(block[:rows], f.grid.cell**2, out=block[:rows]), scratch)
+    _split(last, columns, ((n, _BLOCK), np.complex128), *reals)
     return out
 
 
-def _power(values: np.ndarray, pv: float, out: np.ndarray | None = None) -> np.ndarray:
-    """|values|^pv, into ``out`` if given; |values| at pv = 1 or infinity."""
-    a = np.abs(values, out=out)
-    if pv not in (1.0, math.inf):
-        a **= pv  # in place: same bits as a**pv, for a whole array or a block of it
-    return a
+def _power(values: np.ndarray, pv: float, out: np.ndarray | None = None,
+           spare: np.ndarray | None = None) -> np.ndarray:
+    """|values|^pv in ``out``, or in ``spare`` where |values| is read again (new arrays if
+    not given); |values| at pv = 1 or infinity.  An integer pv is reached by squaring, with
+    one multiply by |values| per set bit after the leading one; any other pv by ``**=``.
+    Elementwise, so a block's bits are those of the whole array."""
+    a = r = np.abs(values, out=out)
+    if math.isinf(pv) or not pv.is_integer():
+        return a if math.isinf(pv) else np.power(a, pv, out=a)
+    bits = bin(int(pv))[3:]  # none at pv = 1
+    for bit in bits:
+        r = np.multiply(r, r, out=spare if r is a and "1" in bits else r)
+        if bit == "1":
+            r *= a
+    return r
 
 
-def _sum_norm(values: np.ndarray, pv: float, measure: float, even: tuple[int, ...] = ()) -> float:
+def _sum_norm(values: np.ndarray, pv: float, measure: float) -> float:
     """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity; real
-    ``values`` are ``_power``'s, summed in place.  With ``even`` axes, ``_inverse``'s
-    half or quarter grid summed as the whole: weight 1 on x_i = 0, n/2, else 2."""
+    ``values``, ``_power``'s or a norm's block sums, are summed as they are."""
     a = _power(values, pv) if np.iscomplexobj(values) else values
     if math.isinf(pv):
         return float(a.max())
-    for axis in even:
-        np.moveaxis(a, axis, 0)[1:-1] *= 2.0
     return float((np.sum(a) * measure) ** (1.0 / pv))
 
 
@@ -461,15 +491,19 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     E is first thinned to a maximal 2^{-j}-separated subset (finer time
     resolution is invisible to a 2^j-band-limited field).  The field stays in
     frequency space, so each average evaluates J0 on the band only, and
-    ``_inverse`` writes its modulus with no complex physical array.
+    ``_inverse`` max-accumulates the modulus of each of its blocks into the
+    result: no physical array is made per time.
     """
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
     _check_radius(f.grid, max(E.points))
     g = littlewood_paley(f if f.space == "frequency" else f.spectrum or to_frequency(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
+
+    def peak(at, block, scratch):
+        np.maximum(acc[at], np.abs(block, out=scratch[0]), out=acc[at])
     for t in discretize(E, 2.0**-j).points:
-        np.maximum(acc, _inverse(circular_average(g, t), power=1.0), out=acc)
+        _inverse(circular_average(g, t), (), peak)
     return _own(f.grid, acc, "physical")
 
 

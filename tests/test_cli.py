@@ -589,6 +589,19 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "marginal", "--alpha", "-1/2"), "alpha must be in (0, 1], got -1/2"),
+    (("thresholds", "--alpha", "1", "--r", "-3/2"), "r must exceed r0 = 2(3 alpha + d - 1)/(2 alpha + d - 1) = 8/3"),
+    (("regions", "--alpha", "1", "--mu", "1", "--point", "-1/2", "1/4"), "(1/p, 1/q) must lie in [0,1]^2"),
+], ids=["verify-alpha", "thresholds-r", "regions-point"])
+def test_a_negative_rational_after_an_option_reaches_its_range_check(capsys, argv, message):
+    """A negative rational is an option's value, not a flag: it reaches the option's own
+    range check, which exits 2 with its message."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "expected" not in err
+
+
 def test_a_rational_with_a_zero_denominator_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["thresholds", "--alpha", "1/0"])

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -511,13 +512,31 @@ def _mirror(values, axis):
     return np.roll(np.flip(values, axis), 1, axis)
 
 
+def _block_norm(g, values, p):
+    """The norm of the frequency field ``g`` from ``values``, its physical values on x_i in
+    [0, n/2] along ``g.even``: ``_power`` of each _BLOCK-wide block of the last pass of the
+    inverse transform (row blocks for a cosine sum, else column blocks), times the mirror
+    weight 1 on x_i = 0, n/2 and 2 elsewhere of each even axis, summed per block; then
+    the block sums, in block order, summed by np.sum (their max at p = infinity)."""
+    grid, pv, size = g.grid, float(p), grid_module._BLOCK
+    weights = [np.where(np.isin(np.arange(m), (0, grid.n // 2)) | (axis not in g.even), 1.0, 2.0)
+               for axis, m in enumerate(values.shape)]
+    cosine = bool(g.even) and _row_blocks(grid, g.support)[0].stop < 2 * grid.n.bit_length()
+    sums = []
+    for start in range(0, values.shape[0 if cosine else 1], size):
+        rows, cols = (slice(start, start + size), slice(None)) if cosine else (slice(None), slice(start, start + size))
+        a = grid_module._power(values[rows, cols], pv)
+        sums.append(a.max() if math.isinf(pv) else np.sum(a * np.outer(weights[0][rows], weights[1][cols])))
+    return float(max(sums)) if math.isinf(pv) else float((np.sum(np.array(sums)) * grid.cell**2) ** (1.0 / pv))
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 def test_mirrored_norm_is_the_full_grid_norm(n):
     """The half or quarter grid sum with mirror weights against the n x n sum of
     to_physical, at every admissible j, for each builder's field and its
     projected, evolved field at an off-grid time, both read through
-    ``_inverse(f, f.even)``.  lp_norm is that sum to the bit, at every p, for
-    each of them but bare Knapp, whose norm takes its factors."""
+    ``_inverse(f, f.even)``.  lp_norm is that sum, block by block, to the bit, at
+    every p, for each of them but bare Knapp, whose norm takes its factors."""
     grid = GridSpec(n, 8.0)
     measure = grid.cell**2
     for build in BUILDERS:
@@ -529,9 +548,9 @@ def test_mirrored_norm_is_the_full_grid_norm(n):
             for g in (f, half_wave(littlewood_paley(f, j), 0.7318)):
                 full = to_physical(g).values
                 half = grid_module._inverse(g, g.even)
-                for p in (1, Fraction(5, 2), 4, 16, math.inf):
+                for p in (1, Fraction(5, 2), 4, 5, 16, math.inf):
                     want = grid_module._sum_norm(full, float(p), measure)
-                    got = grid_module._sum_norm(half, float(p), measure, g.even)
+                    got = _block_norm(g, half, p)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
                     if g.factors is None:
                         assert lp_norm(g, p) == got, (build.__name__, j, p)
@@ -571,23 +590,66 @@ def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j, traced
     assert peak < 16 * n * n  # less than one n x n complex array
 
 
+def test_knapp_numerator_norm_makes_no_half_grid(traced_peak):
+    """The norm of a Knapp numerator at n = 1024 reduces each block as it is made,
+    so it peaks below one (n/2 + 1) x n float64 array, the half grid it once
+    summed."""
+    grid = level_grid(6)
+    n = grid.n
+    assert n == 1024
+    f = half_wave(littlewood_paley(extremizers.knapp(grid, 6), 6), 0.7318)
+    lp_norm(f, 5)  # the pool and the band points, made once, are not the norm's
+    for p in (Fraction(5, 2), 5, math.inf):
+        _, peak = traced_peak(lp_norm, f, p)
+        assert peak < 8 * (n // 2 + 1) * n, p
+
+
+def test_integer_powers_are_squared():
+    """``_power`` reaches an integer p by squaring and one multiply by |f| per set
+    bit after the leading one: p = 2 is |f| |f| to the bit, and every integer p is
+    within p ulp of |f|^p; other p are **= pv to the bit.  With ``out`` and
+    ``spare`` given, it makes no other array: a power of two is left in ``out``,
+    any other integer in ``spare``."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    a = np.abs(values)
+    assert np.array_equal(grid_module._power(values, 2.0), a * a)
+    for p in (3, 4, 5, 7, 16):
+        got = grid_module._power(values, float(p))
+        assert np.all(np.abs(got - a**p) <= p * np.spacing(a**p)), p
+    assert np.array_equal(grid_module._power(values, 2.5), a**2.5)
+    assert np.array_equal(grid_module._power(values, math.inf), a)
+    for p, kept in ((16, 0), (5, 1)):
+        made = np.empty(4096), np.empty(4096)
+        tracemalloc.start()
+        try:
+            got = grid_module._power(values, float(p), *made)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is made[kept] and np.array_equal(got, grid_module._power(values, float(p))) and peak < 4096, p
+
+
 @pytest.mark.parametrize("build", [extremizers.radial_focusing, extremizers.annulus])
 def test_radial_numerator_norm_keeps_the_fft_column_pass(monkeypatch, build):
     """A radial numerator holds hundreds of rows, so its norm keeps the axis-0
-    FFT: its quarter grid is to_physical's to the bit, and its norm is the
-    mirror-weighted sum of exactly those values."""
+    FFT: its quarter grid is to_physical's to the bit, its norm is the
+    mirror-weighted block sums of exactly those values, and it is the n x n
+    norm within 1e-13 relative."""
     for j in range(4, 8):
         grid = level_grid(j)
         h, measure = grid.n // 2, grid.cell**2
         f = half_wave(littlewood_paley(build(grid, j), j), 0.7318)
-        quarter = to_physical(f).values[: h + 1, : h + 1]
+        full = to_physical(f).values
+        quarter = full[: h + 1, : h + 1]
         calls = _ifft_calls(monkeypatch)
         half = grid_module._inverse(f, f.even)
         monkeypatch.undo()
         assert any(axis == 0 for _, axis in calls), j
         assert np.array_equal(half, quarter), j
-        for p in (1, Fraction(5, 2), 16, math.inf):
-            assert lp_norm(f, p) == grid_module._sum_norm(quarter, float(p), measure, f.even), (j, p)
+        for p in (1, Fraction(5, 2), 5, 16, math.inf):
+            want = grid_module._sum_norm(full, float(p), measure)
+            assert lp_norm(f, p) == _block_norm(f, quarter, p) == pytest.approx(want, rel=1e-13, abs=0.0), (j, p)
 
 
 @pytest.mark.parametrize("build", BUILDERS)
@@ -687,30 +749,31 @@ def _run_at(monkeypatch, workers, fn):
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_pooled_inverse_transform_is_the_serial_one(monkeypatch, n):
-    """Every path of ``_inverse``, complex and as |f|^p, every builder's norm and a
-    tiny study's levels are the same bits with the passes split across threads,
-    on more runs than CPUs and with a short switch interval, as with one run."""
+    """Every path of ``_inverse``, the norms of the fields on them and of every
+    builder's, the maximal function and a tiny study's levels are the same bits
+    with the passes split across threads, on more runs than CPUs and with a short
+    switch interval, as with one run."""
     grid = GridSpec(n, 8.0)
     paths = _inverse_paths(grid)
     builders = [build(grid, 4) for build in BUILDERS]
-    fields = builders + [half_wave(littlewood_paley(f, 4), 0.7318) for f in builders]
+    fields = builders + [half_wave(littlewood_paley(f, 4), 0.7318) for f in builders] + [f for _, f, _ in paths]
+    noise, E = random_field(grid, seed=4), TimeSet.from_points([1.1, 1.3, 1.9])
     configs = [RunConfig(family="knapp", p="5/2", q="5", set_kind="cantor", j_min=2, j_max=4, time_L=2.0),
                RunConfig(family="radial_focusing", p="4", q="4", set_kind="single_time", j_min=2, j_max=4,
                          time_L=4.0)]
 
     def everything():
-        inverses = [grid_module._inverse(f, even, power) for _, f, even in paths
-                    for power in (None, 1.0, 2.5, math.inf)]
-        norms = [lp_norm(f, p) for f in fields for p in (1, Fraction(5, 2), math.inf)]
-        return inverses, norms, [experiments.run_scaling(c).levels for c in configs] if n == 256 else []
+        arrays = [grid_module._inverse(f, even) for _, f, even in paths] + [maximal_function(noise, E, 4).values]
+        norms = [lp_norm(f, p) for f in fields for p in (1, Fraction(5, 2), 5, math.inf)]
+        return arrays, norms, [experiments.run_scaling(c).levels for c in configs] if n == 256 else []
 
     serial = _run_at(monkeypatch, 1, everything)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 5):
-            inverses, norms, levels = _run_at(monkeypatch, workers, everything)
-            for got, want in zip(inverses, serial[0], strict=True):
+            arrays, norms, levels = _run_at(monkeypatch, workers, everything)
+            for got, want in zip(arrays, serial[0], strict=True):
                 assert got.dtype == want.dtype and np.array_equal(got, want), workers
             assert norms == serial[1] and levels == serial[2], workers
     finally:

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end on tiny inputs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -48,11 +49,11 @@ def test_bench_refuses_bad_arguments_before_running(tmp_path, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"]  # no OUT was written
 
 
-def _run(workload, side, pair, trace=0, load=1.0, **values):
+def _run(workload, side, pair, trace=0, load=1.0, steal=None, **values):
     result = {"correct": True, "attempted": 1, "failed": 0,
               "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
     return {"workload": workload, "side": side, "pair": pair, "seed": pair or 1, "trace": trace,
-            "loadavg": [load, 0.5, 0.25], "boundaries_not_found": [], "result": result}
+            "loadavg": [load, 0.5, 0.25], "steal": steal, "boundaries_not_found": [], "result": result}
 
 
 def _bench_module():
@@ -88,7 +89,8 @@ def test_bench_summary_pairs_medians_and_wins():
     metrics = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
     parent = [1.0, 2.0, 3.0, 4.0, 9.0]
     change = [0.5, 2.5, 2.0, 3.0, 0.1]
-    runs = [_run("w", side, k + 1, load=k + (side == "change") * 10.0, wall_s=v, rate=v)
+    runs = [_run("w", side, k + 1, load=k + (side == "change") * 10.0, steal=k / 100 if side == "parent" else None,
+                 wall_s=v, rate=v)
             for k, (p, c) in enumerate(zip(parent, change)) for side, v in (("parent", p), ("change", c))]
     runs[-1]["result"] = None  # pair 5's change run failed: the pair is left out
     runs.append(_run("w", "change", 6, wall_s=0.0, rate=0.0))  # a pair with one side is left out
@@ -106,11 +108,13 @@ def test_bench_summary_pairs_medians_and_wins():
     assert wall["change_pct"] == -10.0
     assert wall["wins"] == 3  # lower is better: pairs 1, 3, 4
     assert wall["parent_load1"] == 1.5 and wall["change_load1"] == 11.5  # pairs 1-4 start at 0..3, +10
+    assert wall["parent_steal"] == 0.015 and wall["change_steal"] is None  # no change run read its steal
     assert not wall["claim_holds"]  # 3 wins of 4 < 0.9, and 0.25 is inside the IQR
     assert summary["w"]["rate"]["wins"] == 1  # higher is better: pair 2
     assert summary["v"]["wall_s"] == {"parent_median": 1.0, "parent_iqr": 0.0, "change_median": 1.0,
                                       "change_iqr": 0.0, "change_pct": 0.0, "wins": 0, "pairs": 1,
-                                      "claim_holds": False, "parent_load1": 1.0, "change_load1": 1.0}
+                                      "claim_holds": False, "parent_load1": 1.0, "change_load1": 1.0,
+                                      "parent_steal": None, "change_steal": None}
 
 
 @pytest.mark.parametrize("parent, change, better, holds", [
@@ -125,3 +129,36 @@ def test_bench_claim_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_iqr(
             for side, v in (("parent", p), ("change", c))]
     got = _bench_module().summarize(runs, [{"name": "m", "better": better}])["w"]["m"]
     assert got["claim_holds"] is holds, got
+
+
+def _stat(user, steal):
+    """/proc/stat text whose ``cpu`` line has ``user`` and ``steal`` jiffies, 10 idle and 5 guest."""
+    return (f"cpu  {user} 0 0 10 0 0 0 {steal} 5 0\n"
+            f"cpu0 {user} 0 0 10 0 0 0 {steal} 5 0\nintr 1 2 3\n")
+
+
+def test_bench_steal_share_reads_the_cpu_line():
+    bench = _bench_module()
+    assert bench.cpu_jiffies(lambda: _stat(100, 20)) == (20, 130)  # guest is inside user: not added
+    assert bench.steal_share((20, 130), (50, 230)) == 0.3
+    assert bench.steal_share((20, 130), (20, 130)) is None  # no time elapsed
+    assert bench.steal_share(None, (50, 230)) is None
+
+    def unreadable():
+        raise FileNotFoundError("/proc/stat")
+    assert bench.cpu_jiffies(unreadable) is None
+    assert bench.cpu_jiffies(lambda: "intr 1 2 3\n") is None
+
+
+def test_bench_run_records_the_steal_share_beside_loadavg(tmp_path):
+    """``_run`` reads the cpu line as the run starts and as it ends, through the reader it
+    is given, and records the share of steal between them."""
+    (tmp_path / "benchmark").mkdir()
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    (tmp_path / "benchmark" / "run.py").write_text(
+        f"print({json.dumps(json.dumps({'env': {}}))})\nprint({json.dumps(json.dumps(result))})\n")
+    readings = iter([_stat(100, 20), _stat(160, 60)])
+    run = _bench_module()._run(tmp_path, "w", 1, 1, 0, read_stat=lambda: next(readings))
+    assert run["result"] == result and run["returncode"] == 0
+    assert run["steal"] == 0.4 and len(run["loadavg"]) == 3  # 40 of 100 jiffies
+    assert list(run)[:2] == ["loadavg", "steal"]
