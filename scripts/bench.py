@@ -20,7 +20,10 @@ checkout was better, whether that claims a gain (better on at least 0.9 of the
 pairs, and in the median by more than the parent's IQR), and each side's median
 1-minute load average and steal share; each tree's line
 counts of ``src/fractalwave/*.py``, ``scripts/*.py`` and ``tests/*.py`` as
-``wc -l`` gives them (``src_lines``); and tier-1's wall time and summary line.
+``wc -l`` gives them (``src_lines``); the BLAS library numpy reports in each
+tree (``blas``: name, version and OpenBLAS configuration, as OpenBLAS's own
+size rule decides which products start more than one thread); and tier-1's
+wall time and summary line.
 About (2N + 2) x 3 runs of S seconds.
 
 Bad arguments exit 2 before anything runs.  The temporary directory is
@@ -43,6 +46,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("src/fractalwave/*.py", "scripts/*.py", "tests/*.py")
+BLAS_PROBE = ("import json, numpy; b = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+              "print(json.dumps({'name': b['name'], 'version': b['version'], "
+              "'openblas_configuration': b.get('openblas configuration')}))")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -105,6 +111,13 @@ def _spread(values: list[float]) -> tuple[float, float]:
 def src_lines(tree: Path) -> dict[str, int]:
     """The lines of each ``COUNTED`` pattern's files under ``tree``, counted as ``wc -l`` does."""
     return {pattern: sum(path.read_bytes().count(b"\n") for path in tree.glob(pattern)) for pattern in COUNTED}
+
+
+def blas_library(tree: Path) -> dict | None:
+    """The name, version and OpenBLAS configuration of the BLAS library that numpy reports
+    in ``tree``, under this interpreter; None where the probe fails."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=tree, capture_output=True, text=True)
+    return json.loads(proc.stdout) if proc.returncode == 0 else None
 
 
 def _side_medians(side: str, runs) -> dict:
@@ -171,6 +184,8 @@ def main(argv) -> int:
         trees = {"parent": tmp, "change": ROOT}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
         print(f"lines: parent {lines['parent']}, change {lines['change']}", flush=True)
+        blas = {side: blas_library(tree) for side, tree in trees.items()}
+        print(f"blas: parent {blas['parent']}, change {blas['change']}", flush=True)
         schedule = [(k + 1, side, 0) for k in range(int(n))
                     for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))]
         schedule += [(None, "parent", 1), (None, "change", 1)]
@@ -212,6 +227,7 @@ def main(argv) -> int:
         "run_seconds": seconds,
         "env": env,
         "src_lines": lines,
+        "blas": blas,
         "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs],
         "summary": summary,
         "tier1": {"wall_s": round(wall, 2), "returncode": tier1.returncode, "summary": line},

@@ -140,6 +140,11 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    needed = {"--mu": args.mu, "--alpha": args.alpha} if args.point else {"--alpha": args.alpha}
+    missing = [name for name, value in needed.items() if value is None]
+    if missing:
+        print(f"regions: need {' and '.join(missing)}{' with --point' if args.point else ''}", file=sys.stderr)
+        return 2
     spec = RegionSpec(d=args.d, mu=args.mu, alpha=args.alpha)
     if args.point:
         pt = PQPoint(args.point[0], args.point[1])

@@ -61,7 +61,9 @@ from n = 1024 on, ``_split`` gives each CPU one contiguous run of them, the last
 the calling thread and the rest to a module thread pool made on first use.  Each
 block is computed as in the serial loop, so the bits are the same; the caller makes
 every run's buffers, |f|^p's scratch included, so no worker allocates a block or
-grows a malloc arena; no public function runs on the pool.
+grows a malloc arena; no public function runs on the pool.  Each np.matmul product
+of the cosine sum stays within OpenBLAS's one-thread size (``_GEMM_MNK``), so no
+BLAS thread competes with the runs.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
 _BLOCK = 32  # rows or columns per block of the inverse transform; 16..256 timed at n = 2048
 _WORKERS = len(os.sched_getaffinity(0))  # runs per pass of the inverse transform
 _SPLIT_BYTES = 2**19  # smallest block split across threads, 32 x 1024 complex: they lost at n = 512
+# largest M N K of a cosine-sum product, OpenBLAS's one-thread bound 65536 x 4: under 2 BLAS
+# threads s2 took 96-109 ms, 120-131 ms unchunked and 154-161 ms without BLAS (best of 15, 2 CPUs)
+_GEMM_MNK = 2**18
 _pool = None  # the threads of all runs but the calling thread's, made on first use
 
 
@@ -396,8 +401,9 @@ def _inverse(f: Field, even: tuple[int, ...] = (), fold=None):
     (0,) or (0, 1) for an ``f`` even in those axes, keeps x_i in [0, n/2] along them.  Even
     with a < 2 n.bit_length() rows k_1 >= 0, the last pass is the cosine sum sum_k w_k cos(2
     pi k x_1 / n) V_k / (n cell^2) of the row transforms V_k, w_0 = 1, w_k = 2, on row
-    blocks: about 2 a n^2 flops against 5 n^2 log2 n for n FFTs.  einsum: 2-thread OpenBLAS
-    stalls here."""
+    blocks: about 2 a n^2 flops against 5 n^2 log2 n for n FFTs, as np.matmul products cut
+    into column chunks of at most _GEMM_MNK multiply-adds, so no product starts a BLAS
+    thread beside the pool's."""
     n, h = f.grid.n, f.grid.n // 2
     top, bottom = _row_blocks(f.grid, f.support)
     a, rows, cols = top.stop, (h + 1 if even else n), (h + 1 if 1 in even else n)
@@ -432,9 +438,12 @@ def _inverse(f: Field, even: tuple[int, ...] = (), fold=None):
         k = np.arange(a)
         table = np.cos(2 * np.pi / n * (np.arange(h + 1)[:, None] * k % n)) * np.where(k, 2.0, 1.0)
         table /= n * f.grid.cell**2
+        real, width = head.view(np.float64), _GEMM_MNK // (_BLOCK * max(a, 1))  # columns per product
         def cosines(run, buf, scratch=None):
             for x in run:
-                block = np.einsum("xk,kc->xc", table[x:x + _BLOCK], head.view(np.float64), out=buf[: rows - x])
+                block = buf[: rows - x]
+                for c in range(0, 2 * cols, width):
+                    np.matmul(table[x:x + _BLOCK], real[:, c:c + width], out=block[:, c:c + width])
                 put(np.s_[x:x + _BLOCK, 0:cols], block.view(np.complex128), scratch)
         _split(last, cosines, ((_BLOCK, 2 * cols), np.float64), *reals)
         return out

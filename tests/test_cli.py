@@ -208,6 +208,21 @@ def test_regions_point_membership(capsys):
     assert "boundary_Q" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    ((), "regions: need --alpha"),
+    (("--mu", "1"), "regions: need --alpha"),
+    (("--point", "1/2", "1/2"), "regions: need --mu and --alpha with --point"),
+    (("--alpha", "1", "--point", "1/2", "1/2"), "regions: need --mu with --point"),
+    (("--mu", "1", "--point", "1/2", "1/2"), "regions: need --alpha with --point"),
+], ids=["plot", "plot-mu", "point", "point-alpha", "point-mu"])
+def test_regions_names_the_missing_option(capsys, argv, message):
+    """Plot data needs --alpha and a point needs --mu and --alpha: without them regions
+    exits 2 naming the options, before any spec is made."""
+    code, out, err = run_cli(capsys, "regions", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
 def test_regions_plot_data(capsys):
     code, out, _ = run_cli(capsys, "regions", "--alpha", "1", "--mu", "1", "--fig", "1")
     assert code == 0

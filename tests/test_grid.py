@@ -6,6 +6,7 @@ plane wave e^{i k . x} transforms to a single spike of weight period^2.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -590,6 +591,50 @@ def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j, traced
     assert peak < 16 * n * n  # less than one n x n complex array
 
 
+@pytest.mark.parametrize("j", [4, 5, 6, 7])
+def test_cosine_sum_products_stay_on_the_calling_thread(monkeypatch, j):
+    """Every product of a Knapp numerator's cosine sum has M N K <= 2^18, the size up to
+    which OpenBLAS runs on its caller's thread alone (65536 x GEMM_MULTITHREAD_THRESHOLD
+    4), and the products of each row block write its 2 cols float columns once.  At
+    n = 2048, j = 7 the plate has a = 8 rows, so one product per block would be 1.05 M."""
+    grid = level_grid(j)
+    f = half_wave(littlewood_paley(extremizers.knapp(grid, j), j), 0.7318)
+    a = _row_blocks(grid, f.support)[0].stop
+    rows, cols = grid.n // 2 + 1, grid.n  # even in axis 0 only
+    calls, matmul = [], np.matmul
+
+    def spy(x, y, out):
+        calls.append((x.shape, y.shape, out.shape, *(m.__array_interface__["data"][0] for m in (x, y, out))))
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    lp_norm(f, Fraction(5, 2))
+    blocks = {}
+    for (m, k), (k2, width), shape, table, real, out in calls:
+        assert k == k2 == a and shape == (m, width)
+        assert m * width * k <= 2**18, (m, width, k)
+        blocks.setdefault(table, []).append((m, real, out, width))
+    assert sum(chunks[0][0] for chunks in blocks.values()) == rows  # every row block, once
+    for chunks in blocks.values():
+        real0, out0 = min(c[1] for c in chunks), min(c[2] for c in chunks)
+        spans = sorted(((real - real0) // 8, (out - out0) // 8, width) for _, real, out, width in chunks)
+        assert all(read == written for read, written, _ in spans)  # each chunk writes the columns it reads
+        assert [start for start, _, _ in spans] == list(itertools.accumulate([0] + [w for *_, w in spans[:-1]]))
+        assert spans[-1][0] + spans[-1][2] == 2 * cols
+    if j == 7:
+        assert (grid.n, a) == (2048, 8) and 32 * a * 2 * cols == 2**20  # unchunked
+
+
+def test_norm_of_a_plate_outside_its_band_is_zero():
+    """A Knapp plate projected to a band it does not reach keeps no point; its norm takes
+    the cosine sum over a = 0 rows and is 0 at every p."""
+    grid = GridSpec(256)
+    f = littlewood_paley(extremizers.knapp(grid, 4), 1)
+    assert f.support[0].size == 0 and f.even == (0,)
+    for p in (1, Fraction(5, 2), 5, math.inf):
+        assert lp_norm(f, p) == 0.0, p
+
+
 def test_knapp_numerator_norm_makes_no_half_grid(traced_peak):
     """The norm of a Knapp numerator at n = 1024 reduces each block as it is made,
     so it peaks below one (n/2 + 1) x n float64 array, the half grid it once
@@ -825,9 +870,9 @@ def test_traced_boundaries_run_on_the_calling_thread(monkeypatch):
 def test_blocks_from_n_1024_on_are_split(monkeypatch, n, split):
     """Below 32 x 1024 points a block's pass runs on the calling thread alone, as
     threads lost at n = 512; from n = 1024 on every pass of a norm is split."""
-    threads, ifft, einsum = [], np.fft.ifft, np.einsum
+    threads, ifft, matmul = [], np.fft.ifft, np.matmul
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: threads.append(("fft", threading.get_ident())) or ifft(*a, **k))
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: threads.append(("sum", threading.get_ident())) or einsum(*a, **k))
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: threads.append(("sum", threading.get_ident())) or matmul(*a, **k))
     monkeypatch.setattr(grid_module, "_WORKERS", 2)
     grid = GridSpec(n, 8.0)
     j = grid.max_band_j(BETA1_SUPPORT[1])

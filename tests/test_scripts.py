@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,3 +163,15 @@ def test_bench_run_records_the_steal_share_beside_loadavg(tmp_path):
     assert run["result"] == result and run["returncode"] == 0
     assert run["steal"] == 0.4 and len(run["loadavg"]) == 3  # 40 of 100 jiffies
     assert list(run)[:2] == ["loadavg", "steal"]
+
+
+def test_bench_records_the_blas_library_numpy_reports(tmp_path):
+    """``blas_library`` reads numpy's BLAS name, version and OpenBLAS configuration in the
+    tree it is given, as ``numpy.show_config`` reports them here; a tree where the probe
+    fails reads None."""
+    want = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    got = _bench_module().blas_library(ROOT)
+    assert got == {"name": want["name"], "version": want["version"],
+                   "openblas_configuration": want.get("openblas configuration")}
+    (tmp_path / "numpy.py").write_text("raise ImportError('no numpy in this tree')\n")
+    assert _bench_module().blas_library(tmp_path) is None
