@@ -91,6 +91,13 @@ def _write_out(out, csv_text: str, doc=None) -> None:
     print(f"wrote {path}")
 
 
+def _stored_time_set(points) -> TimeSet:
+    """The time set of a document ``sets --out`` wrote: a nonempty JSON list of numbers."""
+    if not isinstance(points, list) or not points or not all(type(t) in (int, float) for t in points):
+        raise ValueError(f"a time set is a nonempty JSON list of numbers, got {json.dumps(points)[:60]}")
+    return TimeSet.from_points(points)
+
+
 def _cmd_sets(args) -> int:
     if args.j is not None and args.j < 1:
         raise ValueError(f"--j must be >= 1, so that delta = 2^-j < 1; got {args.j}")
@@ -98,19 +105,11 @@ def _cmd_sets(args) -> int:
         raise ValueError(f"--delta must lie in (0, 1); got {args.delta}")
     alpha = None if args.alpha is None else float(args.alpha)
     if args.load:
-        points = read_json(args.load)
-        if not isinstance(points, list) or not points or not all(type(t) in (int, float) for t in points):
-            got = json.dumps(points)[:60]
-            raise ValueError(f"{args.load}: a time set is a nonempty JSON list of numbers, got {got}")
-        try:
-            ts = TimeSet.from_points(points)
-        except ValueError as exc:
-            raise ValueError(f"{args.load}: {exc}") from None
+        ts = read_json(args.load, _stored_time_set)
         origin = f"loaded from {args.load}"
     else:
         if args.alpha is None or args.j is None:
-            print("sets: need --alpha and --j (or --load)", file=sys.stderr)
-            return 2
+            raise ValueError("need --alpha and --j (or --load)")
         spec = cantor_spec(alpha, args.j, L=args.L)
         ts = cantor_points(spec)
         origin = f"cantor alpha={args.alpha} j={args.j} L={args.L:g} (k={spec.k})"
@@ -143,8 +142,7 @@ def _cmd_regions(args) -> int:
     needed = {"--mu": args.mu, "--alpha": args.alpha} if args.point else {"--alpha": args.alpha}
     missing = [name for name, value in needed.items() if value is None]
     if missing:
-        print(f"regions: need {' and '.join(missing)}{' with --point' if args.point else ''}", file=sys.stderr)
-        return 2
+        raise ValueError(f"need {' and '.join(missing)}{' with --point' if args.point else ''}")
     spec = RegionSpec(d=args.d, mu=args.mu, alpha=args.alpha)
     if args.point:
         pt = PQPoint(args.point[0], args.point[1])
@@ -202,20 +200,11 @@ def _cmd_operators(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    configs = []  # every config loads, and is checked, before any level runs
-    for path in args.config:
-        data = read_json(path)
-        try:
-            configs.append(RunConfig.from_json(data))
-        except (ValueError, TypeError) as exc:
-            print(f"scaling: bad config: {path}: {exc}", file=sys.stderr)
-            return 2
+    configs = [read_json(path, RunConfig.from_json) for path in args.config]  # all, before any level runs
     stems = [c.stem for c in configs]
     for i, stem in enumerate(stems):
         if stem in stems[:i]:
-            first = args.config[stems.index(stem)]
-            print(f"scaling: {first} and {args.config[i]} both write the run {stem!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.config[stems.index(stem)]} and {args.config[i]} both write the run {stem!r}")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the first level
     failed = 0
@@ -274,8 +263,7 @@ def _cmd_report(args) -> int:
     run_dir = Path(args.dir)
     runs = [load(p) for p in sorted(run_dir.glob("*.json"))]
     if not runs:
-        print(f"report: no stored runs under {run_dir}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no stored runs under {run_dir}")
     lines = ["label,family,p,q,alpha,slope,predicted,residual,verdict"]
     for r in runs:
         c = r.config

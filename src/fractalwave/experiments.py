@@ -420,12 +420,18 @@ def run_to_json(run: ScalingRun) -> dict:
 def run_from_json(data: dict) -> ScalingRun:
     """The run a document records, whose ``time_sets`` and ``measured`` must list the
     same j in the same order; its stored fit and verdict are derived again, not read."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a scaling-run document is a JSON object, got {type(data).__name__}")
     try:
         config = RunConfig.from_json(data["config"])
-        sizes = [(int(j), int(m)) for j, m in data["time_sets"]]
-        measured = [(int(j), float(y)) for j, y in data["measured"]]
+        rows = {key: data[key] for key in ("time_sets", "measured")}
     except KeyError as exc:
         raise ValueError(f"scaling-run document missing field {exc}") from exc
+    for key, value in rows.items():
+        if not isinstance(value, list) or not all(isinstance(row, list) and len(row) == 2 for row in value):
+            raise ValueError(f"{key} must be a list of two-element rows, got {json.dumps(value)[:60]}")
+    sizes = [(int(j), int(m)) for j, m in rows["time_sets"]]
+    measured = [(int(j), float(y)) for j, y in rows["measured"]]
     listed = [j for j, _ in sizes]
     if listed != [j for j, _ in measured]:
         raise ValueError(f"time_sets lists the levels {listed}, measured {[j for j, _ in measured]}")
@@ -451,19 +457,19 @@ def persist(run: ScalingRun, out_dir) -> tuple[Path, Path]:
     return json_path, csv_path
 
 
-def read_json(path):
-    """The JSON document at ``path``; a broken one raises a ValueError naming the file."""
+def read_json(path, parse):
+    """``parse`` applied to the JSON document at ``path``: the one reader of input
+    documents.  A file that is not UTF-8 JSON, or a document that ``parse`` refuses
+    with a ValueError or TypeError, raises one ValueError whose message starts with
+    the path (and the line and column of a JSON syntax error); an OSError, whose
+    message names the path itself, passes through."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def load(path) -> ScalingRun:
-    data = read_json(path)
-    try:
-        return run_from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, run_from_json)

@@ -22,6 +22,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +34,8 @@ _BYTES_PER_POINT = 96  # a Cantor set's peak while it is built: 89 B per point b
 def check_memory(need: int, what: str) -> None:
     """Refuse, before allocating, ``what`` if its ``need`` bytes exceed physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, "
+    if need > have:  # need may be an integer too large for a float, so it is shown as a Decimal
+        raise ValueError(f"{what} needs about {Decimal(need) / 2**30:.3g} GiB, "
                          f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
@@ -56,9 +57,6 @@ class TimeSet:
         if any(g <= _TOL for g in gaps):
             raise ValueError("time set points must be strictly increasing (tolerance 1e-9)")
         return cls(points=pts, min_gap=min(gaps) if gaps else math.inf)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
@@ -107,10 +105,11 @@ def _cantor_offsets(mu: float, k: int) -> np.ndarray:
 def cantor_points(spec: CantorSpec) -> TimeSet:
     """Materialize the stage-``k`` Cantor set of a spec, if its 2^k points fit in memory."""
     check_memory(_BYTES_PER_POINT << spec.k, f"a Cantor set of 2^{spec.k} points")
-    gap = (1.0 - spec.mu) * spec.mu ** (spec.k - 1)  # the last stage's, the least
-    if spec.k and gap <= _TOL:
-        raise ValueError(f"a Cantor set's minimal gap (1 - mu) mu^(k-1) = {gap:.3g} is below the "
-                         f"time-set tolerance {_TOL:g}")
+    if spec.k:  # the stage-0 set {2} has no gap, and mu may be 0.0 there
+        gap = (1.0 - spec.mu) * spec.mu ** (spec.k - 1)  # the last stage's, the least
+        if gap <= _TOL:
+            raise ValueError(f"a Cantor set's minimal gap (1 - mu) mu^(k-1) = {gap:.3g} is below the "
+                             f"time-set tolerance {_TOL:g}")
     pts = np.sort(1.0 + spec.mu**spec.k + _cantor_offsets(spec.mu, spec.k))
     return TimeSet.from_points(pts.tolist())
 
@@ -295,6 +294,8 @@ def marginal_sum(alpha: float, k: int) -> MarginalSum:
     if k == 0:
         return MarginalSum(value=1.0, ratio=math.inf)
     check_memory(_BYTES_PER_POINT << k, f"a Cantor set of 2^{k} points")
+    if mu**k == 0.0:  # the first term, (mu^k)^-alpha, would divide by zero
+        raise ValueError(f"mu^k = 2^(-k/alpha) underflows to 0.0 at alpha = {alpha}, k = {k}")
     terms = (mu**k + _cantor_offsets(mu, k)) ** (-alpha)
     value = math.fsum(terms.tolist())
     return MarginalSum(value=value, ratio=value / (k * 2.0**k))

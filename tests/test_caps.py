@@ -157,3 +157,11 @@ def test_necessary_q_bounds_exact():
         necessary_q_bounds(0)
     with pytest.raises(TypeError):  # a float is not an exact rational
         necessary_q_bounds(0.1)
+
+
+def test_an_unknown_cap_kind_is_refused():
+    message = r"kind must be one of \('angular', 'squashed'\), got 'round'"
+    with pytest.raises(ValueError, match=message):
+        box_samples("round", 0.25, [1.0])
+    with pytest.raises(ValueError, match=message):
+        bilinear_cap_pair(GridSpec(256, 8.0), 0.25, "round")

@@ -1,5 +1,6 @@
 """Command-line interface: argument wiring, output shape, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -125,6 +126,21 @@ def test_sets_load_names_a_broken_file(tmp_path, capsys, content, where):
     assert f"{path}{where}" in err and out == ""
 
 
+def test_sets_builds_the_stage_0_set_when_mu_underflows(capsys):
+    # mu = 2^-100000 is 0.0 and k = 0: the set is {2}, which has no gap to compute
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1e-5", "--j", "4")
+    assert code == 0 and err == ""
+    assert "(k=0)" in out and "cardinality: 1\n" in out and "min gap: inf" in out
+
+
+def test_sets_refuses_a_stage_count_too_large_for_a_float(capsys):
+    # 2^499999 points: the byte count overflows a float, and is still named
+    code, out, err = run_cli(capsys, "sets", "--alpha", "1/2", "--j", "1000000")
+    assert code == 2 and out == ""
+    assert err.startswith("fractalwave sets: a Cantor set of 2^499999 points needs about 4.45e+150507 GiB, ")
+    assert err.count("\n") == 1 and "physical memory" in err
+
+
 # --- thresholds / regions ----------------------------------------------------
 
 
@@ -209,11 +225,11 @@ def test_regions_point_membership(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ((), "regions: need --alpha"),
-    (("--mu", "1"), "regions: need --alpha"),
-    (("--point", "1/2", "1/2"), "regions: need --mu and --alpha with --point"),
-    (("--alpha", "1", "--point", "1/2", "1/2"), "regions: need --mu with --point"),
-    (("--mu", "1", "--point", "1/2", "1/2"), "regions: need --alpha with --point"),
+    ((), "fractalwave regions: need --alpha"),
+    (("--mu", "1"), "fractalwave regions: need --alpha"),
+    (("--point", "1/2", "1/2"), "fractalwave regions: need --mu and --alpha with --point"),
+    (("--alpha", "1", "--point", "1/2", "1/2"), "fractalwave regions: need --mu with --point"),
+    (("--mu", "1", "--point", "1/2", "1/2"), "fractalwave regions: need --alpha with --point"),
 ], ids=["plot", "plot-mu", "point", "point-alpha", "point-mu"])
 def test_regions_names_the_missing_option(capsys, argv, message):
     """Plot data needs --alpha and a point needs --mu and --alpha: without them regions
@@ -325,7 +341,7 @@ def test_scaling_rejects_cantor_time_L_below_one(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "scaling", "--config", str(path))
     assert code == 2
-    assert "bad config" in err and "time_L" in err
+    assert f"{path}: cantor time sets need time_L >= 1" in err
     assert out == ""
 
 
@@ -335,7 +351,7 @@ def test_scaling_rejects_bad_alpha_before_running(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "scaling", "--config", str(path))
     assert code == 2
-    assert "bad config" in err and "alpha" in err
+    assert f"{path}: cantor time sets need alpha in (0, 1]" in err
     assert out == ""
 
 
@@ -357,7 +373,7 @@ def test_scaling_rejects_grid_beyond_physical_memory(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "scaling", "--config", str(path))
     assert code == 2
-    assert "bad config" in err and "physical memory" in err
+    assert f"{path}: j=16 needs n > 8192" in err and "physical memory" in err
     assert out == ""
 
 
@@ -365,7 +381,7 @@ def test_scaling_rejects_a_zero_denominator(tmp_path, capsys):
     (path,) = _configs(tmp_path, {"family": "knapp", "p": "1/0", "q": "5"})
     code, out, err = run_cli(capsys, "scaling", "--config", path)
     assert code == 2
-    assert "bad config" in err and "zero denominator" in err
+    assert f"{path}: zero denominator" in err
     assert out == ""
 
 
@@ -376,7 +392,7 @@ def test_scaling_rejects_a_legacy_key_the_run_would_not_honour(tmp_path, capsys,
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "scaling", "--config", str(path))
     assert code == 2
-    assert "bad config" in err and repr(key) in err
+    assert f"{path}: {key!r} is {value!r}" in err
     assert out == ""  # no level ran
 
 
@@ -428,21 +444,32 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "second, message",
     [
-        (dict(TINY, alpha="3/2"), "bad config"),
-        (dict(TINY, p="1/2"), "bad config: {path}: p and q must be >= 1"),
-        (dict(TINY, q="0"), "bad config: {path}: p and q must be >= 1"),
-        (dict(TINY, j_min=2.0), "bad config: {path}: j_min must be an integer"),
-        (dict(TINY, time_L=float("inf")), "bad config: {path}: time_L must be finite"),
-        (dict(TINY, time_L=float("nan")), "bad config: {path}: time_L must be finite"),
-        (dict(TINY, label="sub/run"), "bad config: {path}: label must be a file name"),
-        (dict(TINY, label=".."), "bad config: {path}: label must be a file name"),
+        # each id keeps the name the case had while the reason followed "bad config: "
+        pytest.param(dict(TINY, alpha="3/2"), "{path}: cantor time sets need alpha in (0, 1]", id="second0-bad config"),
+        pytest.param(dict(TINY, p="1/2"), "{path}: p and q must be >= 1",
+                     id="second1-bad config: {path}: p and q must be >= 1"),
+        pytest.param(dict(TINY, q="0"), "{path}: p and q must be >= 1",
+                     id="second2-bad config: {path}: p and q must be >= 1"),
+        pytest.param(dict(TINY, j_min=2.0), "{path}: j_min must be an integer",
+                     id="second3-bad config: {path}: j_min must be an integer"),
+        pytest.param(dict(TINY, time_L=float("inf")), "{path}: time_L must be finite",
+                     id="second4-bad config: {path}: time_L must be finite"),
+        pytest.param(dict(TINY, time_L=float("nan")), "{path}: time_L must be finite",
+                     id="second5-bad config: {path}: time_L must be finite"),
+        pytest.param(dict(TINY, label="sub/run"), "{path}: label must be a file name",
+                     id="second6-bad config: {path}: label must be a file name"),
+        pytest.param(dict(TINY, label=".."), "{path}: label must be a file name",
+                     id="second7-bad config: {path}: label must be a file name"),
         ("{not json", ":1:2:"),
         ("[]", "JSON object"),
         (None, "No such file"),
         # 2 * 2^j_min at or below 2 pi / 8: the projected field would be zero
-        (dict(TINY, j_min=-3), "bad config: {path}: empty band: 2 * 2^-3"),
-        (dict(TINY, j_min=-2), "bad config: {path}: empty band: 2 * 2^-2 is at or below the lowest lattice frequency "
-                               "2 pi / period = 0.785398; min admissible j is -1"),
+        pytest.param(dict(TINY, j_min=-3), "{path}: empty band: 2 * 2^-3",
+                     id="second11-bad config: {path}: empty band: 2 * 2^-3"),
+        pytest.param(dict(TINY, j_min=-2), "{path}: empty band: 2 * 2^-2 is at or below the lowest lattice frequency "
+                                           "2 pi / period = 0.785398; min admissible j is -1",
+                     id="second12-bad config: {path}: empty band: 2 * 2^-2 is at or below the lowest lattice "
+                        "frequency 2 pi / period = 0.785398; min admissible j is -1"),
     ],
 )
 def test_scaling_checks_every_config_before_the_first_level(tmp_path, capsys, second, message):
@@ -553,6 +580,13 @@ def test_verify_marginal_refuses_alpha_outside_the_unit_interval(capsys, alpha):
     assert "alpha must be in (0, 1]" in err and out == ""
 
 
+@pytest.mark.parametrize("alpha, kmax, k", [("1/1000", "2", 2), ("1/70", "16", 16)])
+def test_verify_marginal_refuses_a_stage_whose_first_term_underflows(capsys, alpha, kmax, k):
+    code, out, err = run_cli(capsys, "verify", "marginal", "--alpha", alpha, "--kmax", kmax)
+    assert code == 2 and out == ""
+    assert err == f"fractalwave verify: mu^k = 2^(-k/alpha) underflows to 0.0 at alpha = {alpha}, k = {k}\n"
+
+
 def test_verify_locally_constant(capsys):
     code, out, _ = run_cli(capsys, "verify", "locally-constant", "--order", "4")
     assert code == 0
@@ -581,6 +615,19 @@ def test_verify_necessity(capsys):
     assert code == 0
 
 
+def test_verify_whitney_refuses_a_decomposition_with_no_separated_pair(capsys):
+    code, out, err = run_cli(capsys, "verify", "whitney", "--numax", "1")
+    assert code == 2 and out == ""
+    assert err == "fractalwave verify: decomposition has no separated pairs\n"
+
+
+def test_verify_necessity_certifies_a_stage_0_time_set(capsys):
+    # mu = 2^-1000000 is 0.0, so every delta's Cantor set is its stage-0 point
+    code, out, err = run_cli(capsys, "verify", "necessity", "--alpha", "1/1000000")
+    assert code == 0 and err == ""
+    assert "necessity suite: certified" in out
+
+
 # --- argparse plumbing -------------------------------------------------------
 
 
@@ -596,6 +643,21 @@ def test_os_errors_exit_2(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv, str(tmp_path))  # a directory where a file belongs
     assert code == 2
     assert "Is a directory" in err
+
+
+def test_main_is_the_only_code_that_reports_a_refusal():
+    """A handler refuses by raising; only main writes to stderr and chooses exit 2,
+    so every refusal is one line, ``fractalwave <command>: <reason>``."""
+    offenders = []
+    for fn in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "stderr" and getattr(node.value, "id", None) == "sys":
+                offenders.append(f"{fn.name} writes to sys.stderr at line {node.lineno}")
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2:
+                offenders.append(f"{fn.name} returns 2 at line {node.lineno}")
+    assert offenders == []
 
 
 def test_unknown_flag_exits_2():

@@ -445,6 +445,23 @@ def test_a_run_refuses_levels_that_do_not_match(tmp_path, time_sets):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [doc], "a scaling-run document is a JSON object, got list"),
+        (lambda doc: dict(doc, measured=[[2, 0.0, 9.0], [3, 0.5], [4, 1.0]]),
+         "measured must be a list of two-element rows, got [[2, 0.0, 9.0], [3, 0.5], [4, 1.0]]"),
+        (lambda doc: dict(doc, time_sets=5), "time_sets must be a list of two-element rows, got 5"),
+    ],
+    ids=["a list", "a three-number row", "a number"],
+)
+def test_a_run_document_names_the_check_it_fails(tmp_path, edit, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(edit(run_to_json(_tiny_run((0.0, 0.5, 1.0))))))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load(path)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_level_is_inconclusive(bad):
     run = _tiny_run((0.0, bad, 1.0))

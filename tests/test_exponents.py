@@ -297,3 +297,28 @@ def test_pqpoint_validation():
         PQPoint(F(3, 2), F(0))
     with pytest.raises(ValueError):
         PQPoint(F(1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(d=1), "dimension must be >= 2, got 1"),
+    (dict(d=2, alpha=F(3, 2)), r"alpha must be in \[0,1\], got 3/2"),
+    (dict(d=2, alpha=F(-1, 2)), r"alpha must be in \[0,1\], got -1/2"),
+    (dict(d=2, mu=F(3, 2)), r"mu must be in \[0,1\], got 3/2"),
+    (dict(d=2, mu=F(-1, 2), alpha=1), r"mu must be in \[0,1\], got -1/2"),
+])
+def test_region_spec_refuses_a_bad_dimension_alpha_or_mu(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RegionSpec(**kwargs)
+
+
+def test_exponent_formulas_refuse_out_of_range_input():
+    point = PQPoint(F(1, 2), F(1, 4))
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        s_exponents(point, 1, 1)
+    with pytest.raises(ValueError, match=r"alpha must be in \[0,1\], got 3/2"):
+        s_exponents(point, 2, F(3, 2))
+    for q in (0, -2):
+        with pytest.raises(ValueError, match=f"q must be positive, got {q}"):
+            critical_line(q, 2, 1)
+    with pytest.raises(ValueError, match="plot data needs alpha in the spec"):
+        region_plot_data(RegionSpec(d=2), "fig1")

@@ -896,3 +896,11 @@ def test_random_field_is_deterministic():
     c = random_field(GridSpec(64, 8.0), seed=12)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_field_refuses_an_unknown_space_or_a_wrong_shape():
+    grid = GridSpec(64, 8.0)
+    with pytest.raises(ValueError, match=r"space must be one of \('physical', 'frequency'\), got 'time'"):
+        Field(grid, np.zeros((64, 64)), "time")
+    with pytest.raises(ValueError, match=r"values must be 64 x 64, got \(32, 64\)"):
+        Field(grid, np.zeros((32, 64)), "physical")

@@ -148,7 +148,7 @@ def test_stage_count_and_gap_formulas():
     spec = cantor_spec(1.0, 8, L=16.0)
     assert spec.k == 4
     ts = cantor_points(spec)
-    assert len(ts) == 16
+    assert len(ts.points) == 16
     assert ts.min_gap == pytest.approx((1 - spec.mu) * spec.mu**3)
     assert ts.min_gap >= 2.0**-8
 
@@ -172,7 +172,7 @@ def test_cardinality_tracks_resolution():
     for alpha in (0.25, 0.5, 0.75, 1.0):
         for j in range(6, 13):
             spec = cantor_spec(alpha, j, L=2.0)
-            assert len(cantor_points(spec)) == 2**spec.k
+            assert len(cantor_points(spec).points) == 2**spec.k
             assert spec.k == math.floor(alpha * (j - 1) + 1e-9)
 
 
@@ -236,7 +236,7 @@ def test_assouad_bounded_for_calibrated_sets():
 def test_level_decomposition_partitions():
     for spec in (cantor_spec(1.0, 9, L=2.0), cantor_spec(0.5, 17, L=2.0)):  # k = 8 at mu = 1/2 and 1/4
         levels = decompose_cantor_levels(spec)
-        assert [len(lv) for lv in levels] == [2 ** (spec.k - l - 1) for l in range(spec.k)] + [1]
+        assert [len(lv.points) for lv in levels] == [2 ** (spec.k - l - 1) for l in range(spec.k)] + [1]
         merged = sorted(p for lv in levels for p in lv.points)
         assert merged == list(cantor_points(spec).points)
         for l, lv in enumerate(levels[: spec.k]):
@@ -404,7 +404,7 @@ def test_timeset_roundtrip(tmp_path):
     ts = build_cantor(0.5, 10, L=2.0)
     path = tmp_path / "set.json"
     assert main(["sets", "--alpha", "1/2", "--j", "10", "--L", "2", "--out", str(path)]) == 0
-    back = TimeSet.from_points(read_json(path))
+    back = read_json(path, TimeSet.from_points)
     assert back.points == ts.points
     assert back.min_gap == ts.min_gap
 
@@ -414,3 +414,11 @@ def test_cantor_set_beyond_physical_memory_is_refused_before_it_is_built(monkeyp
     monkeypatch.setattr(sets_module, "_cantor_offsets", None)
     with pytest.raises(ValueError, match=r"2\^58 points .* physical memory"):
         cantor_points(cantor_spec(1.0, 60, L=4.0))
+
+
+def test_covering_number_and_minkowski_estimate_refuse_degenerate_input():
+    ts = build_cantor(1.0, 4, L=4.0)
+    with pytest.raises(ValueError, match=r"empty interval \[2.0, 1.0\]"):
+        covering_number(ts, (2.0, 1.0), 0.25)
+    with pytest.raises(ValueError, match="need at least two scales to fit a slope"):
+        minkowski_estimate(ts, [0.25])

@@ -98,3 +98,8 @@ def test_pairs_match_the_full_square_sweep():
                     elif nu == nu_max and d <= 1:
                         full.append(ArcPair(nu, k, kp, terminal=True))
         assert whitney(nu_max).pairs == tuple(full)
+
+
+def test_separation_band_refuses_a_decomposition_with_no_separated_pair():
+    with pytest.raises(ValueError, match="decomposition has no separated pairs"):
+        separation_band(whitney(1))  # level 1: every pair is terminal
