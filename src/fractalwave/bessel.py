@@ -14,9 +14,8 @@ The split at x = 12 keeps both branches inside a 1e-10 absolute error budget:
   truncated per-element at the smallest term (the classic divergent-series
   rule); at z = 12 the smallest term is ~e^{-2z} ~ 4e-11.
 
-``wave_leading_term`` exposes the one-term far-field approximation
-sqrt(2/(pi r)) cos(r - pi/4) whose residual decays like r^{-3/2}; tests
-certify the residual envelope constant.
+The tests certify the far-field envelope against the one-term approximation
+sqrt(2/(pi r)) cos(r - pi/4), whose residual decays like r^{-3/2}.
 """
 
 from __future__ import annotations
@@ -87,13 +86,3 @@ def bessel_j0(x):
     if (~low).any():
         out[~low] = _j0_asymptotic(arr[~low])
     return float(out[0]) if scalar else out
-
-
-def wave_leading_term(r):
-    """Far-field one-term approximation sqrt(2/(pi r)) cos(r - pi/4).
-
-    Equals the sum over both half-wave branches c_pm e^{pm i r} r^{-1/2} with
-    c_pm = (2 pi)^{-1/2} e^{mp i pi/4}; the true J0 differs by O(r^{-3/2}).
-    """
-    r = np.asarray(r, dtype=np.float64)
-    return np.sqrt(2.0 / (np.pi * r)) * np.cos(r - 0.25 * np.pi)

@@ -14,13 +14,12 @@ The box constant is c = ``BOX_C`` = 1/4.  The product statistic samples the box
 at the times its caller gives (the necessity suite's fractal samples), and
 every formula here, the q-thresholds included, is for d = 2.
 
-Both a continuum route (midpoint quadrature of the extension integral
-R*f(x,t) = A int_cap e^{i(x.xi + t|xi|)} dxi, with A fixing ||fhat||_2 = 1)
-and a grid route (indicator coefficients on the lattice, cap dilated to
-radius N = nyquist/2) are provided; they are tied together by the exact
-rescaling |grid field(x, t)| = (N/2pi) |R*f(N x, N t)|, checked in tests.
-The grid route resolves delta down to lattice scale only, so scaling fits
-use the continuum route and the grid route serves coarse-delta cross-checks.
+The extension is the continuum route: midpoint quadrature of the integral
+R*f(x,t) = A int_cap e^{i(x.xi + t|xi|)} dxi, with A fixing ||fhat||_2 = 1.
+The grid route (indicator coefficients on the lattice, cap dilated to radius
+N = nyquist/2), tied to it by the exact rescaling |grid field(x, t)| =
+(N/2pi) |R*f(N x, N t)|, lives in the tests as a coarse-delta cross-check: it
+resolves delta down to lattice scale only.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exponents import _frac
-from .grid import Field, GridSpec, frequency_lattice
 
 _KINDS = ("angular", "squashed")
 BOX_C = 0.25  # the box constant c of the module docstring
@@ -137,50 +135,6 @@ def pair_product_statistic(delta: float, kind: str, times) -> float:
     for x1, x2, t in box_samples(kind, delta, times):
         vals.append(abs(extension(f, x1, x2, t)) * abs(extension(g, x1, x2, t)))
     return min(vals)
-
-
-def bilinear_cap_pair(grid: GridSpec, delta: float, kind: str) -> tuple[Field, Field]:
-    """Grid realization: indicator coefficients on the lattice, cap dilated by
-    N = nyquist/2, each factor exactly L^2-normalized."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not 8.0 / grid.nyquist <= delta <= 0.25:
-        raise ValueError(
-            f"delta must lie in [8/nyquist, 1/4] = [{8.0 / grid.nyquist:.4g}, 0.25], got {delta}"
-        )
-    N = grid.nyquist / 2.0
-    spacing = 2.0 * np.pi / grid.period
-    # each cap dimension must span at least one lattice spacing, or the
-    # indicator degenerates (a single column no longer shrinks with delta)
-    thin = N * (2.0 * math.asin(delta / 2.0)) if kind == "angular" else N * delta**2
-    if thin < spacing:
-        raise ValueError(
-            f"cap thickness {thin:.4g} is below the lattice spacing {spacing:.4g} "
-            f"at delta={delta}; refine the grid or use the continuum profile"
-        )
-    xi1, xi2 = frequency_lattice(grid)
-    e1, e2 = xi1 / N, xi2 / N
-    if kind == "angular":
-        r = np.hypot(e1, e2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            chord = np.hypot(e1 / r - 1.0, e2 / r)
-        mask = (r >= 0.5) & (r <= 2.0) & (chord < delta)
-        masks = (mask, mask)
-    else:
-        inside = (np.abs(e1 - 1.0) <= delta**2) & (np.abs(e2) <= delta)
-        mirrored = (np.abs(e1 + 1.0) <= delta**2) & (np.abs(e2) <= delta)
-        masks = (inside, mirrored)
-    fields = []
-    for mask in masks:
-        count = int(mask.sum())
-        if count < 4:
-            raise ValueError(
-                f"cap resolves to {count} lattice points at delta={delta}; "
-                "refine the grid or use the continuum profile"
-            )
-        amp = grid.period / math.sqrt(count)
-        fields.append(Field(grid, mask * amp, "frequency"))
-    return fields[0], fields[1]
 
 
 def necessary_q_bounds(alpha):

@@ -418,8 +418,9 @@ def run_to_json(run: ScalingRun) -> dict:
 
 
 def run_from_json(data: dict) -> ScalingRun:
-    """The run a document records, whose ``time_sets`` and ``measured`` must list the
-    same j in the same order; its stored fit and verdict are derived again, not read."""
+    """The run a document records, whose ``time_sets`` rows [j, #E_j] hold integers and
+    ``measured`` rows [j, log2 R(j)] an integer and a JSON number, each listing its config's
+    j_min..j_max in order; its stored fit and verdict are derived again, not read."""
     if not isinstance(data, dict):
         raise ValueError(f"a scaling-run document is a JSON object, got {type(data).__name__}")
     try:
@@ -427,15 +428,19 @@ def run_from_json(data: dict) -> ScalingRun:
         rows = {key: data[key] for key in ("time_sets", "measured")}
     except KeyError as exc:
         raise ValueError(f"scaling-run document missing field {exc}") from exc
+    levels = list(range(config.j_min, config.j_max + 1))
     for key, value in rows.items():
         if not isinstance(value, list) or not all(isinstance(row, list) and len(row) == 2 for row in value):
             raise ValueError(f"{key} must be a list of two-element rows, got {json.dumps(value)[:60]}")
-    sizes = [(int(j), int(m)) for j, m in rows["time_sets"]]
-    measured = [(int(j), float(y)) for j, y in rows["measured"]]
-    listed = [j for j, _ in sizes]
-    if listed != [j for j, _ in measured]:
-        raise ValueError(f"time_sets lists the levels {listed}, measured {[j for j, _ in measured]}")
-    return ScalingRun(config, tuple((j, m, y) for (j, m), (_, y) in zip(sizes, measured)))
+        kinds, second = ((int,), "an integer #E_j") if key == "time_sets" else ((int, float), "a number")
+        for row in value:  # by exact type, as a JSON true or false loads as a bool, an int subclass
+            if type(row[0]) is not int or type(row[1]) not in kinds:
+                raise ValueError(f"{key} row {json.dumps(row)} is not [an integer j, {second}]")
+        if [j for j, _ in value] != levels:
+            raise ValueError(f"{key} lists the levels {[j for j, _ in value]}, but its config runs "
+                             f"j = {config.j_min}..{config.j_max}")
+    sizes, measured = rows["time_sets"], rows["measured"]
+    return ScalingRun(config, tuple((j, m, float(y)) for (j, m), (_, y) in zip(sizes, measured)))
 
 
 def measured_csv(run: ScalingRun) -> str:

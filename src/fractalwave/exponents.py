@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-_LABELS = ("s1", "s2", "s3")
-
 
 def _frac(x) -> Fraction:
     """Coerce ints, strings like '2/5', and Fractions; floats are refused, and a
@@ -195,24 +193,6 @@ def s_exponents(point: PQPoint, d: int, alpha) -> SExponents:
     return SExponents(s1, s2, s3, max(s1, s2, s3))
 
 
-def regime(point: PQPoint, d: int, alpha) -> tuple[str, ...]:
-    """Which exponent attains the max; ties are reported, not broken."""
-    s = s_exponents(point, d, alpha)
-    return tuple(lbl for lbl, v in zip(_LABELS, s[:3]) if v == s.s_c)
-
-
-def critical_line(q, d: int, alpha) -> Fraction:
-    """1/p on the line (d-1)(1 - 1/p) = (d-1+2 alpha)/q, given the exponent q."""
-    qq = _frac(q)
-    a = _frac(alpha)
-    if qq <= 0:
-        raise ValueError(f"q must be positive, got {qq}")
-    inv_p = 1 - Fraction(d - 1 + 2 * a, (d - 1)) / qq
-    if not 0 <= inv_p <= 1:
-        raise ValueError(f"critical line leaves the unit square at q={qq}: 1/p={inv_p}")
-    return inv_p
-
-
 @dataclass(frozen=True)
 class ThresholdTable:
     """Closed-form threshold exponents (all exact rationals).
@@ -290,25 +270,6 @@ def marginal_vertex(d: int, alpha) -> PQPoint:
     a = _frac(alpha)
     v = Fraction(d - 1, 1) / (2 * (a + d - 1))
     return PQPoint(v, v)
-
-
-def necessary_check(point: PQPoint, d: int, alpha, s) -> str:
-    """Compare a smoothing exponent s against the necessary conditions.
-
-    Returns 'admissible' when s >= s_c away from the marginal vertex;
-    'marginal_point' when the point is the marginal vertex and s does not
-    exceed s_c strictly; otherwise the flag of the dominating regime that is
-    violated.
-    """
-    sv = _frac(s)
-    se = s_exponents(point, d, alpha)
-    marginal = point.as_tuple() == marginal_vertex(d, alpha).as_tuple()
-    if sv < se.s_c:
-        dominating = regime(point, d, alpha)[0]
-        return f"violates_{dominating}"
-    if marginal and sv == se.s_c:
-        return "marginal_point"
-    return "admissible"
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,13 @@ point's entry in ``radii``, so radii[inv] is |xi| at ``flat``.  The lattice's
 8 symmetries (k1 <-> k2 and the signs) keep |xi|, so a radial band stores one
 radius per orbit of them: 166,749 radii for 1,329,820 points at n = 2048, j =
 7.  The support is the set a builder filled (see ``extremizers``), or the
-whole lattice (``Field``, ``to_frequency``, the cap pairs), met with each band
-applied since; it is never found by scanning values.  A physical field holds
-n x n values and no support; ``to_physical`` sets its ``spectrum``, the field
-it came from.  Multipliers evaluate a symbol of |xi| once per radius and
-multiply the stored values, and the inverse FFT transforms only the rows that
-hold points, then the columns, a block at a time; both give the same bits as
-the full-lattice computation.
+whole lattice (``Field``, ``to_frequency``), met with each band applied since;
+it is never found by scanning values.  A physical field holds n x n values and
+no support; ``to_physical`` sets its ``spectrum``, the field it came from, which
+a multiplier reads (or, if it has none, its transform).  Multipliers evaluate a
+symbol of |xi| once per radius and multiply the stored values, and the inverse
+FFT transforms only the rows that hold points, then the columns, a block at a
+time; both give the same bits as the full-lattice computation.
 
 Separable fields.  A field may also carry ``factors``: two length-n arrays
 ``(a, b)`` with transform a[k1] b[k2], read off its builder's formula (see
@@ -48,8 +48,8 @@ Mirror-even fields.  A frequency field may also carry ``even``: the axes in
 which its transform is even, F[-k] = F[k], read off its builder's formula and
 kept by the |xi| multipliers; it is (), (0,) or (0, 1).  Its physical field is
 even in the same axes, so ``_inverse``, the one inverse transform (``to_physical``
-is its case even = ()), makes x_i in [0, n/2] along them only.  ``lp_norm`` makes
-no physical array: each block of the last pass is raised to p in cache, weighted 1
+is its case even = ()), makes x_i in [0, n/2] along them only.  ``lp_norm`` (p finite)
+makes no physical array: each block of the last pass is raised to p in cache, weighted 1
 on the mirror lines x_i = 0, n/2 and 2 elsewhere and summed into its own slot.  With
 few rows k_1 >= 0, a < 2 n.bit_length() (a Knapp plate's; a radial band has
 hundreds), the column pass is their even cosine sum, the FFT with its zero inputs
@@ -275,25 +275,24 @@ def to_physical(f: Field) -> Field:
     return _own(f.grid, _inverse(f), "physical", spectrum=f)
 
 
+def _spectrum(f: Field) -> Field:
+    """The frequency field behind ``f``: itself, a physical field's ``spectrum``, or its transform."""
+    return f if f.space == "frequency" else f.spectrum or to_frequency(f)
+
+
 def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None) -> Field:
     """Multiply in frequency space, preserving the caller's space tag.
 
     ``symbol`` is the multiplier as a function of |xi|, evaluated once per
     support radius and gathered to the points, or its full-lattice array;
     ``band``, if given, is where it may be nonzero.  The result is stored on the
-    points of the spectrum's support in the band: ``f``'s own, or a physical
-    ``f``'s ``spectrum``'s; a caller's physical array has its transform read at
-    the band's points, or the whole lattice's.  A frequency input keeps its
+    points of ``_spectrum(f)``'s support in the band.  A frequency input keeps its
     ``even`` axes under a symbol of |xi|.
     """
     grid = f.grid
-    g = f if f.space == "frequency" else f.spectrum
-    if g is None:
-        support = _lattice_points(grid) if band is None else _band_points(grid, *band)
-        vals = np.fft.fft2(f.values).ravel()[support[0]] * grid.cell**2
-    else:
-        support, inside = (g.support, slice(None)) if band is None else _meet(g.support, band)
-        vals = g.data[inside]
+    g = _spectrum(f)
+    support, inside = (g.support, slice(None)) if band is None else _meet(g.support, band)
+    vals = g.data[inside]
     mult = np.take(symbol(support[2]), support[1]) if callable(symbol) else symbol.ravel()[support[0]]
     vals = np.multiply(vals, mult, out=vals if vals.flags.writeable else None)  # in place on a gathered copy
     out = _own(grid, vals, "frequency", support=support, even=f.even if callable(symbol) else ())
@@ -348,7 +347,7 @@ def circular_average_quadrature(f: Field, t: float, m: int = 256) -> Field:
 
 
 def lp_norm(f: Field, p) -> float:
-    """Discrete L^p norm (sum |f|^p cell^2)^(1/p); max |f| at p = infinity.
+    """Discrete L^p norm (sum |f|^p cell^2)^(1/p) for a finite p >= 1.
 
     Norms are taken on the physical-space representation.  A field with ``factors`` (a, b)
     is ifft(a) ifft(b) / cell^2 as an outer product, so its norm is the product of the two
@@ -357,20 +356,20 @@ def lp_norm(f: Field, p) -> float:
     with mirror weights, and ``_sum_norm`` adds the block sums, held in block order.
     """
     pv = float(p)
-    if not pv >= 1.0:  # NaN fails too
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= pv < math.inf:  # NaN fails too
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     cell = f.grid.cell
     if f.factors is not None:
-        return math.prod(_sum_norm(np.fft.ifft(a) / cell, pv, cell) for a in f.factors)
+        return math.prod(_sum_norm(_power(np.fft.ifft(a) / cell, pv), pv, cell) for a in f.factors)
     if f.space == "physical":
-        return _sum_norm(f.values, pv, cell**2)
+        return _sum_norm(_power(f.values, pv), pv, cell**2)
 
     def block_sum(at, block, scratch):
         a = _power(block, pv, *scratch)
-        for axis in () if math.isinf(pv) else f.even:  # weight 2 off the mirror lines x_i = 0, n/2
+        for axis in f.even:  # weight 2 off the mirror lines x_i = 0, n/2
             inner = slice(int(at[axis].start == 0), a.shape[axis] - int(at[axis].stop > f.grid.n // 2))
             a[(slice(None),) * axis + (inner,)] *= 2.0
-        return a.max() if math.isinf(pv) else np.sum(a)
+        return np.sum(a)
     return _sum_norm(np.array(_inverse(f, f.even, block_sum)), pv, cell**2)
 
 
@@ -460,12 +459,12 @@ def _inverse(f: Field, even: tuple[int, ...] = (), fold=None):
 def _power(values: np.ndarray, pv: float, out: np.ndarray | None = None,
            spare: np.ndarray | None = None) -> np.ndarray:
     """|values|^pv in ``out``, or in ``spare`` where |values| is read again (new arrays if
-    not given); |values| at pv = 1 or infinity.  An integer pv is reached by squaring, with
-    one multiply by |values| per set bit after the leading one; any other pv by ``**=``.
-    Elementwise, so a block's bits are those of the whole array."""
+    not given); |values| at pv = 1.  An integer pv is reached by squaring, with one multiply
+    by |values| per set bit after the leading one; any other pv by ``**=``.  Elementwise,
+    so a block's bits are those of the whole array."""
     a = r = np.abs(values, out=out)
-    if math.isinf(pv) or not pv.is_integer():
-        return a if math.isinf(pv) else np.power(a, pv, out=a)
+    if not pv.is_integer():
+        return np.power(a, pv, out=a)
     bits = bin(int(pv))[3:]  # none at pv = 1
     for bit in bits:
         r = np.multiply(r, r, out=spare if r is a and "1" in bits else r)
@@ -474,22 +473,18 @@ def _power(values: np.ndarray, pv: float, out: np.ndarray | None = None,
     return r
 
 
-def _sum_norm(values: np.ndarray, pv: float, measure: float) -> float:
-    """(sum |values|^pv measure)^(1/pv), or max |values| at pv = infinity; real
-    ``values``, ``_power``'s or a norm's block sums, are summed as they are."""
-    a = _power(values, pv) if np.iscomplexobj(values) else values
-    if math.isinf(pv):
-        return float(a.max())
-    return float((np.sum(a) * measure) ** (1.0 / pv))
+def _sum_norm(powers: np.ndarray, pv: float, measure: float) -> float:
+    """(sum powers * measure)^(1/pv) of summed powers: ``_power``'s, or a norm's block sums."""
+    return float((np.sum(powers) * measure) ** (1.0 / pv))
 
 
 def mixed_norm(norms: Sequence[float], q) -> float:
-    """(sum_t n_t^q)^(1/q) of the per-time norms n_t = ||F_t||_q; their max at q = inf."""
+    """(sum_t n_t^q)^(1/q) of the per-time norms n_t = ||F_t||_q, for a finite q >= 1."""
     if not len(norms):
         raise ValueError("mixed_norm needs a nonempty sequence of norms")
     qv = float(q)
-    if not qv >= 1.0:  # NaN fails too
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not 1.0 <= qv < math.inf:  # NaN fails too
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     return _sum_norm(_power(np.array(norms, dtype=np.float64), qv), qv, 1.0)
 
 
@@ -506,7 +501,7 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     if not E.points:
         raise ValueError("maximal_function needs a nonempty time set")
     _check_radius(f.grid, max(E.points))
-    g = littlewood_paley(f if f.space == "frequency" else f.spectrum or to_frequency(f), j)
+    g = littlewood_paley(_spectrum(f), j)
     acc = np.zeros((f.grid.n, f.grid.n))
 
     def peak(at, block, scratch):

@@ -14,6 +14,8 @@ Conventions used throughout this module:
       E = { 1 + mu**k + (1 - mu) * sum_m mu**m * P_m :  P in {0,1}**k },
 
   with 2**k points, all in (1, 2], and minimal gap (1 - mu) * mu**(k-1).
+  The endpoint argument splits it by the lowest stage that is on; those
+  levels are position blocks of the sorted set, built in the tests.
 """
 
 from __future__ import annotations
@@ -128,22 +130,6 @@ def build_cantor(alpha: float, j: int, L: float = 16.0) -> TimeSet:
     ``build_cantor(0.5, j, L)`` with ``k = 1`` gives {1.25, 2.0} (mu = 1/4).
     """
     return cantor_points(cantor_spec(alpha, j, L))
-
-
-def decompose_cantor_levels(spec: CantorSpec) -> list[TimeSet]:
-    """Split the Cantor set by the lowest construction stage that is 'on'.
-
-    Level ``l < k`` fixes ``P_l = 1`` and ``P_m = 0`` for ``m < l`` (the
-    remaining ``k - l - 1`` bits run free), so it has ``2**(k-l-1)`` points,
-    all with ``t - 1`` in ``((1-mu) mu**l, mu**l]``.  Level ``k`` is the
-    singleton {1 + mu**k}.  As mu <= 1/2, every point of level ``l + 1`` lies
-    below every point of level ``l``, so the levels are position blocks of the
-    sorted set: level ``k`` is its first point and level ``l < k`` its
-    positions ``[2**(k-l-1), 2**(k-l))``.  Returned in the order 0, ..., k.
-    """
-    pts, k = cantor_points(spec).points, spec.k
-    levels = [TimeSet.from_points(pts[2 ** (k - l - 1):2 ** (k - l)]) for l in range(k)]
-    return levels + [TimeSet.from_points(pts[:1])]
 
 
 def _subset_in(ts: TimeSet, lo: float, hi: float) -> list[float]:

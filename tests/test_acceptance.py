@@ -13,8 +13,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from conftest import critical_line, wave_leading_term
 
-from fractalwave.bessel import bessel_j0, wave_leading_term
+from fractalwave.bessel import bessel_j0
 from fractalwave.caps import necessary_q_bounds
 from fractalwave.experiments import (
     RunConfig,
@@ -26,7 +27,6 @@ from fractalwave.experiments import (
 from fractalwave.exponents import (
     PQPoint,
     RegionSpec,
-    critical_line,
     q_points,
     region_membership,
     s_exponents,

@@ -5,7 +5,9 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from fractalwave.bessel import bessel_j0, wave_leading_term
+from conftest import wave_leading_term
+
+from fractalwave.bessel import bessel_j0
 
 
 def oracle(xs):

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import bilinear_cap_pair
 
 from fractalwave.caps import (
     CapProfile,
-    bilinear_cap_pair,
     box_samples,
     extension,
     necessary_q_bounds,

@@ -564,6 +564,26 @@ def test_report_refuses_a_run_whose_levels_do_not_match(tiny_run_dir, capsys):
     assert f"{path}: time_sets lists the levels" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "key, rows",
+    [
+        ("time_sets", [[2.9, 1.5], [3, 4], [4, 8]]),
+        ("measured", [[2.9, 0.1], [3, 0.5], [4, 1.0]]),
+        ("measured", [[2, 0.1], [3, "0.2"], [4, 1.0]]),
+        ("measured", [[7, 0.1], [8, 0.2], [9, 0.3]]),
+    ],
+    ids=["a fractional level", "a fractional j", "a string", "levels beyond the config"],
+)
+def test_report_refuses_rows_it_would_have_to_coerce(tiny_run_dir, capsys, key, rows):
+    path = tiny_run_dir / "tiny.json"
+    doc = json.loads(path.read_text())
+    doc[key] = rows
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", "--dir", str(tiny_run_dir))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"fractalwave report: {path}: {key} ")
+
+
 # --- verify ------------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 outside the tests.
 
 A function, class or constant that only its own test reads is a feature
-nobody uses; it goes, or it is listed in ``KEPT`` with the reason it stays.
+nobody uses; it goes, or it moves into the tests beside the checks that read
+it (as the grid cap pairs, the far-field Bessel term and the paper's
+necessary-condition and level-split lemmas did).  There are no exceptions.
 A consumer is a read of the name (a bare name or an attribute) anywhere in
 ``src/``, ``scripts/`` or ``benchmark/`` outside the name's own definition,
 or a function the benchmark tracer patches by name.  Imports, docstrings and
@@ -22,14 +24,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fractalwave"
-
-KEPT = {
-    "caps.bilinear_cap_pair": "oracle: the grid realization of the cap pairs tests/test_caps.py checks",
-    "sets.decompose_cantor_levels": "paper lemma: the Cantor level split of the endpoint argument",
-    "exponents.necessary_check": "paper lemma: which necessary condition a smoothing exponent s breaks",
-    "exponents.critical_line": "paper formula: the line (d-1)(1 - 1/p) = (d-1+2 alpha)/q",
-    "bessel.wave_leading_term": "oracle: the far-field term whose residual envelope tests certify",
-}
 
 KEPT_PARAMETERS = {
     "sets.build_interval_family.theta": "paper lemma: the angular parameter of the interval-family rescaling",
@@ -78,10 +72,7 @@ def _unconsumed(monkeypatch):
 
 
 def test_every_top_level_name_has_a_consumer_or_a_reason(monkeypatch):
-    found = _unconsumed(monkeypatch)
-    assert [name for name in found if name not in KEPT] == []
-    assert sorted(KEPT) == sorted(found), "a kept name found a consumer; drop it from KEPT"
-    assert all(reason.strip() for reason in KEPT.values())
+    assert _unconsumed(monkeypatch) == []
 
 
 def _is_dataclass(node):

@@ -452,13 +452,41 @@ def test_a_run_refuses_levels_that_do_not_match(tmp_path, time_sets):
         (lambda doc: dict(doc, measured=[[2, 0.0, 9.0], [3, 0.5], [4, 1.0]]),
          "measured must be a list of two-element rows, got [[2, 0.0, 9.0], [3, 0.5], [4, 1.0]]"),
         (lambda doc: dict(doc, time_sets=5), "time_sets must be a list of two-element rows, got 5"),
+        (lambda doc: dict(doc, time_sets=[[2.9, 1.5], [3, 4], [4, 8]]),
+         "time_sets row [2.9, 1.5] is not [an integer j, an integer #E_j]"),
+        (lambda doc: dict(doc, measured=[[2.9, 0.1], [3, 0.5], [4, 1.0]]),
+         "measured row [2.9, 0.1] is not [an integer j, a number]"),
+        (lambda doc: dict(doc, measured=[[2, 0.0], [3, "0.2"], [4, 1.0]]),
+         'measured row [3, "0.2"] is not [an integer j, a number]'),
+        (lambda doc: dict(doc, measured=[[2, 0.0], [3, True], [4, 1.0]]),
+         "measured row [3, true] is not [an integer j, a number]"),
+        (lambda doc: dict(doc, time_sets=[[2, 2], [3, 4.0], [4, 8]]),
+         "time_sets row [3, 4.0] is not [an integer j, an integer #E_j]"),
     ],
-    ids=["a list", "a three-number row", "a number"],
+    ids=["a list", "a three-number row", "a number", "a fractional level", "a fractional j",
+         "a string", "a bool", "a float count"],
 )
 def test_a_run_document_names_the_check_it_fails(tmp_path, edit, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(edit(run_to_json(_tiny_run((0.0, 0.5, 1.0))))))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load(path)
+
+
+def test_a_run_refuses_levels_its_config_cannot_produce(tmp_path):
+    """An s1 document (j = 4..7) whose rows list j = 7, 8, 9: each key is checked
+    against the config's j_min..j_max, not only against the other."""
+    config = json.loads((Path(__file__).resolve().parent.parent / "scripts" / "run_s1.json").read_text())
+    doc = {"config": config, "time_sets": [[j, 1] for j in (7, 8, 9)],
+           "measured": [[j, 0.5 * j] for j in (7, 8, 9)]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    message = "time_sets lists the levels [7, 8, 9], but its config runs j = 4..7"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load(path)
+    doc["time_sets"] = [[j, 1] for j in range(4, 8)]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("measured lists the levels [7, 8, 9]")):
         load(path)
 
 

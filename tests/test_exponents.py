@@ -8,6 +8,7 @@ line incidences) over random rational points.
 from fractions import Fraction
 
 import pytest
+from conftest import critical_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +17,14 @@ from fractalwave.exponents import (
     RegionSpec,
     ThresholdTable,
     _classify_hull,
+    _frac,
     _hull,
     _q_hull,
-    critical_line,
     in_region,
     marginal_vertex,
-    necessary_check,
     plot_data_to_csv,
     plot_data_to_json,
     q_points,
-    regime,
     region_membership,
     region_plot_data,
     s_exponents,
@@ -35,6 +34,34 @@ from fractalwave.exponents import (
 )
 
 F = Fraction
+
+_LABELS = ("s1", "s2", "s3")
+
+
+def regime(point: PQPoint, d: int, alpha) -> tuple[str, ...]:
+    """Which exponent attains the max; ties are reported, not broken."""
+    s = s_exponents(point, d, alpha)
+    return tuple(lbl for lbl, v in zip(_LABELS, s[:3]) if v == s.s_c)
+
+
+def necessary_check(point: PQPoint, d: int, alpha, s) -> str:
+    """Compare a smoothing exponent s against the necessary conditions.
+
+    Returns 'admissible' when s >= s_c away from the marginal vertex;
+    'marginal_point' when the point is the marginal vertex and s does not
+    exceed s_c strictly; otherwise the flag of the dominating regime that is
+    violated.
+    """
+    sv = _frac(s)
+    se = s_exponents(point, d, alpha)
+    marginal = point.as_tuple() == marginal_vertex(d, alpha).as_tuple()
+    if sv < se.s_c:
+        dominating = regime(point, d, alpha)[0]
+        return f"violates_{dominating}"
+    if marginal and sv == se.s_c:
+        return "marginal_point"
+    return "admissible"
+
 
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=40)
 alphas = st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20)

@@ -16,12 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import torus_coords
+from conftest import bilinear_cap_pair, torus_coords
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwave import experiments, extremizers
-from fractalwave.caps import bilinear_cap_pair
 from fractalwave import grid as grid_module
 from fractalwave.cutoffs import BETA0_SUPPORT, BETA1_SUPPORT, BETA_SUPPORT
 from fractalwave.experiments import RunConfig, level_grid
@@ -172,9 +171,8 @@ def test_lp_norm_values():
     # ||1||_p = (period^2)^(1/p)
     assert lp_norm(ones, 1) == pytest.approx(64.0)
     assert lp_norm(ones, 2) == pytest.approx(8.0)
-    assert lp_norm(ones, np.inf) == pytest.approx(1.0)
-    for p in (0.5, float("nan")):
-        with pytest.raises(ValueError):
+    for p in (0.5, math.inf, float("nan")):
+        with pytest.raises(ValueError, match="finite"):
             lp_norm(ones, p)
 
 
@@ -192,9 +190,6 @@ def test_mixed_norm_reduces_to_lp():
     g = random_field(GridSpec(64, 8.0), seed=2)
     both = mixed_norm([lp_norm(f, 4), lp_norm(g, 4)], 4)
     assert both == pytest.approx((lp_norm(f, 4) ** 4 + lp_norm(g, 4) ** 4) ** 0.25)
-    assert mixed_norm([lp_norm(f, np.inf), lp_norm(g, np.inf)], np.inf) == max(
-        lp_norm(f, np.inf), lp_norm(g, np.inf)
-    )
     # 13 times, past the 8 terms np.sum adds in sequence: its pairwise order may
     # move the last bits, but stays within 4 ulp of the exact power sum
     many = [random_field(GridSpec(64, 8.0), seed=s) for s in range(13)]
@@ -206,12 +201,12 @@ def test_mixed_norm_reduces_to_lp():
         assert mixed_norm(held, q) == mixed_norm(norms, q) and held.tolist() == norms  # not raised in place
     with pytest.raises(ValueError):
         mixed_norm([], 2)
-    for q in (0.5, float("nan")):
-        with pytest.raises(ValueError):
+    for q in (0.5, math.inf, float("nan")):
+        with pytest.raises(ValueError, match="finite"):
             mixed_norm([1.0, 2.0], q)
 
 
-@pytest.mark.parametrize("q", [4, np.inf])
+@pytest.mark.parametrize("q", [4, 2.5])
 def test_mixed_norm_holds_one_field_at_a_time(q):
     """The reduction takes numbers, so a caller that feeds it the norm of each
     evolved field drops that field before it makes the next one."""
@@ -228,7 +223,7 @@ def test_mixed_norm_holds_one_field_at_a_time(q):
 
     got = mixed_norm([norm_at(t) for t in times], q)
     norms = [lp_norm(half_wave(f, t), q) for t in times]
-    want = max(norms) if np.isinf(q) else sum(v**q for v in norms) ** (1.0 / q)
+    want = sum(v**q for v in norms) ** (1.0 / q)
     assert got == want
     assert len(previous) == len(times)
 
@@ -500,7 +495,7 @@ def test_factored_knapp_norm_is_the_2d_norm(n):
     for j in range(grid.max_band_j(BETA1_SUPPORT[1]) + 1):
         f = extremizers.knapp(grid, j)
         phys = to_physical(f)
-        for p in (1, Fraction(5, 2), 4, math.inf):
+        for p in (1, Fraction(5, 2), 4):
             want = lp_norm(phys, p)
             assert abs(lp_norm(f, p) - want) <= 4 * math.ulp(want), (j, p)
 
@@ -518,7 +513,7 @@ def _block_norm(g, values, p):
     [0, n/2] along ``g.even``: ``_power`` of each _BLOCK-wide block of the last pass of the
     inverse transform (row blocks for a cosine sum, else column blocks), times the mirror
     weight 1 on x_i = 0, n/2 and 2 elsewhere of each even axis, summed per block; then
-    the block sums, in block order, summed by np.sum (their max at p = infinity)."""
+    the block sums, in block order, summed by np.sum."""
     grid, pv, size = g.grid, float(p), grid_module._BLOCK
     weights = [np.where(np.isin(np.arange(m), (0, grid.n // 2)) | (axis not in g.even), 1.0, 2.0)
                for axis, m in enumerate(values.shape)]
@@ -527,8 +522,14 @@ def _block_norm(g, values, p):
     for start in range(0, values.shape[0 if cosine else 1], size):
         rows, cols = (slice(start, start + size), slice(None)) if cosine else (slice(None), slice(start, start + size))
         a = grid_module._power(values[rows, cols], pv)
-        sums.append(a.max() if math.isinf(pv) else np.sum(a * np.outer(weights[0][rows], weights[1][cols])))
-    return float(max(sums)) if math.isinf(pv) else float((np.sum(np.array(sums)) * grid.cell**2) ** (1.0 / pv))
+        sums.append(np.sum(a * np.outer(weights[0][rows], weights[1][cols])))
+    return float((np.sum(np.array(sums)) * grid.cell**2) ** (1.0 / pv))
+
+
+def _dense_norm(values, p, measure):
+    """(sum |values|^p measure)^(1/p) over a whole n x n array, as ``lp_norm`` sums a physical field."""
+    pv = float(p)
+    return grid_module._sum_norm(grid_module._power(values, pv), pv, measure)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -549,8 +550,8 @@ def test_mirrored_norm_is_the_full_grid_norm(n):
             for g in (f, half_wave(littlewood_paley(f, j), 0.7318)):
                 full = to_physical(g).values
                 half = grid_module._inverse(g, g.even)
-                for p in (1, Fraction(5, 2), 4, 5, 16, math.inf):
-                    want = grid_module._sum_norm(full, float(p), measure)
+                for p in (1, Fraction(5, 2), 4, 5, 16):
+                    want = _dense_norm(full, p, measure)
                     got = _block_norm(g, half, p)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (build.__name__, j, p)
                     if g.factors is None:
@@ -582,7 +583,7 @@ def test_knapp_numerator_norm_sums_its_columns_as_cosines(monkeypatch, j, traced
     assert top.stop < 2 * n.bit_length()
     full = to_physical(f).values
     for p in (Fraction(5, 2), 5):
-        want = grid_module._sum_norm(full, float(p), measure)
+        want = _dense_norm(full, p, measure)
         assert lp_norm(f, p) == pytest.approx(want, rel=1e-13, abs=0.0), p
     del full
     calls = _ifft_calls(monkeypatch)
@@ -631,7 +632,7 @@ def test_norm_of_a_plate_outside_its_band_is_zero():
     grid = GridSpec(256)
     f = littlewood_paley(extremizers.knapp(grid, 4), 1)
     assert f.support[0].size == 0 and f.even == (0,)
-    for p in (1, Fraction(5, 2), 5, math.inf):
+    for p in (1, Fraction(5, 2), 5):
         assert lp_norm(f, p) == 0.0, p
 
 
@@ -644,7 +645,7 @@ def test_knapp_numerator_norm_makes_no_half_grid(traced_peak):
     assert n == 1024
     f = half_wave(littlewood_paley(extremizers.knapp(grid, 6), 6), 0.7318)
     lp_norm(f, 5)  # the pool and the band points, made once, are not the norm's
-    for p in (Fraction(5, 2), 5, math.inf):
+    for p in (Fraction(5, 2), 5):
         _, peak = traced_peak(lp_norm, f, p)
         assert peak < 8 * (n // 2 + 1) * n, p
 
@@ -663,7 +664,6 @@ def test_integer_powers_are_squared():
         got = grid_module._power(values, float(p))
         assert np.all(np.abs(got - a**p) <= p * np.spacing(a**p)), p
     assert np.array_equal(grid_module._power(values, 2.5), a**2.5)
-    assert np.array_equal(grid_module._power(values, math.inf), a)
     for p, kept in ((16, 0), (5, 1)):
         made = np.empty(4096), np.empty(4096)
         tracemalloc.start()
@@ -692,8 +692,8 @@ def test_radial_numerator_norm_keeps_the_fft_column_pass(monkeypatch, build):
         monkeypatch.undo()
         assert any(axis == 0 for _, axis in calls), j
         assert np.array_equal(half, quarter), j
-        for p in (1, Fraction(5, 2), 5, 16, math.inf):
-            want = grid_module._sum_norm(full, float(p), measure)
+        for p in (1, Fraction(5, 2), 5, 16):
+            want = _dense_norm(full, p, measure)
             assert lp_norm(f, p) == _block_norm(f, quarter, p) == pytest.approx(want, rel=1e-13, abs=0.0), (j, p)
 
 
@@ -809,7 +809,7 @@ def test_pooled_inverse_transform_is_the_serial_one(monkeypatch, n):
 
     def everything():
         arrays = [grid_module._inverse(f, even) for _, f, even in paths] + [maximal_function(noise, E, 4).values]
-        norms = [lp_norm(f, p) for f in fields for p in (1, Fraction(5, 2), 5, math.inf)]
+        norms = [lp_norm(f, p) for f in fields for p in (1, Fraction(5, 2), 5)]
         return arrays, norms, [experiments.run_scaling(c).levels for c in configs] if n == 256 else []
 
     serial = _run_at(monkeypatch, 1, everything)

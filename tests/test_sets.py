@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from fractalwave import sets as sets_module
 from fractalwave.sets import (
+    CantorSpec,
     TimeSet,
     assouad_characteristic,
     assouad_characteristic_sup,
@@ -27,11 +28,27 @@ from fractalwave.sets import (
     cantor_points,
     cantor_spec,
     covering_number,
-    decompose_cantor_levels,
     discretize,
     marginal_sum,
     minkowski_estimate,
 )
+
+
+def decompose_cantor_levels(spec: CantorSpec) -> list[TimeSet]:
+    """Split the Cantor set by the lowest construction stage that is 'on'.
+
+    Level ``l < k`` fixes ``P_l = 1`` and ``P_m = 0`` for ``m < l`` (the
+    remaining ``k - l - 1`` bits run free), so it has ``2**(k-l-1)`` points,
+    all with ``t - 1`` in ``((1-mu) mu**l, mu**l]``.  Level ``k`` is the
+    singleton {1 + mu**k}.  As mu <= 1/2, every point of level ``l + 1`` lies
+    below every point of level ``l``, so the levels are position blocks of the
+    sorted set: level ``k`` is its first point and level ``l < k`` its
+    positions ``[2**(k-l-1), 2**(k-l))``.  Returned in the order 0, ..., k.
+    """
+    pts, k = cantor_points(spec).points, spec.k
+    levels = [TimeSet.from_points(pts[2 ** (k - l - 1):2 ** (k - l)]) for l in range(k)]
+    return levels + [TimeSet.from_points(pts[:1])]
+
 
 # --- brute-force oracles -----------------------------------------------------
 
