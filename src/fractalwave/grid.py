@@ -165,7 +165,8 @@ def _lattice_points(spec: GridSpec, lo: float = -1.0, hi: float = math.inf) -> t
     table = np.maximum(table, table.T)  # (k2, k1) is in the orbit of (k1, k2)
     idx = table[kabs][:, kabs]
     inside = idx >= 0
-    flat = (ks[:, None] * n + ks[None, :])[inside]
+    # with every index in ks (the whole lattice), inside's own flat indices are the lattice's
+    flat = np.flatnonzero(inside) if ks.size == n else (ks[:, None] * n + ks[None, :])[inside]
     support = flat, idx[inside], radii
     for a in support:
         a.setflags(write=False)
@@ -293,6 +294,7 @@ def _apply_multiplier(f: Field, symbol, band: tuple[float, float] | None = None)
     g = _spectrum(f)
     support, inside = (g.support, slice(None)) if band is None else _meet(g.support, band)
     vals = g.data[inside]
+    del g  # a transform made here, whole-lattice support and all, goes before the output is made
     mult = np.take(symbol(support[2]), support[1]) if callable(symbol) else symbol.ravel()[support[0]]
     vals = np.multiply(vals, mult, out=vals if vals.flags.writeable else None)  # in place on a gathered copy
     out = _own(grid, vals, "frequency", support=support, even=f.even if callable(symbol) else ())
