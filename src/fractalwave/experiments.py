@@ -18,9 +18,11 @@ sits.  The three stock runs:
 * annulus with a Cantor time set                              -> s3.
 
 The verify_* suites certify the non-run properties: marginal-sum divergence,
-multiplier coefficient decay at u = 2^j dt in {0, 1/2, 1} (the symbol depends
-on u alone, so no level is swept), Whitney coverage/orthogonality on the fixed
-base arc, and the bilinear cap necessity magnitudes over a fixed delta triple.
+the locally constant property as the Fourier-coefficient decay of the level
+symbol at u = 2^j dt in {0, 1/2, 1} (it depends on u alone, so no level is
+swept, and its cell is sampled once for all three), Whitney
+coverage/orthogonality on the fixed base arc, and the bilinear cap necessity
+magnitudes over a fixed delta triple.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import extremizers
 from .caps import BOX_C, necessary_q_bounds, pair_product_statistic
-from .cutoffs import BETA1_SUPPORT, BETA_SUPPORT
+from .cutoffs import BETA1_SUPPORT, BETA_SUPPORT, beta
 from .exponents import PQPoint, _frac, s_exponents
 from .grid import (
     Field,
@@ -47,7 +49,6 @@ from .grid import (
     littlewood_paley,
     lp_norm,
     mixed_norm,
-    multiplier_coeff_decay,
     random_field,
     sector_project,
 )
@@ -109,6 +110,8 @@ class RunConfig:
         for name in ("j_min", "j_max"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.time_L) not in (int, float):  # a JSON true or false loads as a bool, an int subclass
+            raise ValueError(f"time_L must be a number, got {self.time_L!r}")
         if not math.isfinite(self.time_L):
             raise ValueError(f"time_L must be finite, got {self.time_L}")
         if self.label in (".", "..") or "/" in self.label or os.sep in self.label:
@@ -288,22 +291,42 @@ class DecayReport:
     order: int
     certified_c: float
     c_values: tuple[tuple[float, float], ...]  # (u, C_M)
+    coeff_sums: tuple[float, ...]  # per u, sum |d_k| over the shells
     passed: bool
 
 
 def verify_locally_constant(M: int) -> DecayReport:
-    """Build multiplier_coeff_decay at u = 2^j dt in {0, 1/2, 1} and certify a
-    single C_M with factor-4 stability across them.
+    """Certify the locally constant property: the Fourier-series coefficients d_k of m(xi) =
+    beta(|xi|) e^{i u |xi|} on [-pi, pi]^2 peak on each shell s <= |k| < s+1, s <= 48, below
+    C_M (1+s)^{-M}, with C_M and sum |d_k| stable within a factor 4 over u in {0, 1/2, 1}.
 
-    The symbol at level j and step dt depends on u alone (see
-    ``CoeffDecayTable``), so these three tables cover every j.
+    So a 2^j-band-limited half-wave evolution sampled |dt| <= 2^{-j} apart is reproduced by a fixed
+    absolutely-summable translation scheme.  The level-j symbol beta(|xi| / 2^j) e^{i dt |xi|} is
+    m(2^{-j} xi), u = 2^j dt, whose series on the dilated cell has m's coefficients: C_M depends on
+    u alone, and |u| <= 1 covers every j.  The 512^2 cell, beta on it and its shells are sampled once.
     """
-    tables = [(u, multiplier_coeff_decay(u, M)) for u in (0.0, 0.5, 1.0)]
-    cs = [tab.c_m for _, tab in tables]
-    sums = [tab.coeff_sum for _, tab in tables]
+    if not 1 <= M <= 12:
+        raise ValueError(f"decay order M must be in [1, 12], got {M}")
+    N, S = 512, 48  # samples per axis of the cell, and its last shell
+    xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
+    r = np.hypot(xi[:, None], xi[None, :])
+    window = beta(r)
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    shell = np.floor(np.hypot(k[:, None], k[None, :])).astype(np.intp)
+    keep = shell <= S
+    shell = shell[keep]  # the kept points' shells only
+    cs, sums = [], []
+    for u in (0.0, 0.5, 1.0):
+        d = window * np.exp(1j * u * r)
+        mag = np.abs(np.divide(np.fft.fft2(d, out=d), N**2, out=d))  # in place: fft2(d) / N^2 bit for bit
+        peaks = np.zeros(S + 1)
+        np.maximum.at(peaks, shell, mag[keep])
+        cs.append(max(peak * (1.0 + s) ** M for s, peak in enumerate(peaks.tolist())))
+        sums.append(float(np.where(keep, mag, 0.0).sum()))
+        del d, mag  # before the next u's symbol is made
     stable = max(cs) <= 4.0 * min(cs) and max(sums) <= 4.0 * min(sums)
-    c_values = tuple((u, tab.c_m) for u, tab in tables)
-    return DecayReport(order=M, certified_c=max(cs), c_values=c_values, passed=stable)
+    return DecayReport(order=M, certified_c=max(cs), c_values=tuple(zip((0.0, 0.5, 1.0), cs)),
+                       coeff_sums=tuple(sums), passed=stable)
 
 
 @dataclass(frozen=True)
@@ -420,7 +443,8 @@ def run_to_json(run: ScalingRun) -> dict:
 def run_from_json(data: dict) -> ScalingRun:
     """The run a document records, whose ``time_sets`` rows [j, #E_j] hold integers and
     ``measured`` rows [j, log2 R(j)] an integer and a JSON number, each listing its config's
-    j_min..j_max in order; its stored fit and verdict are derived again, not read."""
+    j_min..j_max in order, and each #E_j the size of the config's E_j; its stored fit and
+    verdict are derived again, not read."""
     if not isinstance(data, dict):
         raise ValueError(f"a scaling-run document is a JSON object, got {type(data).__name__}")
     try:
@@ -440,6 +464,10 @@ def run_from_json(data: dict) -> ScalingRun:
             raise ValueError(f"{key} lists the levels {[j for j, _ in value]}, but its config runs "
                              f"j = {config.j_min}..{config.j_max}")
     sizes, measured = rows["time_sets"], rows["measured"]
+    for j, m in sizes:
+        want = len(_time_set(config, j).points)
+        if m != want:
+            raise ValueError(f"time_sets row {json.dumps([j, m])} states #E_j = {m}, but its config's E_{j} has {want}")
     return ScalingRun(config, tuple((j, m, float(y)) for (j, m), (_, y) in zip(sizes, measured)))
 
 

@@ -27,10 +27,10 @@ from typing import NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
-    """Coerce ints, strings like '2/5', and Fractions; floats are refused, and a
-    zero denominator is a ValueError."""
-    if isinstance(x, float):
-        raise TypeError(f"exact rational expected, got float {x!r} (pass a Fraction or string)")
+    """Coerce ints, strings like '2/5', and Fractions; floats and bools are refused,
+    and a zero denominator is a ValueError."""
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r} (pass a Fraction or string)")
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:

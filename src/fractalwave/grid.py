@@ -81,8 +81,6 @@ from .cutoffs import BETA_SUPPORT, beta, step
 from .sets import TimeSet, discretize
 
 _SPACES = ("physical", "frequency")
-COEFF_RESOLUTION = 512  # samples per axis of a coefficient-decay table's period cell
-COEFF_SHELL_MAX = 48  # its last shell s <= |k| < s+1
 _BLOCK = 32  # rows or columns per block of the inverse transform; 16..256 timed at n = 2048
 _WORKERS = len(os.sched_getaffinity(0))  # runs per pass of the inverse transform
 _SPLIT_BYTES = 2**19  # smallest block split across threads, 32 x 1024 complex: they lost at n = 512
@@ -511,52 +509,6 @@ def maximal_function(f: Field, E: TimeSet, j: int) -> Field:
     for t in discretize(E, 2.0**-j).points:
         _inverse(circular_average(g, t), (), peak)
     return _own(f.grid, acc, "physical")
-
-
-@dataclass(frozen=True)
-class CoeffDecayTable:
-    """Fourier-series coefficient decay of m(xi) = beta(|xi|) e^{i u |xi|} on [-pi,pi]^2.
-
-    ``shells[s]`` is (s, max |d_k| over s <= |k| < s+1); ``c_m`` certifies
-    |d_k| <= c_m (1+|k|)^{-M} over the computed range.  At level j and time step
-    dt the symbol is beta(|xi| / 2^j) e^{i dt |xi|} = m(2^{-j} xi) with u = 2^j dt:
-    a dilation of m, whose series on the dilated cell has m's coefficients.  So
-    the table, and the constant of the locally constant property, depend on u
-    alone, and |dt| <= 2^{-j} is |u| <= 1 at every j.
-    """
-
-    shells: tuple[tuple[int, float], ...]
-    c_m: float
-    coeff_sum: float
-
-
-def multiplier_coeff_decay(u: float, M: int) -> CoeffDecayTable:
-    """Per-shell maxima of the multiplier's Fourier-series coefficients.
-
-    Rapid decay here is the quantitative form of the locally constant
-    property: a 2^j-band-limited half-wave evolution sampled at times
-    |dt| <= 2^{-j} apart, u = 2^j dt, is reproduced by a fixed
-    absolutely-summable translation scheme.
-    """
-    if not 1 <= M <= 12:
-        raise ValueError(f"decay order M must be in [1, 12], got {M}")
-    if not abs(u) <= 1.0:
-        raise ValueError(f"|u| = |2^j dt| must be <= 1, got {u}")
-    N = COEFF_RESOLUTION
-    xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
-    r = np.hypot(xi[:, None], xi[None, :])
-    symbol = beta(r) * np.exp(1j * u * r)
-    d = np.fft.fft2(symbol) / N**2
-    kk = np.fft.fftfreq(N, d=1.0 / N)
-    shell = np.floor(np.hypot(kk[:, None], kk[None, :])).astype(np.intp)  # s <= |k| < s+1
-    keep = shell <= COEFF_SHELL_MAX
-    mag = np.abs(d)
-    peaks = np.zeros(COEFF_SHELL_MAX + 1)
-    np.maximum.at(peaks, shell[keep], mag[keep])
-    shells = tuple((s, float(peak)) for s, peak in enumerate(peaks))
-    c_m = max(peak * (1.0 + s) ** M for s, peak in shells)
-    total = float(np.where(keep, mag, 0.0).sum())
-    return CoeffDecayTable(shells=shells, c_m=c_m, coeff_sum=total)
 
 
 def sector_project(f: Field, arc: tuple[float, float], smooth_margin: float) -> Field:

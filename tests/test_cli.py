@@ -255,6 +255,15 @@ def test_operator_battery_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [["--t", "1.13"], ["--j", "2", "--t", "1.3"]])
+def test_operator_battery_checks_dominance_at_the_times_the_maximal_function_keeps(capsys, argv):
+    # thinning {1.1, t, 1.9} to a 2^-j-net drops t here, so the maximal
+    # function does not dominate the average at t, and is not checked there
+    code, out, _ = run_cli(capsys, "operators", *argv)
+    assert code == 0
+    assert "PASS  maximal function dominates averages" in out and "FAIL" not in out
+
+
 @pytest.mark.parametrize("n", [256, 512])
 def test_operator_battery_peak_stays_under_the_preflight_estimate(capsys, traced_peak, n):
     m = 256
@@ -460,6 +469,10 @@ def test_scaling_exits_1_when_any_verdict_is_not_consistent(tmp_path, capsys, mo
                      id="second6-bad config: {path}: label must be a file name"),
         pytest.param(dict(TINY, label=".."), "{path}: label must be a file name",
                      id="second7-bad config: {path}: label must be a file name"),
+        # a JSON true is an int to Python, but no number of a config
+        (dict(TINY, q=True), "{path}: exact rational expected, got bool True"),
+        (dict(TINY, alpha=True), "{path}: exact rational expected, got bool True"),
+        (dict(TINY, time_L=True), "{path}: time_L must be a number, got True"),
         ("{not json", ":1:2:"),
         ("[]", "JSON object"),
         (None, "No such file"),
@@ -571,8 +584,10 @@ def test_report_refuses_a_run_whose_levels_do_not_match(tiny_run_dir, capsys):
         ("measured", [[2.9, 0.1], [3, 0.5], [4, 1.0]]),
         ("measured", [[2, 0.1], [3, "0.2"], [4, 1.0]]),
         ("measured", [[7, 0.1], [8, 0.2], [9, 0.3]]),
+        ("time_sets", [[2, -3], [3, 0], [4, 8]]),  # the config's E_j hold 2, 4 and 8 points
     ],
-    ids=["a fractional level", "a fractional j", "a string", "levels beyond the config"],
+    ids=["a fractional level", "a fractional j", "a string", "levels beyond the config",
+         "set sizes the config cannot produce"],
 )
 def test_report_refuses_rows_it_would_have_to_coerce(tiny_run_dir, capsys, key, rows):
     path = tiny_run_dir / "tiny.json"

@@ -462,9 +462,13 @@ def test_a_run_refuses_levels_that_do_not_match(tmp_path, time_sets):
          "measured row [3, true] is not [an integer j, a number]"),
         (lambda doc: dict(doc, time_sets=[[2, 2], [3, 4.0], [4, 8]]),
          "time_sets row [3, 4.0] is not [an integer j, an integer #E_j]"),
+        (lambda doc: dict(doc, time_sets=[[2, -3], [3, 0], [4, 8]]),
+         "time_sets row [2, -3] states #E_j = -3, but its config's E_2 has 2"),
+        (lambda doc: dict(doc, time_sets=[[2, 2], [3, 4], [4, 9]]),
+         "time_sets row [4, 9] states #E_j = 9, but its config's E_4 has 8"),
     ],
     ids=["a list", "a three-number row", "a number", "a fractional level", "a fractional j",
-         "a string", "a bool", "a float count"],
+         "a string", "a bool", "a float count", "a negative count", "a count off by one"],
 )
 def test_a_run_document_names_the_check_it_fails(tmp_path, edit, message):
     path = tmp_path / "run.json"
@@ -559,19 +563,25 @@ def test_locally_constant_suite():
 
 def test_locally_constant_suite_builds_one_table_per_u(monkeypatch):
     # the symbol depends on u = 2^j dt alone, so u in {0, 1/2, 1} is three
-    # tables, and each row reports exactly the direct table's constant
-    calls = []
-    direct = experiments_module.multiplier_coeff_decay
+    # tables: the cell, beta on it and the shells are sampled once, and each u
+    # takes one fft2; the spies change no bit of the report
+    want = verify_locally_constant(M=8)
+    betas, ffts = [], []
+    real_beta, real_fft2 = experiments_module.beta, np.fft.fft2
 
-    def spy(u, M):
-        calls.append(u)
-        return direct(u, M)
+    def beta_spy(t):
+        betas.append(np.shape(t))
+        return real_beta(t)
 
-    monkeypatch.setattr(experiments_module, "multiplier_coeff_decay", spy)
-    rep = verify_locally_constant(M=8)
-    assert calls == [0.0, 0.5, 1.0]
-    for u, c in rep.c_values:
-        assert c == direct(u, 8).c_m
+    def fft2_spy(a, *args, **kwargs):
+        ffts.append(a.shape)
+        return real_fft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, "beta", beta_spy)
+    monkeypatch.setattr(np.fft, "fft2", fft2_spy)
+    assert verify_locally_constant(M=8) == want
+    assert betas == [(512, 512)]
+    assert ffts == [(512, 512)] * 3
 
 
 def test_certified_numbers_equal_the_pinned_values():

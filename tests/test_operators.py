@@ -14,9 +14,8 @@ from conftest import torus_coords
 from fractalwave import grid as grid_module
 from fractalwave.bessel import bessel_j0
 from fractalwave.cutoffs import beta
+from fractalwave.experiments import verify_locally_constant
 from fractalwave.grid import (
-    COEFF_RESOLUTION,
-    COEFF_SHELL_MAX,
     Field,
     GridSpec,
     circular_average,
@@ -26,7 +25,6 @@ from fractalwave.grid import (
     littlewood_paley,
     lp_norm,
     maximal_function,
-    multiplier_coeff_decay,
     random_field,
     sector_project,
     to_frequency,
@@ -201,57 +199,73 @@ def test_circular_average_of_a_physical_band_field_stays_on_the_band(monkeypatch
 # --- multiplier coefficient decay -------------------------------------------
 
 
-def test_coeff_decay_table_certifies_its_bound():
-    tab = multiplier_coeff_decay(0.5, 8)
-    assert len(tab.shells) == COEFF_SHELL_MAX + 1
-    for s, peak in tab.shells:
-        assert peak <= tab.c_m / (1.0 + s) ** 8 * (1.0 + 1e-12)
-    assert tab.coeff_sum >= tab.shells[0][1]
+_CELL, _LAST_SHELL = 512, 48  # the suite's samples per axis of the period cell, and its last shell
+
+
+def _coeff_magnitudes(u, j=0):
+    """|d_k| of the level-j symbol beta(|xi| / 2^j) e^{i dt |xi|}, dt = 2^-j u, sampled on
+    the dilated cell 2^j [-pi, pi)^2; at j = 0 it is the suite's m(xi) = beta(|xi|) e^{i u |xi|}."""
+    N = _CELL
+    xi = 2.0**j * (-np.pi + 2.0 * np.pi * np.arange(N) / N)
+    r = np.hypot(xi[:, None], xi[None, :])
+    return np.abs(np.fft.fft2(beta(r / 2.0**j) * np.exp(1j * (u * 2.0**-j) * r)) / N**2)
 
 
 def _shell_masks():
-    """One mask s <= |k| < s+1 per shell of the coefficient table."""
-    kk = np.fft.fftfreq(COEFF_RESOLUTION, d=1.0 / COEFF_RESOLUTION)
+    """One mask s <= |k| < s+1 per shell the suite certifies."""
+    kk = np.fft.fftfreq(_CELL, d=1.0 / _CELL)
     kabs = np.hypot(kk[:, None], kk[None, :])
-    return [(kabs >= s) & (kabs < s + 1) for s in range(COEFF_SHELL_MAX + 1)]
+    return [(kabs >= s) & (kabs < s + 1) for s in range(_LAST_SHELL + 1)]
+
+
+def _shell_peaks(mag):
+    return [float(mag[m].max()) for m in _shell_masks()]
+
+
+def _c_m(peaks, M):
+    return max(peak * (1.0 + s) ** M for s, peak in enumerate(peaks))
+
+
+def test_coeff_decay_table_certifies_its_bound():
+    rep = verify_locally_constant(8)
+    for (u, c_m), total in zip(rep.c_values, rep.coeff_sums, strict=True):
+        peaks = _shell_peaks(_coeff_magnitudes(u))
+        for s, peak in enumerate(peaks):
+            assert peak <= c_m / (1.0 + s) ** 8 * (1.0 + 1e-12)
+        assert total >= peaks[0]
 
 
 def test_coeff_decay_shells_equal_the_per_shell_masks():
     # reference: one mask per shell; the sum runs in another order, so it is
     # held to a few ulp
-    N, u = COEFF_RESOLUTION, 0.5
-    tab = multiplier_coeff_decay(u, 6)
-    xi = -np.pi + 2.0 * np.pi * np.arange(N) / N
-    r = np.hypot(xi[:, None], xi[None, :])
-    mag = np.abs(np.fft.fft2(beta(r) * np.exp(1j * u * r)) / N**2)
+    rep = verify_locally_constant(6)
+    assert [u for u, _ in rep.c_values] == [0.0, 0.5, 1.0]
     masks = _shell_masks()
-    assert tab.shells == tuple((s, float(mag[m].max())) for s, m in enumerate(masks))
-    want = sum(float(mag[m].sum()) for m in masks)
-    assert abs(tab.coeff_sum - want) <= 4 * np.finfo(float).eps * want
+    for (u, c_m), total in zip(rep.c_values, rep.coeff_sums, strict=True):
+        mag = _coeff_magnitudes(u)
+        assert c_m == _c_m(_shell_peaks(mag), 6)
+        want = sum(float(mag[m].sum()) for m in masks)
+        assert abs(total - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_coeff_decay_depends_only_on_scaled_offset():
     # the level-j symbol beta(|xi| / 2^j) e^{i dt |xi|} on the dilated cell
-    # 2^j [-pi, pi]^2 has, to the last bit, the shells of the table at u = 2^j dt
-    N, u = COEFF_RESOLUTION, 0.5
-    tab = multiplier_coeff_decay(u, 6)
+    # 2^j [-pi, pi]^2 has, to the last bit, the shells of m at u = 2^j dt, so
+    # the suite's C_M at u = 1/2 holds at every j
+    u = 0.5
+    c_m = dict(verify_locally_constant(6).c_values)[u]
+    peaks = _shell_peaks(_coeff_magnitudes(u))
     for j in (4, 9):
-        dt = u * 2.0**-j
-        xi = 2.0**j * (-np.pi + 2.0 * np.pi * np.arange(N) / N)
-        r = np.hypot(xi[:, None], xi[None, :])
-        mag = np.abs(np.fft.fft2(beta(r / 2.0**j) * np.exp(1j * dt * r)) / N**2)
-        assert tab.shells == tuple((s, float(mag[m].max())) for s, m in enumerate(_shell_masks()))
+        dilated = _shell_peaks(_coeff_magnitudes(u, j))
+        assert dilated == peaks
+        assert _c_m(dilated, 6) == c_m
 
 
 def test_coeff_decay_validation():
-    with pytest.raises(ValueError):
-        multiplier_coeff_decay(0.1, 0)
-    with pytest.raises(ValueError):
-        multiplier_coeff_decay(0.1, 13)
-    with pytest.raises(ValueError):
-        multiplier_coeff_decay(2.0, 8)  # |dt| = 2^{1-j} > 2^-j
-    with pytest.raises(ValueError):
-        multiplier_coeff_decay(float("nan"), 8)
+    with pytest.raises(ValueError, match="decay order M must be in"):
+        verify_locally_constant(0)
+    with pytest.raises(ValueError, match="decay order M must be in"):
+        verify_locally_constant(13)
 
 
 # --- littlewood-paley and sectors -------------------------------------------
